@@ -56,7 +56,6 @@ from .errors import (
     DimensionMismatchError,
     InvalidSpectrumError,
     IsolatedNodeError,
-    JacobiConvergenceError,
     PreconditionError,
     SchemaError,
 )

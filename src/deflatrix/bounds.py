@@ -272,12 +272,17 @@ def power_iter_bound_conditions(
 
     tail = 0.0
     for kp in range(1, K):
-        tail += (
-            8.0 ** (K - kp)
-            * float(lam[kp - 1])
-            / gaps.gap(kp)
-            * (1.0 / _contraction_ratio(lam, kp)) ** t
-        )
+        try:
+            tail += (
+                8.0 ** (K - kp)
+                * float(lam[kp - 1])
+                / gaps.gap(kp)
+                * (1.0 / _contraction_ratio(lam, kp)) ** t
+            )
+        except OverflowError:
+            # 8**(K-kp) exceeds float64: the summand counts as +inf
+            tail = math.inf
+            break
     tail_ok = tail <= gaps.min_gap(K) / (140.0 * inputs.init_constant)
     return per_step, bool(tail_ok)
 
@@ -300,12 +305,16 @@ def power_iter_bound(inputs: BoundInputs, gaps: SpectrumGaps, k: int) -> float |
     for kp in range(1, k + 1):
         lam_kp = float(lam[kp - 1])
         ratio = _lam_next(lam, kp) / lam_kp
-        total += (
-            8.0 ** (k - kp)
-            * lam_kp
-            / float(lam[k - 1])
-            * (5.0 * float(inputs.sub_error_norms[kp - 1]) + 7.0 * c0 / gaps.gap(kp) * ratio**t)
-        )
+        try:
+            total += (
+                8.0 ** (k - kp)
+                * lam_kp
+                / float(lam[k - 1])
+                * (5.0 * float(inputs.sub_error_norms[kp - 1]) + 7.0 * c0 / gaps.gap(kp) * ratio**t)
+            )
+        except OverflowError:
+            # 8**(k-kp) exceeds float64: the summand, and so the bound, is +inf
+            return math.inf
     return 3.0 * total
 
 

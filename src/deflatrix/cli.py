@@ -27,7 +27,6 @@ from .deflate import ideal_deflation, run_inexact_deflation
 from .diagnostics import diagnose_run
 from .errors import PreconditionError, SchemaError
 from .linalg import (
-    DEFAULT_JACOBI_TOL,
     ExplicitSpectrum,
     ExponentialSpectrum,
     PowerLawSpectrum,
@@ -81,7 +80,6 @@ _CONFIG_KEYS = {
     "out": str,
     "j_slice": str,
     "epsilon": float,
-    "jacobi_tol": float,
     "data": str,
     "r": int,
     "clusters": int,
@@ -111,30 +109,33 @@ def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip()]
 
 
-def _deflate_pipeline(args):
+def _run_from_args(args):
     d = args.d if args.d is not None else 100
     K = args.k if args.k is not None else d
     t = args.t if args.t is not None else 200
     seed = args.seed if args.seed is not None else 0
-    tol = args.jacobi_tol if args.jacobi_tol is not None else DEFAULT_JACOBI_TOL
     kind = parse_spectrum(args.spectrum if args.spectrum is not None else "power-law:1")
     if not 1 <= K <= d:
         raise ValueError(f"--K must lie in [1, {d}]")
     root = RandomSource(seed)
     basis = random_orthogonal_basis(d, root.substream(_BASIS_STREAM))
     sigma, spectrum = build_test_sigma(d, kind, basis)
-    run = run_inexact_deflation(
-        sigma, K, t, root.substream(_RUN_STREAM), spectrum=spectrum, jacobi_tol=tol
-    )
-    truth = ideal_deflation(spectrum, K)
-    diags = diagnose_run(run, truth, jacobi_tol=tol)
-    gaps = eigengaps(spectrum.eigenvalues)
-    inputs = inputs_from_run(run, spectrum.eigenvalues, epsilon=args.epsilon)
+    run = run_inexact_deflation(sigma, K, t, root.substream(_RUN_STREAM), spectrum=spectrum)
+    return run, spectrum
+
+
+def _bound_report(run, spectrum, epsilon):
+    inputs = inputs_from_run(run, spectrum.eigenvalues, epsilon=epsilon)
     errors = [
-        float(np.linalg.norm(run.components[:, k - 1] - truth.ideal_vector(k)))
-        for k in range(1, K + 1)
+        float(np.linalg.norm(run.components[:, k - 1] - spectrum.eigenvector(k - 1)))
+        for k in range(1, run.K + 1)
     ]
-    report = build_bound_report(inputs, gaps, errors)
+    return build_bound_report(inputs, eigengaps(spectrum.eigenvalues), errors)
+
+
+def cmd_deflate(args) -> int:
+    run, spectrum = _run_from_args(args)
+    d = run.d
     if args.j_slice is not None:
         j_slice = _int_list(args.j_slice)
     else:
@@ -142,12 +143,10 @@ def _deflate_pipeline(args):
     bad = [j for j in j_slice if not 1 <= j <= d]
     if bad:
         raise ValueError(f"--j-slice entries out of range: {bad}")
+    truth = ideal_deflation(spectrum, run.K)
+    diags = diagnose_run(run, truth)
+    report = _bound_report(run, spectrum, args.epsilon)
     label = args.spectrum if args.spectrum is not None else "power-law:1"
-    return run, truth, diags, report, j_slice, label
-
-
-def cmd_deflate(args) -> int:
-    run, truth, diags, report, j_slice, label = _deflate_pipeline(args)
     out = _resolve_out(args)
     dio.write_run_dir(run, truth, out, spectrum_label=label)
     dio.write_figure_csvs(diags, j_slice, out)
@@ -157,7 +156,7 @@ def cmd_deflate(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    _, _, _, report, _, _ = _deflate_pipeline(args)
+    report = _bound_report(*_run_from_args(args), args.epsilon)
     out = _resolve_out(args)
     dio.write_bounds_csv(report, out / "bounds.csv", with_budgets=args.epsilon is not None)
     print(f"wrote {out / 'bounds.csv'}")
@@ -235,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spectrum", help="power-law:G | exponential:R | explicit:v1,v2,...")
     p.add_argument("--j-slice", dest="j_slice", help="comma list of directions for figure CSVs")
     p.add_argument("--epsilon", type=float, help="target accuracy; adds budget columns")
-    p.add_argument("--jacobi-tol", dest="jacobi_tol", type=float, help="oracle tolerance")
     p.set_defaults(func=cmd_deflate)
 
     p = sub.add_parser("bounds", help="run deflation, write only the bound report")
@@ -244,9 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", dest="k", type=int)
     p.add_argument("--t", type=int)
     p.add_argument("--spectrum", help="power-law:G | exponential:R | explicit:v1,v2,...")
-    p.add_argument("--j-slice", dest="j_slice", help=argparse.SUPPRESS)
     p.add_argument("--epsilon", type=float, help="target accuracy; adds budget columns")
-    p.add_argument("--jacobi-tol", dest="jacobi_tol", type=float)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("cluster", help="spectral clustering sweep over t and seeds")

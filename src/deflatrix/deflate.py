@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import DegenerateGapError, DimensionMismatchError, InvalidSpectrumError
 from .linalg import (
-    DEFAULT_JACOBI_TOL,
     RandomSource,
     Spectrum,
     SymMatrix,
@@ -123,7 +122,6 @@ def aligned_top_eigenvector(
     u_star_k: np.ndarray,
     *,
     spectrum: Spectrum | None = None,
-    jacobi_tol: float = DEFAULT_JACOBI_TOL,
 ) -> tuple[np.ndarray, float]:
     """Oracle top eigenvector of ``sigma_k`` with its sign fixed by ``u_star_k``.
 
@@ -137,7 +135,7 @@ def aligned_top_eigenvector(
         raise DimensionMismatchError("reference vector dimension mismatch")
     if abs(np.linalg.norm(u_star_k) - 1.0) > _UNIT_TOL:
         raise ValueError("reference vector must have unit norm")
-    spec = spectrum if spectrum is not None else jacobi_eigendecomposition(sigma_k, jacobi_tol)
+    spec = spectrum if spectrum is not None else jacobi_eigendecomposition(sigma_k)
     if spec.dim >= 2 and spec.eigenvalues[0] - spec.eigenvalues[1] < _GAP_TOL:
         raise DegenerateGapError(
             f"top two eigenvalues within {_GAP_TOL:g}; top eigenvector is ambiguous"
@@ -229,7 +227,6 @@ def run_inexact_deflation(
     with_oracle: bool = True,
     require_strict_decay: bool = True,
     keep_matrices: bool = True,
-    jacobi_tol: float = DEFAULT_JACOBI_TOL,
 ) -> DeflationRun:
     """Extract K approximate top eigenvectors with t power-iteration steps each.
 
@@ -252,7 +249,7 @@ def run_inexact_deflation(
 
     assumption_ok: bool | None = None
     if spectrum is None and (with_oracle or require_strict_decay):
-        spectrum = jacobi_eigendecomposition(sigma, jacobi_tol)
+        spectrum = jacobi_eigendecomposition(sigma)
     if spectrum is not None:
         if spectrum.dim != d:
             raise DimensionMismatchError("spectrum dimension does not match the matrix")
@@ -274,7 +271,7 @@ def run_inexact_deflation(
         v = result.x_t
         if with_oracle:
             assert spectrum is not None
-            step_spec = jacobi_eigendecomposition(current, jacobi_tol)
+            step_spec = jacobi_eigendecomposition(current)
             u, lam = aligned_top_eigenvector(
                 current, spectrum.eigenvector(k - 1), spectrum=step_spec
             )

@@ -21,12 +21,7 @@ import numpy as np
 
 from .deflate import DeflationRun, GroundTruthTrace, aligned_top_eigenvector
 from .errors import DegenerateGapError, DimensionMismatchError
-from .linalg import (
-    DEFAULT_JACOBI_TOL,
-    SymMatrix,
-    jacobi_eigendecomposition,
-    spectral_norm,
-)
+from .linalg import SymMatrix, jacobi_eigendecomposition, spectral_norm
 
 __all__ = [
     "CHECK_SLACK",
@@ -84,12 +79,7 @@ class StepDiagnostics:
     inner_gap: float
 
 
-def diagnose_run(
-    run: DeflationRun,
-    truth: GroundTruthTrace,
-    *,
-    jacobi_tol: float = DEFAULT_JACOBI_TOL,
-) -> list[StepDiagnostics]:
+def diagnose_run(run: DeflationRun, truth: GroundTruthTrace) -> list[StepDiagnostics]:
     """Compute the full per-step diagnostic table for an oracle-enabled run."""
     if not run.has_oracle_trace:
         raise ValueError("diagnostics need a run recorded with the oracle enabled")
@@ -114,7 +104,7 @@ def diagnose_run(
                 k=k,
                 sub_err=sub_err,
                 matrix_gap_fro=float(np.linalg.norm(gap.array)),
-                matrix_gap_spec=spectral_norm(gap, jacobi_tol),
+                matrix_gap_spec=spectral_norm(gap),
                 output_err=output_err,
                 drift=drift,
                 directional_gaps=np.linalg.norm(gap.array @ basis, axis=0),
@@ -153,12 +143,7 @@ def matrix_gap_recurrence_check(
 
 
 def eigvec_inner_identity_check(
-    m: SymMatrix,
-    m_star: SymMatrix,
-    i: int,
-    j: int,
-    *,
-    jacobi_tol: float = DEFAULT_JACOBI_TOL,
+    m: SymMatrix, m_star: SymMatrix, i: int, j: int
 ) -> tuple[float, float, float]:
     """Exact identity a_i . a_j* = (a_i . H a_j*) / (sigma_i - sigma_j*).
 
@@ -169,8 +154,8 @@ def eigvec_inner_identity_check(
     """
     if m.dim != m_star.dim:
         raise DimensionMismatchError("matrices must have equal dimension")
-    spec = jacobi_eigendecomposition(m, jacobi_tol)
-    spec_star = jacobi_eigendecomposition(m_star, jacobi_tol)
+    spec = jacobi_eigendecomposition(m)
+    spec_star = jacobi_eigendecomposition(m_star)
     sigma_i = float(spec.eigenvalues[i])
     sigma_j = float(spec_star.eigenvalues[j])
     if abs(sigma_i - sigma_j) < 1e-8:
@@ -185,11 +170,7 @@ def eigvec_inner_identity_check(
 
 
 def alignment_lower_bound_check(
-    sigma_k: SymMatrix,
-    truth: GroundTruthTrace,
-    k: int,
-    *,
-    jacobi_tol: float = DEFAULT_JACOBI_TOL,
+    sigma_k: SymMatrix, truth: GroundTruthTrace, k: int
 ) -> InequalityCheck:
     """Alignment floor for the running top eigenvector.
 
@@ -202,7 +183,7 @@ def alignment_lower_bound_check(
     gap_fro = float(np.linalg.norm(gap.array))
     if gap_fro > lam_k / 8.0:
         return InequalityCheck(Verdict.SKIPPED)
-    spec = jacobi_eigendecomposition(sigma_k, jacobi_tol)
+    spec = jacobi_eigendecomposition(sigma_k)
     u, _ = aligned_top_eigenvector(sigma_k, truth.ideal_vector(k), spectrum=spec)
     basis = truth.spectrum.basis
     lhs = float(u @ truth.ideal_vector(k)) ** 2

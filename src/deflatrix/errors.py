@@ -27,11 +27,6 @@ class InvalidSpectrumError(PreconditionError):
     non-positive values, or a rate outside its admissible range)."""
 
 
-class JacobiConvergenceError(PreconditionError):
-    """The rotation sweep budget was exhausted before the off-diagonal mass
-    dropped below tolerance."""
-
-
 class DegenerateIterateError(PreconditionError):
     """A power-iteration step produced a vanishing vector (the start vector
     lies in the kernel of the iterated matrix)."""

@@ -1,29 +1,20 @@
 """Dense symmetric linear algebra and seeded generators.
 
 Everything downstream measures errors against the eigendecomposition oracle
-implemented here, so this module favours unconditional stability over speed:
-the oracle is a Jacobi rotation scheme (round-robin ordering, all rotations of
-a sweep visit every off-diagonal pair exactly once), adequate for the
-dimensions this package targets (d up to a few hundred).
+defined here, which is LAPACK's symmetric eigensolver (``np.linalg.eigh``).
+The oracle is measuring equipment, not the algorithm under study.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InvalidSpectrumError,
-    JacobiConvergenceError,
-)
+from .errors import DimensionMismatchError, InvalidSpectrumError, PreconditionError
 
 __all__ = [
-    "DEFAULT_JACOBI_SWEEPS",
-    "DEFAULT_JACOBI_TOL",
     "ExplicitSpectrum",
     "ExponentialSpectrum",
     "PowerLawSpectrum",
@@ -39,10 +30,6 @@ __all__ = [
     "spectral_norm",
     "spectrum_eigenvalues",
 ]
-
-DEFAULT_JACOBI_TOL = 1e-12
-DEFAULT_JACOBI_SWEEPS = 100
-
 
 class SymMatrix:
     """Real symmetric matrix with exactly mirrored triangles.
@@ -159,103 +146,28 @@ def frobenius_norm(m: SymMatrix) -> float:
     return float(np.sqrt((m.array * m.array).sum()))
 
 
-def spectral_norm(m: SymMatrix, tol: float = DEFAULT_JACOBI_TOL) -> float:
-    """Largest absolute eigenvalue, computed with the eigendecomposition oracle."""
-    w = _jacobi_eigenvalues(m, tol, DEFAULT_JACOBI_SWEEPS, accumulate_basis=False)[0]
+def spectral_norm(m: SymMatrix) -> float:
+    """Largest absolute eigenvalue, from LAPACK's symmetric eigenvalue solver."""
+    try:
+        w = np.linalg.eigvalsh(m.array)
+    except np.linalg.LinAlgError as exc:
+        raise PreconditionError(f"symmetric eigenvalue solver failed: {exc}") from exc
     return float(np.abs(w).max())
 
 
-@lru_cache(maxsize=None)
-def _round_robin_pairs(d: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    # Circle-method tournament: d-1 rounds of disjoint index pairs covering
-    # every (p, q) with p < q exactly once per sweep.
-    players = list(range(d)) + ([-1] if d % 2 else [])
-    m = len(players)
-    rounds = []
-    for _ in range(m - 1):
-        ps, qs = [], []
-        for i in range(m // 2):
-            a, b = players[i], players[m - 1 - i]
-            if a >= 0 and b >= 0:
-                ps.append(min(a, b))
-                qs.append(max(a, b))
-        rounds.append((np.array(ps, dtype=np.intp), np.array(qs, dtype=np.intp)))
-        players = [players[0], players[-1]] + players[1:-1]
-    return tuple(rounds)
-
-
-def jacobi_eigendecomposition(
-    m: SymMatrix,
-    tol: float = DEFAULT_JACOBI_TOL,
-    max_sweeps: int = DEFAULT_JACOBI_SWEEPS,
-) -> Spectrum:
-    """Full eigendecomposition by plane rotations: the exact-solver oracle.
-
-    Sweeps run in round-robin order; rotations within a round act on disjoint
-    index pairs, so a round is one exact orthogonal similarity transform.
-    Convergence is declared when the off-diagonal Frobenius mass drops below
-    ``tol * ||m||_F``. Exhausting ``max_sweeps`` raises
-    :class:`JacobiConvergenceError` rather than returning a truncated result.
+def jacobi_eigendecomposition(m: SymMatrix) -> Spectrum:
+    """Full eigendecomposition by LAPACK's symmetric solver: the exact-solver oracle.
 
     Eigenvalues are returned in descending order with basis columns permuted
-    consistently; exact ties keep their pre-sort (rotation) order.
+    consistently. A solver failure raises :class:`PreconditionError` rather
+    than returning a partial result. The name is historical; tooling outside
+    the package locates the oracle by it.
     """
-    w, v = _jacobi_eigenvalues(m, tol, max_sweeps, accumulate_basis=True)
-    order = np.argsort(-w, kind="stable")
-    return Spectrum(w[order], v[:, order])
-
-
-def _jacobi_eigenvalues(m, tol, max_sweeps, *, accumulate_basis):
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    a = m.array.copy()
-    d = m.dim
-    v = np.eye(d) if accumulate_basis else None
-    if d == 1:
-        return np.diag(a).copy(), v
-    fro = float(np.sqrt((a * a).sum()))
-    if fro == 0.0:
-        return np.zeros(d), v
-    # Rotations below this size cannot push the off-diagonal mass back above
-    # the convergence target, so skipping them is safe.
-    skip = tol * fro / (10.0 * d * d)
-    target = tol * fro
-    for _sweep in range(max_sweeps):
-        off = float(np.sqrt(2.0 * (np.triu(a, 1) ** 2).sum()))
-        if off <= target:
-            return np.diag(a).copy(), v
-        for ps, qs in _round_robin_pairs(d):
-            apq = a[ps, qs]
-            mask = np.abs(apq) > skip
-            if not mask.any():
-                continue
-            app = a[ps, ps]
-            aqq = a[qs, qs]
-            tau = np.where(mask, (aqq - app) / np.where(mask, 2.0 * apq, 1.0), 0.0)
-            root = np.sqrt(1.0 + tau * tau)
-            t = np.where(tau >= 0, 1.0, -1.0) / (np.abs(tau) + root)
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            c = np.where(mask, c, 1.0)
-            s = np.where(mask, s, 0.0)
-            col_p = a[:, ps]
-            col_q = a[:, qs]
-            a[:, ps] = col_p * c - col_q * s
-            a[:, qs] = col_p * s + col_q * c
-            row_p = a[ps, :]
-            row_q = a[qs, :]
-            a[ps, :] = c[:, None] * row_p - s[:, None] * row_q
-            a[qs, :] = s[:, None] * row_p + c[:, None] * row_q
-            a[ps[mask], qs[mask]] = 0.0
-            a[qs[mask], ps[mask]] = 0.0
-            if v is not None:
-                vp = v[:, ps]
-                vq = v[:, qs]
-                v[:, ps] = vp * c - vq * s
-                v[:, qs] = vp * s + vq * c
-    raise JacobiConvergenceError(
-        f"off-diagonal mass still above {tol:g}*||m||_F after {max_sweeps} sweeps"
-    )
+    try:
+        w, v = np.linalg.eigh(m.array)
+    except np.linalg.LinAlgError as exc:
+        raise PreconditionError(f"symmetric eigensolver failed: {exc}") from exc
+    return Spectrum(w[::-1], v[:, ::-1])
 
 
 def sample_unit_sphere(d: int, rng: RandomSource) -> np.ndarray:

@@ -48,6 +48,7 @@ from .diagnostics import (
     eigvec_inner_identity_check,
     matrix_gap_recurrence_check,
 )
+from .errors import DegenerateGapError
 from .linalg import (
     ExponentialSpectrum,
     PowerLawSpectrum,
@@ -302,7 +303,7 @@ def inner_identity_trials(n: int, rng: RandomSource, d: int = 10) -> Tally:
         j_idx = int(gen.integers(0, d))
         try:
             _, _, rel_err = eigvec_inner_identity_check(m, sigma, i_idx, j_idx)
-        except Exception:
+        except DegenerateGapError:
             tally.record(Verdict.SKIPPED)
             continue
         tally.record_bool(rel_err <= 1e-6, 1e-6 - rel_err)

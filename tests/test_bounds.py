@@ -215,6 +215,17 @@ class TestPowerIterFamily:
         )
         assert got == pytest.approx(expected, rel=1e-14)
 
+    def test_overflowing_growth_factor_is_inadmissible(self):
+        # 8**(K-1) exceeds float64 from K = 343 on; the tail must saturate
+        # to +inf rather than raise
+        K = 343
+        lam = 1.0 / np.arange(1, K + 1)
+        gaps = eigengaps(lam)
+        inputs = proto_inputs(lam, np.zeros(K), c0=1.0, t=200, K=K)
+        _, tail = power_iter_bound_conditions(inputs, gaps)
+        assert not tail
+        assert power_iter_bound(inputs, gaps, K) is None
+
     def test_bound_vanishes_eventually(self):
         lam = np.array([1.0, 0.5])
         gaps = eigengaps(lam)

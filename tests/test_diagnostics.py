@@ -143,6 +143,16 @@ class TestInnerIdentity:
         with pytest.raises(DegenerateGapError):
             eigvec_inner_identity_check(sigma, sigma, 2, 2)
 
+    def test_selftest_trials_do_not_hide_bugs_as_skips(self, monkeypatch):
+        from deflatrix import selftest
+
+        def broken(*args):
+            raise TypeError("bug in the check")
+
+        monkeypatch.setattr(selftest, "eigvec_inner_identity_check", broken)
+        with pytest.raises(TypeError, match="bug in the check"):
+            selftest.inner_identity_trials(5, RandomSource(0))
+
 
 class TestAlignmentLowerBound:
     def test_exact_match_holds(self):

@@ -117,6 +117,28 @@ class TestDeflateCommand:
         assert code == 2
         assert "precondition" in capsys.readouterr().err
 
+    def test_precondition_abort_on_oracle_failure(self, tmp_path, monkeypatch, capsys):
+        def fail(a):
+            raise np.linalg.LinAlgError("eigh did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        code = run_cli("deflate", "--d", "6", "--K", "2", "--t", "5", "--out", str(tmp_path))
+        assert code == 2
+        assert "did not converge" in capsys.readouterr().err
+
+    def test_bounds_matches_deflate_without_diagnostics(self, tmp_path, monkeypatch):
+        args = ["--d", "30", "--K", "30", "--t", "200", "--seed", "42", "--epsilon", "0.01"]
+        assert run_cli("deflate", *args, "--out", str(tmp_path / "d")) == 0
+
+        def forbidden(*a, **kw):
+            raise AssertionError("bounds must not run the diagnostics or the ideal trace")
+
+        monkeypatch.setattr("deflatrix.cli.diagnose_run", forbidden)
+        monkeypatch.setattr("deflatrix.cli.ideal_deflation", forbidden)
+        assert run_cli("bounds", *args, "--out", str(tmp_path / "b")) == 0
+        expected = (tmp_path / "d" / "bounds.csv").read_bytes()
+        assert (tmp_path / "b" / "bounds.csv").read_bytes() == expected
+
     def test_epsilon_adds_budget_columns(self, tmp_path):
         code = run_cli(
             "bounds", "--d", "8", "--K", "3", "--t", "120",

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from deflatrix.errors import (
     DimensionMismatchError,
     InvalidSpectrumError,
+    PreconditionError,
 )
 from deflatrix.linalg import (
     ExplicitSpectrum,
@@ -133,15 +134,17 @@ class TestJacobi:
         spec = jacobi_eigendecomposition(SymMatrix([[5.0]]))
         assert spec.eigenvalues[0] == 5.0
 
-    def test_invalid_tol(self):
-        with pytest.raises(ValueError):
-            jacobi_eigendecomposition(random_symmetric(3, 0), tol=0.0)
+    def test_solver_failure_is_a_precondition_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("did not converge")
 
-    def test_exhausted_sweep_budget_fails_loudly(self):
-        from deflatrix.errors import JacobiConvergenceError
-
-        with pytest.raises(JacobiConvergenceError):
-            jacobi_eigendecomposition(random_symmetric(6, 2), max_sweeps=1)
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        m = random_symmetric(3, 0)
+        with pytest.raises(PreconditionError, match="did not converge"):
+            jacobi_eigendecomposition(m)
+        with pytest.raises(PreconditionError, match="did not converge"):
+            spectral_norm(m)
 
 
 class TestRandomSource:
@@ -247,15 +250,18 @@ class TestBuildTestSigma:
             assert np.linalg.norm(resid) <= 1e-9
 
     def test_oracle_matches_construction(self):
-        d = 15
-        basis = random_orthogonal_basis(d, RandomSource(2))
-        sigma, spec = build_test_sigma(d, ExponentialSpectrum(0.7), basis)
-        oracle = jacobi_eigendecomposition(sigma)
-        np.testing.assert_allclose(oracle.eigenvalues, spec.eigenvalues, atol=1e-9)
-        gaps = -np.diff(spec.eigenvalues)
-        for j in range(d):
-            if (gaps[j - 1] if j else np.inf) > 1e-6 and (gaps[j] if j < d - 1 else np.inf) > 1e-6:
-                assert abs(spec.eigenvector(j) @ oracle.eigenvector(j)) >= 1.0 - 1e-8
+        for d, kind, atol in ((15, ExponentialSpectrum(0.7), 1e-9),
+                              (100, PowerLawSpectrum(1.0), 1e-14)):
+            basis = random_orthogonal_basis(d, RandomSource(2))
+            sigma, spec = build_test_sigma(d, kind, basis)
+            oracle = jacobi_eigendecomposition(sigma)
+            np.testing.assert_allclose(oracle.eigenvalues, spec.eigenvalues, rtol=0, atol=atol)
+            gaps = -np.diff(spec.eigenvalues)
+            for j in range(d):
+                lo = gaps[j - 1] if j else np.inf
+                hi = gaps[j] if j < d - 1 else np.inf
+                if lo > 1e-6 and hi > 1e-6:
+                    assert abs(spec.eigenvector(j) @ oracle.eigenvector(j)) >= 1.0 - 1e-8
 
     def test_figure_scale_matrix(self):
         d = 100
