@@ -13,6 +13,20 @@ gated by admissibility conditions return ``None`` when the conditions fail,
 so callers can distinguish a vacuous bound from a violated one. Iteration
 budgets evaluate asymptotic prescriptions with their leading constant fixed
 to 1; treat them as order-of-magnitude predictors, not thresholds.
+
+Both families are sums over earlier steps of amplified errors, so one pass
+over k = 1..K evaluates them as first-order linear recurrences in plain
+float64, where a bound too large to represent saturates to +inf instead of
+raising. With f_j = 3 + 2 lambda_j / T_j and delta_k the k-th sub-routine
+error:
+
+* C_1 = 0, C_{k+1} = f_k C_k + lambda_k delta_k; the agnostic condition at k
+  is C_k <= min_gap / 20 and the agnostic bound is 5 C_{k+1} / lambda_k;
+* P_0 = 0, P_k = 8 P_{k-1} + lambda_k (5 delta_k + 7 c0 / T_k
+  (lambda_{k+1} / lambda_k)^t); the power-iteration bound is 3 P_k / lambda_k;
+* the step floor divides by a running min of log r_k (contraction ratio r_k);
+  the tail is R_K with R_1 = 0, R_{k+1} = 8 (R_k + lambda_k r_k^-t / T_k);
+* the error budget divides by the suffix product of f_{k+1}..f_K.
 """
 
 from __future__ import annotations
@@ -158,26 +172,73 @@ class BoundInputs:
         return 1.0 + self.init_constant * lam_k * lam_n / (lam_k - lam_n)
 
 
-def _accumulation_factor(inputs: BoundInputs, gaps: SpectrumGaps, lo: int, hi: int) -> float:
-    """prod over j in [lo, hi] of (3 + 2 lambda_j / T_j); empty product is 1."""
-    out = 1.0
-    for j in range(lo, hi + 1):
-        out *= 3.0 + 2.0 * float(inputs.lambdas[j - 1]) / gaps.gap(j)
-    return out
+@dataclass(frozen=True)
+class _BoundPass:
+    """Per-step results of one pass over k = 1..K, indexed by k-1."""
+
+    cond_agnostic: list[bool]
+    agnostic: list[float | None]
+    cond_step_floor: list[bool]
+    cond_tail: bool
+    power_iter: list[float | None]
+    suffix_factors: list[float]  # prod over j in [k+1, K] of f_j
+
+
+def _bound_pass(inputs: BoundInputs, gaps: SpectrumGaps) -> _BoundPass:
+    """Run the recurrences of both families once, in float64 (see module
+    docstring); an overflowing product saturates to +inf."""
+    lam = inputs.lambdas
+    K, t, c0 = inputs.K, inputs.t, float(inputs.init_constant)
+    min_gap = gaps.min_gap(K)
+    decay_floor = 0.0
+    for j in range(1, lam.size):
+        decay_floor = max(decay_floor, 1.0 / (math.log(lam[j - 1]) - math.log(lam[j])))
+    global_floor_ok = t >= decay_floor
+    factors = [3.0 + 2.0 * float(lam[j - 1]) / gaps.gap(j) for j in range(1, K + 1)]
+
+    cond_agnostic, agnostic, cond_step, power_iter = [], [], [], []
+    c = p = tail = 0.0
+    admissible = True
+    min_log_ratio = math.inf  # over steps before k; makes the floor 0 at k = 1
+    for k in range(1, K + 1):
+        lam_k = float(lam[k - 1])
+        err = float(inputs.sub_error_norms[k - 1])
+        ok = c <= min_gap / 20.0
+        admissible = admissible and ok
+        c = factors[k - 1] * c + lam_k * err
+        cond_agnostic.append(ok)
+        agnostic.append(5.0 * c / lam_k if admissible else None)
+
+        floor = math.log(2.0 * inputs.step_growth_constant(k)) / min_log_ratio
+        cond_step.append(bool(t >= floor) and global_floor_ok)
+        leak = 7.0 * c0 / gaps.gap(k) * (_lam_next(lam, k) / lam_k) ** t
+        p = 8.0 * p + lam_k * (5.0 * err + leak)
+        power_iter.append(3.0 * p / lam_k)
+        if k < K:
+            ratio = _contraction_ratio(lam, k)
+            tail = 8.0 * (tail + lam_k / gaps.gap(k) * (1.0 / ratio) ** t)
+            min_log_ratio = min(min_log_ratio, math.log(ratio))
+
+    tail_ok = bool(tail <= min_gap / (140.0 * c0))
+    if not (tail_ok and all(cond_step)):
+        power_iter = [None] * K
+    suffix = [1.0] * K
+    for k in range(K - 1, 0, -1):
+        suffix[k - 1] = factors[k] * suffix[k]
+    return _BoundPass(cond_agnostic, agnostic, cond_step, tail_ok, power_iter, suffix)
+
+
+def _step_index(inputs: BoundInputs, k: int) -> int:
+    if not 1 <= k <= inputs.K:
+        raise ValueError(f"k must lie in [1, {inputs.K}]")
+    return k - 1
 
 
 def agnostic_bound_condition(inputs: BoundInputs, gaps: SpectrumGaps, k: int) -> bool:
     """Admissibility of the agnostic bound at step k: the weighted, growth-
     amplified sum of earlier sub-routine errors must stay below a twentieth
     of the smallest relevant eigengap."""
-    lhs = 0.0
-    for kp in range(1, k):
-        lhs += (
-            float(inputs.lambdas[kp - 1])
-            * float(inputs.sub_error_norms[kp - 1])
-            * _accumulation_factor(inputs, gaps, kp + 1, k - 1)
-        )
-    return lhs <= gaps.min_gap(inputs.K) / 20.0
+    return _bound_pass(inputs, gaps).cond_agnostic[_step_index(inputs, k)]
 
 
 def agnostic_bound(inputs: BoundInputs, gaps: SpectrumGaps, k: int) -> float | None:
@@ -185,18 +246,14 @@ def agnostic_bound(inputs: BoundInputs, gaps: SpectrumGaps, k: int) -> float | N
 
     Returns None when the admissibility condition fails for any step up to k.
     """
-    if not all(agnostic_bound_condition(inputs, gaps, kp) for kp in range(1, k + 1)):
-        return None
-    lam = inputs.lambdas
-    total = 0.0
-    for kp in range(1, k + 1):
-        total += (
-            float(lam[kp - 1])
-            / float(lam[k - 1])
-            * float(inputs.sub_error_norms[kp - 1])
-            * _accumulation_factor(inputs, gaps, kp + 1, k)
-        )
-    return 5.0 * total
+    return _bound_pass(inputs, gaps).agnostic[_step_index(inputs, k)]
+
+
+def _budget_head(epsilon: float, inputs: BoundInputs, gaps: SpectrumGaps) -> float:
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    K = inputs.K
+    return min(epsilon * float(inputs.lambdas[K - 1]), gaps.min_gap(K)) / (20.0 * K)
 
 
 def per_step_error_budget(
@@ -204,14 +261,8 @@ def per_step_error_budget(
 ) -> float:
     """Sub-routine error size at step k sufficient for epsilon-accurate output
     at every step up to K (the converse of the agnostic bound)."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    K = inputs.K
-    if not 1 <= k <= K:
-        raise ValueError(f"k must lie in [1, {K}]")
-    lam_K = float(inputs.lambdas[K - 1])
-    head = min(epsilon * lam_K, gaps.min_gap(K)) / (20.0 * K)
-    return head / _accumulation_factor(inputs, gaps, k + 1, K)
+    head = _budget_head(epsilon, inputs, gaps)
+    return head / _bound_pass(inputs, gaps).suffix_factors[_step_index(inputs, k)]
 
 
 def linear_rate_iteration_budget(inputs: BoundInputs, gaps: SpectrumGaps, k: int) -> float:
@@ -252,39 +303,8 @@ def power_iter_bound_conditions(
     log lambda_{j+1}) over the whole spectrum. The global flag checks that
     the growth-weighted geometric tail stays below min_gap/(140 c0).
     """
-    lam = inputs.lambdas
-    d = lam.size
-    K = inputs.K
-    t = inputs.t
-
-    decay_floor = 0.0
-    for j in range(1, d):
-        decay_floor = max(decay_floor, 1.0 / (math.log(lam[j - 1]) - math.log(lam[j])))
-    global_floor_ok = t >= decay_floor
-
-    per_step = []
-    for k in range(1, K + 1):
-        g_k = inputs.step_growth_constant(k)
-        floor = 0.0
-        for kp in range(1, k):
-            floor = max(floor, math.log(2.0 * g_k) / math.log(_contraction_ratio(lam, kp)))
-        per_step.append(bool(t >= floor) and global_floor_ok)
-
-    tail = 0.0
-    for kp in range(1, K):
-        try:
-            tail += (
-                8.0 ** (K - kp)
-                * float(lam[kp - 1])
-                / gaps.gap(kp)
-                * (1.0 / _contraction_ratio(lam, kp)) ** t
-            )
-        except OverflowError:
-            # 8**(K-kp) exceeds float64: the summand counts as +inf
-            tail = math.inf
-            break
-    tail_ok = tail <= gaps.min_gap(K) / (140.0 * inputs.init_constant)
-    return per_step, bool(tail_ok)
+    run = _bound_pass(inputs, gaps)
+    return run.cond_step_floor, run.cond_tail
 
 
 def power_iter_bound(inputs: BoundInputs, gaps: SpectrumGaps, k: int) -> float | None:
@@ -295,27 +315,7 @@ def power_iter_bound(inputs: BoundInputs, gaps: SpectrumGaps, k: int) -> float |
     replaces the near-factorial growth of the agnostic family. Returns None
     unless every admissibility condition holds.
     """
-    per_step, tail_ok = power_iter_bound_conditions(inputs, gaps)
-    if not (tail_ok and all(per_step)):
-        return None
-    lam = inputs.lambdas
-    c0 = inputs.init_constant
-    t = inputs.t
-    total = 0.0
-    for kp in range(1, k + 1):
-        lam_kp = float(lam[kp - 1])
-        ratio = _lam_next(lam, kp) / lam_kp
-        try:
-            total += (
-                8.0 ** (k - kp)
-                * lam_kp
-                / float(lam[k - 1])
-                * (5.0 * float(inputs.sub_error_norms[kp - 1]) + 7.0 * c0 / gaps.gap(kp) * ratio**t)
-            )
-        except OverflowError:
-            # 8**(k-kp) exceeds float64: the summand, and so the bound, is +inf
-            return math.inf
-    return 3.0 * total
+    return _bound_pass(inputs, gaps).power_iter[_step_index(inputs, k)]
 
 
 def power_iter_iteration_budget(inputs: BoundInputs, gaps: SpectrumGaps, k: int) -> float:
@@ -352,10 +352,10 @@ def directional_gap_bound(
     if lambda_k <= lam_j:
         raise InvalidSpectrumError("need the running top eigenvalue above lambda_j")
     g_k = inputs.step_growth_constant(k)
-    decay = (lam_j / lambda_k) ** (inputs.t - 1)
-    total = 0.0
-    for kp in range(1, k):
-        total += g_k ** (k - kp - 1) * decay
+    decay = (lam_j / float(lambda_k)) ** (inputs.t - 1)
+    total = 0.0  # sum over k' < k of g_k**(k-k'-1) * decay, saturating to +inf
+    for _ in range(1, k):
+        total = total * g_k + decay
     return inputs.init_constant * total
 
 
@@ -480,23 +480,23 @@ def build_bound_report(
     empirical = np.asarray(empirical_errors, dtype=float)
     if empirical.size < inputs.K:
         raise ValueError("need an empirical error for every step up to K")
-    per_step, tail_ok = power_iter_bound_conditions(inputs, gaps)
+    run = _bound_pass(inputs, gaps)
+    head = None if inputs.epsilon is None else _budget_head(inputs.epsilon, inputs, gaps)
     rows = []
     for k in range(1, inputs.K + 1):
-        budget = None
-        it_budget = None
-        if inputs.epsilon is not None:
-            budget = per_step_error_budget(inputs.epsilon, inputs, gaps, k)
+        budget = it_budget = None
+        if head is not None:
+            budget = head / run.suffix_factors[k - 1]
             it_budget = power_iter_iteration_budget(inputs, gaps, k)
         rows.append(
             BoundRow(
                 k=k,
-                agnostic=agnostic_bound(inputs, gaps, k),
-                power_iter=power_iter_bound(inputs, gaps, k),
+                agnostic=run.agnostic[k - 1],
+                power_iter=run.power_iter[k - 1],
                 empirical=float(empirical[k - 1]),
-                condition_agnostic=agnostic_bound_condition(inputs, gaps, k),
-                condition_step_floor=per_step[k - 1],
-                condition_tail=tail_ok,
+                condition_agnostic=run.cond_agnostic[k - 1],
+                condition_step_floor=run.cond_step_floor[k - 1],
+                condition_tail=run.cond_tail,
                 error_budget=budget,
                 iteration_budget=it_budget,
             )

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deflatrix.bounds import (
@@ -36,6 +36,125 @@ def proto_inputs(lambdas, errs, c0=1.0, t=10, K=None, epsilon=None, rates=None):
         epsilon=epsilon,
         rates=None if rates is None else np.asarray(rates, dtype=float),
     )
+
+
+# Literal double-loop evaluations of the bound formulas: the reference for
+# the engine's one-pass recurrences (O(K^3) or worse, so small K only).
+def _ref_accumulation(inputs, gaps, lo, hi):
+    out = 1.0
+    for j in range(lo, hi + 1):
+        out *= 3.0 + 2.0 * float(inputs.lambdas[j - 1]) / gaps.gap(j)
+    return out
+
+
+def _ref_agnostic_condition(inputs, gaps, k):
+    lhs = 0.0
+    for kp in range(1, k):
+        lhs += (
+            float(inputs.lambdas[kp - 1])
+            * float(inputs.sub_error_norms[kp - 1])
+            * _ref_accumulation(inputs, gaps, kp + 1, k - 1)
+        )
+    return lhs <= gaps.min_gap(inputs.K) / 20.0
+
+
+def _ref_agnostic_value(inputs, gaps, k):
+    lam = inputs.lambdas
+    total = 0.0
+    for kp in range(1, k + 1):
+        total += (
+            float(lam[kp - 1])
+            / float(lam[k - 1])
+            * float(inputs.sub_error_norms[kp - 1])
+            * _ref_accumulation(inputs, gaps, kp + 1, k)
+        )
+    return 5.0 * total
+
+
+def _ref_lam_next(lam, k):
+    return float(lam[k]) if k < lam.size else 0.0
+
+
+def _ref_contraction_ratio(lam, k):
+    lam_k, lam_n = float(lam[k - 1]), _ref_lam_next(lam, k)
+    return (7.0 * lam_k + lam_n) / (7.0 * lam_n + lam_k)
+
+
+def _ref_power_iter_conditions(inputs, gaps):
+    lam, K, t = inputs.lambdas, inputs.K, inputs.t
+    decay_floor = 0.0
+    for j in range(1, lam.size):
+        decay_floor = max(decay_floor, 1.0 / (math.log(lam[j - 1]) - math.log(lam[j])))
+    per_step = []
+    for k in range(1, K + 1):
+        g_k = inputs.step_growth_constant(k)
+        floor = 0.0
+        for kp in range(1, k):
+            floor = max(floor, math.log(2.0 * g_k) / math.log(_ref_contraction_ratio(lam, kp)))
+        per_step.append(bool(t >= floor) and t >= decay_floor)
+    tail = 0.0
+    for kp in range(1, K):
+        tail += (
+            8.0 ** (K - kp)
+            * float(lam[kp - 1])
+            / gaps.gap(kp)
+            * (1.0 / _ref_contraction_ratio(lam, kp)) ** t
+        )
+    return per_step, bool(tail <= gaps.min_gap(K) / (140.0 * inputs.init_constant))
+
+
+def _ref_power_iter_value(inputs, gaps, k):
+    lam, c0, t = inputs.lambdas, inputs.init_constant, inputs.t
+    total = 0.0
+    for kp in range(1, k + 1):
+        lam_kp = float(lam[kp - 1])
+        ratio = _ref_lam_next(lam, kp) / lam_kp
+        total += (
+            8.0 ** (k - kp)
+            * lam_kp
+            / float(lam[k - 1])
+            * (5.0 * float(inputs.sub_error_norms[kp - 1]) + 7.0 * c0 / gaps.gap(kp) * ratio**t)
+        )
+    return 3.0 * total
+
+
+def _ref_error_budget(epsilon, inputs, gaps, k):
+    K = inputs.K
+    head = min(epsilon * float(inputs.lambdas[K - 1]), gaps.min_gap(K)) / (20.0 * K)
+    return head / _ref_accumulation(inputs, gaps, k + 1, K)
+
+
+def _engine_case(seed, K, shape):
+    """Random spectrum with relative consecutive gaps 10**r. "narrow" gaps
+    make every f_j = 3 + 2 lambda_j / T_j about 1e13, so products of 24 or
+    more of them overflow float64; "mixed" interleaves narrow and wide gaps."""
+    gen = np.random.Generator(np.random.Philox(seed))
+    d = K + int(gen.integers(0, 4))
+    wide = gen.uniform(-1.5, 0.5, d - 1)
+    narrow = gen.uniform(-13.5, -12.5, d - 1)
+    log_rel = {"wide": wide, "narrow": narrow,
+               "mixed": np.where(gen.random(d - 1) < 0.5, narrow, wide)}[shape]
+    lam = [10.0 ** gen.uniform(-4.0, 0.0)]
+    for r in log_rel:
+        lam.append(lam[-1] * (1.0 + 10.0**r))
+    return proto_inputs(
+        lam[::-1],
+        10.0 ** gen.uniform(-16.0, -4.0, d),
+        c0=float(10.0 ** gen.uniform(0.0, 2.0)),
+        t=int(gen.integers(0, 3000)),
+        K=K,
+        epsilon=float(10.0 ** gen.uniform(-4.0, -1.0)),
+    )
+
+
+def _assert_matches(got, want):
+    """None exactly where the reference has None; values to 1e-12 relative.
+    The absolute floor only admits budgets already below 1e-288, where a
+    product near the float64 limit leaves them subnormal or zero."""
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-300)
 
 
 class TestEigengaps:
@@ -98,6 +217,17 @@ class TestAgnosticFamily:
         inputs = proto_inputs([1.0, 0.5, 0.25], [0.0, 0.0, 0.0])
         gaps = eigengaps(inputs.lambdas)
         assert agnostic_bound(inputs, gaps, 3) == 0.0
+
+    def test_zero_errors_under_overflowing_products(self):
+        # relative gaps of 1e-13 make the product of f_j overflow float64;
+        # with no sub-routine error the sum is still exactly 0, not 0 * inf
+        lam = [1e-3]
+        for _ in range(29):
+            lam.append(lam[-1] * (1.0 + 1e-13))
+        inputs = proto_inputs(lam[::-1], np.zeros(30))
+        gaps = eigengaps(inputs.lambdas)
+        assert all(agnostic_bound_condition(inputs, gaps, k) for k in range(1, 31))
+        assert agnostic_bound(inputs, gaps, 30) == 0.0
 
     def test_bound_gated(self):
         inputs = proto_inputs([1.0, 0.5], [0.2, 0.2], K=2)
@@ -216,8 +346,8 @@ class TestPowerIterFamily:
         assert got == pytest.approx(expected, rel=1e-14)
 
     def test_overflowing_growth_factor_is_inadmissible(self):
-        # 8**(K-1) exceeds float64 from K = 343 on; the tail must saturate
-        # to +inf rather than raise
+        # 8**(K-1) exceeds float64 from K = 343 on; the tail must come out
+        # inadmissible rather than raise
         K = 343
         lam = 1.0 / np.arange(1, K + 1)
         gaps = eigengaps(lam)
@@ -302,6 +432,15 @@ class TestDirectionalGapBound:
         g3 = 1.0 + 2.0 * 0.25 * 0.125 / (0.25 - 0.125)
         expected = 2.0 * (g3**1 + g3**0) * (0.125 / 0.26) ** 14
         assert got == pytest.approx(expected, rel=1e-14)
+
+    def test_huge_growth_saturates_to_inf(self):
+        # g_300 = 1 + c0 = 101 on the 1/j spectrum, and 101**298 is beyond
+        # float64: the bound is +inf rather than an OverflowError
+        K = 400
+        lam = 1.0 / np.arange(1, K + 1)
+        inputs = proto_inputs(lam, np.zeros(K), c0=100.0, t=200, K=K)
+        assert inputs.step_growth_constant(300) == pytest.approx(101.0)
+        assert directional_gap_bound(inputs, 300, 300, 1.01 * lam[299]) == math.inf
 
     def test_rejects_inverted_spectrum(self):
         lam = np.array([1.0, 0.5])
@@ -395,3 +534,47 @@ class TestBoundReport:
             assert row.agnostic is not None and row.power_iter is not None
             assert row.slack_agnostic >= 1.0
             assert row.error_budget is not None and row.iteration_budget is not None
+
+    def test_report_at_depth_400(self):
+        K = 400
+        gen = np.random.Generator(np.random.Philox(7))
+        lam = 1.0 / np.arange(1, K + 1)
+        errs = 10.0 ** gen.uniform(-15.0, -13.0, K)
+        inputs = proto_inputs(lam, errs, c0=20.0, t=200, K=K, epsilon=1e-2)
+        rows = build_bound_report(inputs, eigengaps(lam), errs)
+        assert [row.k for row in rows] == list(range(1, K + 1))
+        first_fail = next(row.k for row in rows if not row.condition_agnostic)
+        assert all(row.agnostic is not None for row in rows[: first_fail - 1])
+        assert all(row.agnostic is None for row in rows[first_fail - 1 :])
+        assert all(math.isfinite(row.error_budget) and row.error_budget >= 0 for row in rows)
+
+    def test_overflowing_budget_product_saturates_to_zero(self):
+        inputs = _engine_case(1, 25, "narrow")
+        gaps = eigengaps(inputs.lambdas)
+        assert _ref_accumulation(inputs, gaps, 2, 25) == math.inf
+        assert per_step_error_budget(inputs.epsilon, inputs, gaps, 1) == 0.0
+
+    @given(st.integers(0, 10_000), st.integers(1, 25), st.sampled_from(["wide", "narrow", "mixed"]))
+    @example(1, 25, "narrow")  # the overflowing case above
+    @settings(max_examples=80, deadline=None)
+    def test_one_pass_matches_double_loop_reference(self, seed, K, shape):
+        inputs = _engine_case(seed, K, shape)
+        gaps = eigengaps(inputs.lambdas)
+        rows = build_bound_report(inputs, gaps, np.zeros(K))
+        conds = [_ref_agnostic_condition(inputs, gaps, k) for k in range(1, K + 1)]
+        steps, tail = _ref_power_iter_conditions(inputs, gaps)
+        assert power_iter_bound_conditions(inputs, gaps) == (steps, tail)
+        for row in rows:
+            k = row.k
+            assert row.condition_agnostic == conds[k - 1]
+            assert agnostic_bound_condition(inputs, gaps, k) == conds[k - 1]
+            assert (row.condition_step_floor, row.condition_tail) == (steps[k - 1], tail)
+            want = _ref_agnostic_value(inputs, gaps, k) if all(conds[:k]) else None
+            _assert_matches(row.agnostic, want)
+            _assert_matches(agnostic_bound(inputs, gaps, k), want)
+            want = _ref_power_iter_value(inputs, gaps, k) if tail and all(steps) else None
+            _assert_matches(row.power_iter, want)
+            _assert_matches(power_iter_bound(inputs, gaps, k), want)
+            want = _ref_error_budget(inputs.epsilon, inputs, gaps, k)
+            _assert_matches(row.error_budget, want)
+            _assert_matches(per_step_error_budget(inputs.epsilon, inputs, gaps, k), want)
