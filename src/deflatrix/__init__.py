@@ -67,9 +67,7 @@ from .linalg import (
     Spectrum,
     SymMatrix,
     build_test_sigma,
-    frobenius_norm,
     jacobi_eigendecomposition,
-    mat_vec,
     random_orthogonal_basis,
     sample_unit_sphere,
     spectral_norm,

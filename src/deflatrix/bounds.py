@@ -26,6 +26,8 @@ error:
   (lambda_{k+1} / lambda_k)^t); the power-iteration bound is 3 P_k / lambda_k;
 * the step floor divides by a running min of log r_k (contraction ratio r_k);
   the tail is R_K with R_1 = 0, R_{k+1} = 8 (R_k + lambda_k r_k^-t / T_k);
+  a floor over a zero log-gap (adjacent eigenvalues whose logarithms round
+  equal) is +inf, so its condition fails instead of raising;
 * the error budget divides by the suffix product of f_{k+1}..f_K.
 """
 
@@ -116,6 +118,11 @@ def eigengaps(lambdas) -> SpectrumGaps:
     return SpectrumGaps(lambdas=lam.copy(), gaps=gaps)
 
 
+def _over_log_gap(x: float, log_gap: float) -> float:
+    """``x / log_gap``; a zero log-gap makes the step-count floor +inf."""
+    return math.inf if log_gap == 0.0 else x / log_gap
+
+
 def _lam_next(lam: np.ndarray, k: int) -> float:
     """lambda_{k+1} with the convention that it is 0 past the end."""
     return float(lam[k]) if k < lam.size else 0.0
@@ -192,7 +199,9 @@ def _bound_pass(inputs: BoundInputs, gaps: SpectrumGaps) -> _BoundPass:
     min_gap = gaps.min_gap(K)
     decay_floor = 0.0
     for j in range(1, lam.size):
-        decay_floor = max(decay_floor, 1.0 / (math.log(lam[j - 1]) - math.log(lam[j])))
+        decay_floor = max(
+            decay_floor, _over_log_gap(1.0, math.log(lam[j - 1]) - math.log(lam[j]))
+        )
     global_floor_ok = t >= decay_floor
     factors = [3.0 + 2.0 * float(lam[j - 1]) / gaps.gap(j) for j in range(1, K + 1)]
 
@@ -209,7 +218,7 @@ def _bound_pass(inputs: BoundInputs, gaps: SpectrumGaps) -> _BoundPass:
         cond_agnostic.append(ok)
         agnostic.append(5.0 * c / lam_k if admissible else None)
 
-        floor = math.log(2.0 * inputs.step_growth_constant(k)) / min_log_ratio
+        floor = _over_log_gap(math.log(2.0 * inputs.step_growth_constant(k)), min_log_ratio)
         cond_step.append(bool(t >= floor) and global_floor_ok)
         leak = 7.0 * c0 / gaps.gap(k) * (_lam_next(lam, k) / lam_k) ** t
         p = 8.0 * p + lam_k * (5.0 * err + leak)
@@ -330,10 +339,10 @@ def power_iter_iteration_budget(inputs: BoundInputs, gaps: SpectrumGaps, k: int)
         math.log(inputs.growth_constant) if inputs.growth_constant > 1 else 0.0,
         (K - k) + math.log(c0 * K / (inputs.epsilon * gaps.min_gap(K))),
     )
-    main = numerator / math.log(_contraction_ratio(lam, k))
+    main = _over_log_gap(numerator, math.log(_contraction_ratio(lam, k)))
     lam_k = float(lam[k - 1])
     lam_n = _lam_next(lam, k)
-    decay = 0.0 if lam_n == 0.0 else 1.0 / (math.log(lam_k) - math.log(lam_n))
+    decay = 0.0 if lam_n == 0.0 else _over_log_gap(1.0, math.log(lam_k) - math.log(lam_n))
     return max(main, decay)
 
 

@@ -148,7 +148,7 @@ def cmd_deflate(args) -> int:
     report = _bound_report(run, spectrum, args.epsilon)
     label = args.spectrum if args.spectrum is not None else "power-law:1"
     out = _resolve_out(args)
-    dio.write_run_dir(run, truth, out, spectrum_label=label)
+    dio.write_run_dir(run, diags, out, spectrum_label=label)
     dio.write_figure_csvs(diags, j_slice, out)
     dio.write_bounds_csv(report, out / "bounds.csv", with_budgets=args.epsilon is not None)
     print(f"wrote run, figure and bound CSVs to {out}")

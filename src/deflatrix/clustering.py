@@ -145,8 +145,6 @@ def spectral_embed(
         t,
         rng.substream(_EMBED_STREAM),
         with_oracle=False,
-        require_strict_decay=False,
-        keep_matrices=False,
     )
     return run.components.copy()
 

@@ -5,10 +5,12 @@ top eigenvector of the current matrix, then removes that direction:
 
     sigma_{k+1} = sigma_k - (v_k . sigma_k v_k) v_k v_k^T.
 
-The run keeps a full diagnostic trace: alongside each output ``v_k`` it
+The run keeps vectors, not matrices: alongside each output ``v_k`` it
 records the oracle's exact top eigenpair of ``sigma_k`` and the sub-routine
-error vector, which downstream modules compare against the ideal (exact
-sub-routine) trace.
+error vector, plus a reference to the input matrix. Every ``sigma_k`` can be
+replayed bitwise from the input and the outputs with :func:`deflate_step`,
+and every ideal matrix is a closed form of the known spectrum, so memory
+stays O(d^2) however many steps are taken.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .linalg import (
     RandomSource,
     Spectrum,
     SymMatrix,
-    frobenius_norm,
     jacobi_eigendecomposition,
     sample_unit_sphere,
 )
@@ -45,11 +46,11 @@ _GAP_TOL = 1e-12
 def deflate_step(sigma_k: SymMatrix, v: np.ndarray) -> SymMatrix:
     """One deflation update: subtract the Rayleigh-weighted projector of ``v``.
 
-    The result is re-symmetrized by averaging with its transpose so roundoff
-    cannot accumulate asymmetry over long runs.
+    The update is bitwise symmetric as computed: ``a`` has mirrored triangles
+    and ``v_i v_j == v_j v_i`` in floating point.
     """
     # contiguous copy: BLAS kernels round differently on strided views, which
-    # would break bitwise recomputability of stored traces
+    # would break bitwise replay of a run from its stored output columns
     v = np.ascontiguousarray(v, dtype=float)
     if v.shape != (sigma_k.dim,):
         raise DimensionMismatchError(f"vector shape {v.shape} incompatible with dim {sigma_k.dim}")
@@ -58,29 +59,33 @@ def deflate_step(sigma_k: SymMatrix, v: np.ndarray) -> SymMatrix:
     a = sigma_k.array
     rayleigh = float(v @ (a @ v))
     b = a - rayleigh * np.outer(v, v)
-    return SymMatrix((b + b.T) / 2.0)
+    return SymMatrix(b)
 
 
 @dataclass(frozen=True)
 class GroundTruthTrace:
     """The ideal deflation sequence: what exact sub-routine steps would produce.
 
-    ``deflated[k-1]`` is the k-th ideal matrix (so ``deflated[0]`` is the
-    original matrix and ``deflated[K]`` the matrix after K exact steps); its
+    The k-th ideal matrix (``k = 1`` is the original matrix, ``k = K + 1`` the
+    matrix after K exact steps) is built on demand from its closed form; its
     top eigenpair is ``spectrum.eigenvector(k-1)`` / ``eigenvalues[k-1]``.
     """
 
     spectrum: Spectrum
     K: int
-    deflated: tuple[SymMatrix, ...]
 
     @property
     def dim(self) -> int:
         return self.spectrum.dim
 
     def ideal_matrix(self, k: int) -> SymMatrix:
-        """Ideal deflated matrix at step ``k`` (1-based, up to K+1)."""
-        return self.deflated[k - 1]
+        """Ideal deflated matrix at step ``k`` (1-based, up to K+1): the
+        original matrix with its first k-1 eigencomponents dropped."""
+        if not 1 <= k <= self.K + 1:
+            raise ValueError(f"k must lie in [1, {self.K + 1}], got {k}")
+        basis = self.spectrum.basis
+        tail = basis[:, k - 1:] * self.spectrum.eigenvalues[k - 1:]
+        return SymMatrix(tail @ basis[:, k - 1:].T)
 
     def ideal_vector(self, k: int) -> np.ndarray:
         return self.spectrum.eigenvector(k - 1)
@@ -90,31 +95,18 @@ class GroundTruthTrace:
 
 
 def ideal_deflation(spectrum: Spectrum, K: int) -> GroundTruthTrace:
-    """Build the ideal deflation sequence and cross-check its closed form.
+    """The ideal deflation sequence of ``spectrum`` up to step K.
 
-    The recursion (deflate with the exact eigenvector at every step) and the
-    closed form (drop one eigencomponent per step) must agree; disagreement
-    beyond 1e-10 Frobenius indicates a broken spectrum and raises.
+    Exact deflation drops one eigencomponent per step only if the basis is
+    orthonormal; a basis off by more than 1e-10 raises.
     """
     d = spectrum.dim
     if not 1 <= K <= d:
         raise ValueError(f"K must lie in [1, {d}], got {K}")
-    lam = spectrum.eigenvalues
     basis = spectrum.basis
-    mats = []
-    current = SymMatrix((basis * lam) @ basis.T)
-    for k in range(K + 1):
-        tail = basis[:, k:] * lam[k:]
-        closed = SymMatrix(tail @ basis[:, k:].T) if k < d else SymMatrix(np.zeros((d, d)))
-        gap = frobenius_norm(SymMatrix(current.array - closed.array))
-        if gap > 1e-10:
-            raise InvalidSpectrumError(
-                f"recursive and closed-form deflation disagree at step {k + 1} ({gap:.3e})"
-            )
-        mats.append(closed)
-        if k < K:
-            current = deflate_step(current, basis[:, k])
-    return GroundTruthTrace(spectrum=spectrum, K=K, deflated=tuple(mats))
+    if np.abs(basis.T @ basis - np.eye(d)).max() > 1e-10:
+        raise InvalidSpectrumError("spectrum basis columns are not orthonormal")
+    return GroundTruthTrace(spectrum=spectrum, K=K)
 
 
 def aligned_top_eigenvector(
@@ -152,7 +144,11 @@ def aligned_top_eigenvector(
 
 @dataclass(frozen=True)
 class DeflationRun:
-    """Full trace of an inexact deflation run.
+    """Vector trace of an inexact deflation run.
+
+    ``sigma`` is the input matrix. The run stores no deflated matrix:
+    sigma_{k+1} = deflate_step(sigma_k, components[:, k-1]) replays them
+    bitwise.
 
     Per step k (columns of the (d, K) arrays, 1-based step index):
 
@@ -166,8 +162,6 @@ class DeflationRun:
     * ``top_eigenvalues[k-1]`` - top eigenvalue of sigma_k (oracle value
       when available, otherwise the Rayleigh quotient of v_k).
     * ``init_alignments[k-1]`` - |x_{0,k} . u_k|.
-
-    ``matrices`` holds sigma_1 .. sigma_{K+1} when retained.
     """
 
     d: int
@@ -175,10 +169,10 @@ class DeflationRun:
     t: int
     seed: int
     seed_path: tuple[int, ...]
+    sigma: SymMatrix
     components: np.ndarray
     top_eigenvalues: np.ndarray
     inits: np.ndarray
-    matrices: tuple[SymMatrix, ...] | None
     exact_tops: np.ndarray | None
     sub_errors: np.ndarray | None
     init_alignments: np.ndarray | None
@@ -198,11 +192,6 @@ class DeflationRun:
     def component(self, k: int) -> np.ndarray:
         """Output vector at step ``k`` (1-based)."""
         return self.components[:, k - 1]
-
-    def matrix(self, k: int) -> SymMatrix:
-        if self.matrices is None:
-            raise ValueError("matrices were not retained for this run")
-        return self.matrices[k - 1]
 
 
 def _check_assumption(spectrum: Spectrum) -> bool:
@@ -225,8 +214,6 @@ def run_inexact_deflation(
     *,
     spectrum: Spectrum | None = None,
     with_oracle: bool = True,
-    require_strict_decay: bool = True,
-    keep_matrices: bool = True,
 ) -> DeflationRun:
     """Extract K approximate top eigenvectors with t power-iteration steps each.
 
@@ -237,7 +224,7 @@ def run_inexact_deflation(
     the only oracle-dependent choice is the reported sign of the output
     vector, and the deflation update is sign-invariant.
 
-    ``require_strict_decay=False`` skips the strict-eigenvalue-decay check for
+    ``with_oracle=False`` also skips the strict-eigenvalue-decay check, for
     matrices (such as graph Laplacians) that may carry ties; step-level
     degeneracies then surface as errors only where they matter.
     """
@@ -248,18 +235,17 @@ def run_inexact_deflation(
         raise ValueError("t must be >= 1")
 
     assumption_ok: bool | None = None
-    if spectrum is None and (with_oracle or require_strict_decay):
+    if spectrum is None and with_oracle:
         spectrum = jacobi_eigendecomposition(sigma)
     if spectrum is not None:
         if spectrum.dim != d:
             raise DimensionMismatchError("spectrum dimension does not match the matrix")
-        if require_strict_decay:
+        if with_oracle:
             assumption_ok = _check_assumption(spectrum)
 
     components = np.empty((d, K))
     lambdas = np.empty(K)
     inits = np.empty((d, K))
-    matrices: list[SymMatrix] | None = [sigma] if keep_matrices else None
     exact_tops = np.empty((d, K)) if with_oracle else None
     sub_errors = np.empty((d, K)) if with_oracle else None
     alignments = np.empty(K) if with_oracle else None
@@ -286,8 +272,6 @@ def run_inexact_deflation(
         components[:, k - 1] = v
         inits[:, k - 1] = x0
         current = deflate_step(current, v)
-        if matrices is not None:
-            matrices.append(current)
 
     return DeflationRun(
         d=d,
@@ -295,10 +279,10 @@ def run_inexact_deflation(
         t=t,
         seed=rng.seed,
         seed_path=rng.path,
+        sigma=sigma,
         components=components,
         top_eigenvalues=lambdas,
         inits=inits,
-        matrices=tuple(matrices) if matrices is not None else None,
         exact_tops=exact_tops,
         sub_errors=sub_errors,
         init_alignments=alignments,

@@ -1,9 +1,11 @@
 """Measured error-propagation quantities and gated inequality checks.
 
 Everything here is read-only analysis of a finished run against its ideal
-trace. Alignment profiles are always taken against the *original* eigenbasis
-(the ideal directions), not per-step oracles, because that is what the
-figure traces plot.
+trace. The run stores vectors only; :func:`diagnose_run` replays its deflated
+matrices one step at a time from the input matrix and the output vectors,
+and builds each ideal matrix from its closed form. Alignment profiles are
+always taken against the *original* eigenbasis (the ideal directions), not
+per-step oracles, because that is what the figure traces plot.
 
 Inequality checks return a three-valued verdict (holds / violated / skipped)
 so property tests never silently count vacuous cases as passes. Comparisons
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deflate import DeflationRun, GroundTruthTrace, aligned_top_eigenvector
+from .deflate import DeflationRun, GroundTruthTrace, deflate_step
 from .errors import DegenerateGapError, DimensionMismatchError
 from .linalg import SymMatrix, jacobi_eigendecomposition, spectral_norm
 
@@ -80,17 +82,20 @@ class StepDiagnostics:
 
 
 def diagnose_run(run: DeflationRun, truth: GroundTruthTrace) -> list[StepDiagnostics]:
-    """Compute the full per-step diagnostic table for an oracle-enabled run."""
+    """Compute the full per-step diagnostic table for an oracle-enabled run.
+
+    sigma_k is replayed from ``run.sigma`` with the run's own update at the
+    end of every step, so it equals the matrix the run deflated bitwise.
+    """
     if not run.has_oracle_trace:
         raise ValueError("diagnostics need a run recorded with the oracle enabled")
-    if run.matrices is None:
-        raise ValueError("diagnostics need the run's matrix trace")
     if run.d != truth.dim or run.K != truth.K:
         raise DimensionMismatchError("run and ideal trace do not match")
     basis = truth.spectrum.basis
     out = []
+    sigma_k = run.sigma
     for k in range(1, run.K + 1):
-        gap = SymMatrix(run.matrix(k).array - truth.ideal_matrix(k).array)
+        gap = SymMatrix(sigma_k.array - truth.ideal_matrix(k).array)
         v = run.components[:, k - 1]
         u = run.exact_tops[:, k - 1]
         u_star = truth.ideal_vector(k)
@@ -113,6 +118,7 @@ def diagnose_run(run: DeflationRun, truth: GroundTruthTrace) -> list[StepDiagnos
                 inner_gap=float(abs(u @ (gap.array @ u_star))),
             )
         )
+        sigma_k = deflate_step(sigma_k, v)
     return out
 
 
@@ -170,21 +176,19 @@ def eigvec_inner_identity_check(
 
 
 def alignment_lower_bound_check(
-    sigma_k: SymMatrix, truth: GroundTruthTrace, k: int
+    gap_fro: float, u: np.ndarray, truth: GroundTruthTrace, k: int
 ) -> InequalityCheck:
     """Alignment floor for the running top eigenvector.
 
-    When the matrix gap is at most an eighth of the ideal eigenvalue, the
-    squared alignment with the ideal eigenvector is bounded below by one
-    minus a gap term minus the leaked alignment onto later eigenvectors.
+    ``gap_fro`` is the step's measured Frobenius matrix gap and ``u`` the
+    oracle top eigenvector of sigma_k (``run.exact_tops[:, k-1]``). When the
+    gap is at most an eighth of the ideal eigenvalue, the squared alignment
+    with the ideal eigenvector is bounded below by one minus a gap term minus
+    the leaked alignment onto later eigenvectors.
     """
     lam_k = truth.ideal_value(k)
-    gap = SymMatrix(sigma_k.array - truth.ideal_matrix(k).array)
-    gap_fro = float(np.linalg.norm(gap.array))
     if gap_fro > lam_k / 8.0:
         return InequalityCheck(Verdict.SKIPPED)
-    spec = jacobi_eigendecomposition(sigma_k)
-    u, _ = aligned_top_eigenvector(sigma_k, truth.ideal_vector(k), spectrum=spec)
     basis = truth.spectrum.basis
     lhs = float(u @ truth.ideal_vector(k)) ** 2
     later = basis[:, k:].T @ u

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bounds import BoundRow
 from .clustering import ClusteringCell, ClusteringSummary, Dataset
-from .deflate import DeflationRun, GroundTruthTrace
+from .deflate import DeflationRun
 from .diagnostics import StepDiagnostics
 from .errors import SchemaError
 from .linalg import Spectrum, SymMatrix
@@ -121,7 +121,7 @@ def _vectors_csv(mat: np.ndarray, label: str) -> list[str]:
 
 def write_run_dir(
     run: DeflationRun,
-    truth: GroundTruthTrace,
+    diags: list[StepDiagnostics],
     out_dir,
     *,
     spectrum_label: str = "",
@@ -129,24 +129,25 @@ def write_run_dir(
     """Serialize a run: per-step summary, output/top eigenvector columns, meta.
 
     ``run.csv`` columns: step index, top eigenvalue of the running matrix,
-    sub-routine error size, output error against the ideal eigenvector, and
-    the Frobenius matrix gap.
+    and, from the run's diagnostics, the sub-routine error size, the output
+    error against the ideal eigenvector and the Frobenius matrix gap.
     """
-    if not run.has_oracle_trace or run.matrices is None:
-        raise ValueError("serialization needs an oracle-enabled run with matrices retained")
+    if not run.has_oracle_trace:
+        raise ValueError("serialization needs an oracle-enabled run")
+    if [dg.k for dg in diags] != list(range(1, run.K + 1)):
+        raise ValueError("serialization needs one diagnostic row per step")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = [_SCHEMA_LINE, "k,lambda_k,delta_norm,eig_err,matrix_gap_fro"]
-    for k in range(1, run.K + 1):
-        gap = run.matrix(k).array - truth.ideal_matrix(k).array
+    for dg in diags:
         lines.append(
             ",".join(
                 [
-                    str(k),
-                    _fmt(run.top_eigenvalues[k - 1]),
-                    _fmt(np.linalg.norm(run.sub_errors[:, k - 1])),
-                    _fmt(np.linalg.norm(run.components[:, k - 1] - truth.ideal_vector(k))),
-                    _fmt(np.linalg.norm(gap)),
+                    str(dg.k),
+                    _fmt(run.top_eigenvalues[dg.k - 1]),
+                    _fmt(dg.sub_err),
+                    _fmt(dg.output_err),
+                    _fmt(dg.matrix_gap_fro),
                 ]
             )
         )

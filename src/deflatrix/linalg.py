@@ -22,9 +22,7 @@ __all__ = [
     "Spectrum",
     "SymMatrix",
     "build_test_sigma",
-    "frobenius_norm",
     "jacobi_eigendecomposition",
-    "mat_vec",
     "random_orthogonal_basis",
     "sample_unit_sphere",
     "spectral_norm",
@@ -132,18 +130,6 @@ class RandomSource:
 
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed}, path={self.path})"
-
-
-def mat_vec(m: SymMatrix, x: np.ndarray) -> np.ndarray:
-    """Dense matrix-vector product."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (m.dim,):
-        raise DimensionMismatchError(f"vector of shape {x.shape} incompatible with dim {m.dim}")
-    return m.array @ x
-
-
-def frobenius_norm(m: SymMatrix) -> float:
-    return float(np.sqrt((m.array * m.array).sum()))
 
 
 def spectral_norm(m: SymMatrix) -> float:

@@ -30,29 +30,15 @@ _UNIT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class PowerIterResult:
-    """Outcome of a fixed-step power iteration.
-
-    ``init_alignment`` is |x_0 . u| against the oracle top eigenvector; it is
-    filled in by callers that know the oracle (the deflation driver) and left
-    None otherwise.
-    """
+    """Outcome of a fixed-step power iteration: the final iterate and its
+    Rayleigh quotient."""
 
     x_t: np.ndarray
     rayleigh: float
-    steps: int
-    init: np.ndarray
-    init_alignment: float | None = None
 
 
-def power_iterate(
-    m: SymMatrix, x0: np.ndarray, t: int, *, stop_residual: float | None = None
-) -> PowerIterResult:
-    """Run exactly ``t`` multiply-and-normalize steps from unit vector ``x0``.
-
-    ``stop_residual`` optionally enables early stopping once the eigen-residual
-    ||M x - (x.Mx) x|| drops below it; off by default so the recorded step
-    count stays the nominal budget the error formulas reason about.
-    """
+def power_iterate(m: SymMatrix, x0: np.ndarray, t: int) -> PowerIterResult:
+    """Run exactly ``t`` multiply-and-normalize steps from unit vector ``x0``."""
     x0 = np.ascontiguousarray(x0, dtype=float)
     if x0.shape != (m.dim,):
         raise DimensionMismatchError(f"start vector shape {x0.shape} incompatible with dim {m.dim}")
@@ -62,20 +48,14 @@ def power_iterate(
         raise ValueError("step count must be non-negative")
     a = m.array
     x = x0
-    steps = 0
     for _ in range(t):
         y = a @ x
         n = float(np.linalg.norm(y))
         if n < 1e-300:
             raise DegenerateIterateError("iterate vanished: start vector lies in the kernel")
         x = y / n
-        steps += 1
-        if stop_residual is not None:
-            z = a @ x
-            if float(np.linalg.norm(z - (x @ z) * x)) <= stop_residual:
-                break
     rayleigh = float(x @ (a @ x))
-    return PowerIterResult(x_t=x, rayleigh=rayleigh, steps=steps, init=x0)
+    return PowerIterResult(x_t=x, rayleigh=rayleigh)
 
 
 def pi_error_bound(sigma1: float, sigma2: float, t: int) -> float:

@@ -227,7 +227,9 @@ def run_level_checks(corpus: list[RunBundle]) -> dict[str, Tally]:
                     break
             tallies["directional_sum"].record_bool(ok)
 
-            check = alignment_lower_bound_check(run.matrix(k), truth, k)
+            check = alignment_lower_bound_check(
+                dg.matrix_gap_fro, run.exact_tops[:, k - 1], truth, k
+            )
             tallies["alignment_floor"].record(check.verdict)
 
             fro_ok = all(

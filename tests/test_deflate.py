@@ -13,6 +13,7 @@ from deflatrix.linalg import (
     ExponentialSpectrum,
     PowerLawSpectrum,
     RandomSource,
+    Spectrum,
     SymMatrix,
     build_test_sigma,
     jacobi_eigendecomposition,
@@ -24,6 +25,14 @@ from deflatrix.linalg import (
 def make_instance(d, seed, kind=None):
     basis = random_orthogonal_basis(d, RandomSource(seed))
     return build_test_sigma(d, kind or PowerLawSpectrum(1.0), basis)
+
+
+def replay(run):
+    """sigma_1 .. sigma_{K+1} of a run, rebuilt from its input and outputs."""
+    mats = [run.sigma]
+    for k in range(1, run.K + 1):
+        mats.append(deflate_step(mats[-1], run.component(k)))
+    return mats
 
 
 class TestDeflateStep:
@@ -43,6 +52,16 @@ class TestDeflateStep:
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError, match="unit"):
             deflate_step(SymMatrix(np.eye(2)), np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_update_is_symmetric_as_computed(self, seed):
+        # averaging with the transpose would be a bitwise no-op
+        sigma, _ = make_instance(9, 40 + seed)
+        basis = random_orthogonal_basis(9, RandomSource(50 + seed))
+        v = np.ascontiguousarray(basis[:, 0])
+        b = sigma.array - float(v @ (sigma.array @ v)) * np.outer(v, v)
+        assert np.array_equal(b, b.T)
+        assert np.array_equal(deflate_step(sigma, v).array, (b + b.T) / 2.0)
 
     def test_sign_invariance(self):
         sigma, _ = make_instance(6, 0)
@@ -66,9 +85,29 @@ class TestIdealDeflation:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_recursion_matches_closed_form(self, seed):
-        # agreement is asserted inside the constructor; exercise it broadly
-        _, spec = make_instance(20, seed, ExponentialSpectrum(0.8))
-        ideal_deflation(spec, 12)
+        # deflating with the exact eigenvectors reproduces the closed form
+        sigma, spec = make_instance(20, seed, ExponentialSpectrum(0.8))
+        truth = ideal_deflation(spec, 12)
+        current = sigma
+        for k in range(1, 14):
+            gap = np.linalg.norm(current.array - truth.ideal_matrix(k).array)
+            assert gap <= 1e-10
+            if k <= 12:
+                current = deflate_step(current, spec.eigenvector(k - 1))
+
+    def test_rejects_non_orthonormal_basis(self):
+        _, spec = make_instance(6, 7)
+        skewed = spec.basis.copy()
+        skewed[:, 1] += 1e-6 * skewed[:, 0]
+        with pytest.raises(InvalidSpectrumError, match="orthonormal"):
+            ideal_deflation(Spectrum(spec.eigenvalues, skewed), 3)
+
+    def test_ideal_matrix_range(self):
+        _, spec = make_instance(5, 8)
+        truth = ideal_deflation(spec, 3)
+        for k in (0, 5):
+            with pytest.raises(ValueError):
+                truth.ideal_matrix(k)
 
     def test_annihilates_processed_directions(self):
         _, spec = make_instance(8, 4)
@@ -145,11 +184,15 @@ class TestRunInexactDeflation:
                 assert abs(run.components[:, i] @ run.components[:, j]) <= 1e-6
 
     def test_trace_is_recomputable(self):
+        # the replayed sigma_k is the matrix the run decomposed, bitwise
         sigma, spec = make_instance(7, 8)
         run = run_inexact_deflation(sigma, 4, 50, RandomSource(3), spectrum=spec)
+        assert run.sigma is sigma
+        mats = replay(run)
         for k in range(1, 5):
-            redo = deflate_step(run.matrix(k), run.component(k))
-            assert np.array_equal(redo.array, run.matrix(k + 1).array)
+            u, lam = aligned_top_eigenvector(mats[k - 1], spec.eigenvector(k - 1))
+            assert np.array_equal(u, run.exact_tops[:, k - 1])
+            assert lam == run.top_eigenvalues[k - 1]
 
     def test_reproducible_bitwise(self):
         sigma, spec = make_instance(7, 9)
@@ -171,8 +214,9 @@ class TestRunInexactDeflation:
         sigma, spec = make_instance(10, 13)
         run = run_inexact_deflation(sigma, 6, 15, RandomSource(5), spectrum=spec)
         truth = ideal_deflation(spec, 6)
+        mats = replay(run)
         for k in range(1, 7):
-            gap = SymMatrix(run.matrix(k).array - truth.ideal_matrix(k).array)
+            gap = SymMatrix(mats[k - 1].array - truth.ideal_matrix(k).array)
             shift = abs(run.top_eigenvalues[k - 1] - truth.ideal_value(k))
             assert shift <= spectral_norm(gap) + 1e-10
 
@@ -180,9 +224,10 @@ class TestRunInexactDeflation:
         sigma, spec = make_instance(10, 14)
         run = run_inexact_deflation(sigma, 8, 10, RandomSource(6), spectrum=spec)
         truth = ideal_deflation(spec, 8)
+        mats = replay(run)
         for k in range(1, 9):
-            gap = SymMatrix(run.matrix(k).array - truth.ideal_matrix(k).array)
-            w_min = jacobi_eigendecomposition(run.matrix(k)).eigenvalues.min()
+            gap = SymMatrix(mats[k - 1].array - truth.ideal_matrix(k).array)
+            w_min = jacobi_eigendecomposition(mats[k - 1]).eigenvalues.min()
             assert w_min >= -spectral_norm(gap) - 1e-10
 
     def test_exact_subroutine_limit(self):
@@ -215,9 +260,10 @@ class TestRunInexactDeflation:
     def test_oracle_free_mode(self):
         sigma, spec = make_instance(8, 17)
         run = run_inexact_deflation(
-            sigma, 3, 60, RandomSource(4),
-            spectrum=spec, with_oracle=False, keep_matrices=False,
+            sigma, 3, 60, RandomSource(4), spectrum=spec, with_oracle=False
         )
-        assert run.exact_tops is None and run.matrices is None
-        oracle = jacobi_eigendecomposition(sigma)
-        assert abs(run.component(1) @ oracle.eigenvector(0)) >= 1.0 - 1e-8
+        assert run.exact_tops is None and run.sub_errors is None
+        mats = replay(run)
+        for k in range(1, 4):
+            oracle = jacobi_eigendecomposition(mats[k - 1])
+            assert abs(run.component(k) @ oracle.eigenvector(0)) >= 1.0 - 1e-8

@@ -1,8 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from deflatrix.deflate import deflate_step, ideal_deflation, run_inexact_deflation
+from deflatrix.deflate import (
+    aligned_top_eigenvector,
+    deflate_step,
+    ideal_deflation,
+    run_inexact_deflation,
+)
 from deflatrix.diagnostics import (
+    StepDiagnostics,
     Verdict,
     alignment_lower_bound_check,
     diagnose_run,
@@ -17,12 +25,48 @@ from deflatrix.linalg import (
     SymMatrix,
     build_test_sigma,
     random_orthogonal_basis,
+    spectral_norm,
 )
 
 
 def make_instance(d, seed, kind=None):
     basis = random_orthogonal_basis(d, RandomSource(seed))
     return build_test_sigma(d, kind or PowerLawSpectrum(1.0), basis)
+
+
+def stored_chain_diagnostics(run, truth):
+    """Reference: diagnostics over a fully stored matrix chain, the way they
+    were computed when runs kept every sigma_k and every ideal matrix."""
+    matrices = [run.sigma]
+    for k in range(1, run.K + 1):
+        matrices.append(deflate_step(matrices[-1], run.components[:, k - 1]))
+    lam, basis = truth.spectrum.eigenvalues, truth.spectrum.basis
+    ideal = []
+    for k in range(run.K + 1):
+        tail = basis[:, k:] * lam[k:]
+        closed = tail @ basis[:, k:].T if k < run.d else np.zeros((run.d, run.d))
+        ideal.append(SymMatrix(closed))
+    out = []
+    for k in range(1, run.K + 1):
+        gap = SymMatrix(matrices[k - 1].array - ideal[k - 1].array)
+        v = run.components[:, k - 1]
+        u = run.exact_tops[:, k - 1]
+        u_star = truth.ideal_vector(k)
+        out.append(
+            StepDiagnostics(
+                k=k,
+                sub_err=float(np.linalg.norm(run.sub_errors[:, k - 1])),
+                matrix_gap_fro=float(np.linalg.norm(gap.array)),
+                matrix_gap_spec=spectral_norm(gap),
+                output_err=float(np.linalg.norm(v - u_star)),
+                drift=float(np.linalg.norm(u - u_star)),
+                directional_gaps=np.linalg.norm(gap.array @ basis, axis=0),
+                output_alignments=np.abs(basis.T @ v),
+                top_alignments=np.abs(basis.T @ u),
+                inner_gap=float(abs(u @ (gap.array @ u_star))),
+            )
+        )
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +95,24 @@ class TestDiagnoseRun:
             gap = np.linalg.norm(current.array - truth.ideal_matrix(k).array)
             assert gap <= 1e-9
             current = deflate_step(current, spec.eigenvector(k - 1))
+
+    @pytest.mark.parametrize(
+        "d, K, t, seed", [(10, 6, 300, 21), (10, 10, 4, 22), (16, 9, 20, 23), (5, 5, 1, 24)]
+    )
+    def test_replay_matches_stored_chain(self, d, K, t, seed):
+        sigma, spec = make_instance(d, seed)
+        run = run_inexact_deflation(sigma, K, t, RandomSource(seed), spectrum=spec)
+        truth = ideal_deflation(spec, K)
+        got = diagnose_run(run, truth)
+        want = stored_chain_diagnostics(run, truth)
+        assert len(got) == len(want) == K
+        for a, b in zip(got, want):
+            for field in dataclasses.fields(StepDiagnostics):
+                x, y = getattr(a, field.name), getattr(b, field.name)
+                if isinstance(x, np.ndarray):
+                    assert np.array_equal(x, y), field.name
+                else:
+                    assert x == y, field.name
 
     def test_triangle_decomposition(self, sloppy_bundle):
         _, _, diags = sloppy_bundle
@@ -158,7 +220,7 @@ class TestAlignmentLowerBound:
     def test_exact_match_holds(self):
         sigma, spec = make_instance(7, 32)
         truth = ideal_deflation(spec, 3)
-        check = alignment_lower_bound_check(sigma, truth, 1)
+        check = alignment_lower_bound_check(0.0, spec.eigenvector(0), truth, 1)
         assert check.verdict is Verdict.HOLDS
         assert check.lhs == pytest.approx(1.0, abs=1e-9)
 
@@ -168,5 +230,22 @@ class TestAlignmentLowerBound:
         # gap far beyond an eighth of the ideal eigenvalue
         k = 3
         big = SymMatrix(truth.ideal_matrix(k).array + 0.5 * np.eye(7))
-        check = alignment_lower_bound_check(big, truth, k)
+        gap_fro = float(np.linalg.norm(big.array - truth.ideal_matrix(k).array))
+        check = alignment_lower_bound_check(gap_fro, spec.eigenvector(k - 1), truth, k)
         assert check.verdict is Verdict.SKIPPED
+
+    def test_reads_the_run_trace(self, sloppy_bundle):
+        # the measured gap and the run's oracle vector give the same verdict
+        # as decomposing the replayed sigma_k again
+        run, truth, diags = sloppy_bundle
+        sigma_k = run.sigma
+        for dg in diags:
+            k = dg.k
+            u, _ = aligned_top_eigenvector(sigma_k, truth.ideal_vector(k))
+            fresh = alignment_lower_bound_check(dg.matrix_gap_fro, u, truth, k)
+            check = alignment_lower_bound_check(
+                dg.matrix_gap_fro, run.exact_tops[:, k - 1], truth, k
+            )
+            assert check == fresh
+            assert check.verdict is not Verdict.VIOLATED
+            sigma_k = deflate_step(sigma_k, run.components[:, k - 1])

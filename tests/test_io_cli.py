@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,12 +8,16 @@ import pytest
 from deflatrix import io as dio
 from deflatrix.cli import main, parse_spectrum
 from deflatrix.clustering import synthetic_blobs
+from deflatrix.deflate import ideal_deflation, run_inexact_deflation
+from deflatrix.diagnostics import diagnose_run
 from deflatrix.errors import SchemaError
 from deflatrix.linalg import (
     ExponentialSpectrum,
     PowerLawSpectrum,
     RandomSource,
     SymMatrix,
+    build_test_sigma,
+    random_orthogonal_basis,
 )
 
 
@@ -68,6 +73,19 @@ class TestDatasetCsv:
         path.write_text("x,y\n0.0,1.0\n")
         with pytest.raises(SchemaError, match="label"):
             dio.read_dataset_csv(path)
+
+
+class TestRunDir:
+    def test_needs_one_diagnostic_row_per_step(self, tmp_path):
+        basis = random_orthogonal_basis(6, RandomSource(3))
+        sigma, spec = build_test_sigma(6, PowerLawSpectrum(1.0), basis)
+        run = run_inexact_deflation(sigma, 3, 40, RandomSource(4), spectrum=spec)
+        diags = diagnose_run(run, ideal_deflation(spec, 3))
+        dio.write_run_dir(run, diags, tmp_path / "ok")
+        rows = (tmp_path / "ok" / "run.csv").read_text().splitlines()[2:]
+        assert [float(r.split(",")[2]) for r in rows] == [dg.sub_err for dg in diags]
+        with pytest.raises(ValueError, match="one diagnostic row per step"):
+            dio.write_run_dir(run, diags[:-1], tmp_path / "short")
 
 
 class TestParseSpectrum:
@@ -138,6 +156,41 @@ class TestDeflateCommand:
         assert run_cli("bounds", *args, "--out", str(tmp_path / "b")) == 0
         expected = (tmp_path / "d" / "bounds.csv").read_bytes()
         assert (tmp_path / "b" / "bounds.csv").read_bytes() == expected
+
+    def test_memory_stays_quadratic_in_d(self, tmp_path):
+        # a run keeps vectors and replays each deflated matrix when needed;
+        # storing every sigma_k and ideal matrix would take 2(K+1) d^2 doubles
+        d = 120
+        tracemalloc.start()
+        try:
+            code = run_cli("deflate", "--d", str(d), "--K", str(d), "--out", str(tmp_path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 64 * d * d * 8
+
+    @pytest.mark.filterwarnings("ignore:leading eigenvalue")
+    @pytest.mark.parametrize("epsilon", [None, "1e-2"])
+    def test_zero_log_gap_reads_inadmissible(self, tmp_path, epsilon):
+        # adjacent eigenvalues one ulp apart have log lambda_1 == log lambda_2,
+        # so the spectral-decay floor is infinite rather than a division error
+        extra = ["--epsilon", epsilon] if epsilon else []
+        code = run_cli(
+            "bounds", "--d", "3", "--K", "2", "--t", "50",
+            "--spectrum", "explicit:1e10,9999999999.999998,1",
+            "--out", str(tmp_path), *extra,
+        )
+        assert code == 0
+        lines = (tmp_path / "bounds.csv").read_text().splitlines()
+        header = lines[1].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[2:]]
+        assert len(rows) == 2
+        for row in rows:
+            assert row["thm2_bound"] == "precondition-failed"
+            assert row["cond12"] == "false"
+        if epsilon:
+            assert rows[0]["t_budget"] == "inf"
 
     def test_epsilon_adds_budget_columns(self, tmp_path):
         code = run_cli(

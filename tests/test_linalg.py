@@ -16,9 +16,7 @@ from deflatrix.linalg import (
     Spectrum,
     SymMatrix,
     build_test_sigma,
-    frobenius_norm,
     jacobi_eigendecomposition,
-    mat_vec,
     random_orthogonal_basis,
     sample_unit_sphere,
     spectral_norm,
@@ -54,29 +52,10 @@ class TestSymMatrix:
             m.array[0, 0] = 5.0
 
 
-class TestMatVec:
-    def test_diagonal_action(self):
-        m = SymMatrix(np.diag([3.0, 2.0, 1.0]))
-        assert np.array_equal(mat_vec(m, np.ones(3)), np.array([3.0, 2.0, 1.0]))
-
-    def test_zero_vector(self):
-        m = random_symmetric(5, 1)
-        assert np.array_equal(mat_vec(m, np.zeros(5)), np.zeros(5))
-
-    def test_hand_2x2(self):
-        m = SymMatrix([[2.0, 1.0], [1.0, 2.0]])
-        out = mat_vec(m, np.array([1.0, -1.0]))
-        np.testing.assert_allclose(out, [1.0, -1.0], atol=0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            mat_vec(random_symmetric(3, 0), np.ones(4))
-
-
 class TestNorms:
     def test_identity(self):
         m = SymMatrix(np.eye(3))
-        assert frobenius_norm(m) == pytest.approx(np.sqrt(3.0), abs=0)
+        assert np.linalg.norm(m.array) == pytest.approx(np.sqrt(3.0), abs=0)
         assert spectral_norm(m) == pytest.approx(1.0, abs=1e-14)
 
     def test_offdiag_flip(self):
@@ -86,13 +65,13 @@ class TestNorms:
     def test_signed_diagonal(self):
         m = SymMatrix(np.diag([3.0, -4.0]))
         assert spectral_norm(m) == pytest.approx(4.0, abs=1e-14)
-        assert frobenius_norm(m) == pytest.approx(5.0, abs=0)
+        assert np.linalg.norm(m.array) == pytest.approx(5.0, abs=0)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
     def test_spectral_at_most_frobenius(self, seed):
         m = random_symmetric(6, seed)
-        assert spectral_norm(m) <= frobenius_norm(m) + 1e-12
+        assert spectral_norm(m) <= np.linalg.norm(m.array) + 1e-12
 
 
 class TestJacobi:
@@ -115,7 +94,7 @@ class TestJacobi:
         spec = jacobi_eigendecomposition(m)
         rebuilt = (spec.basis * spec.eigenvalues) @ spec.basis.T
         resid = np.linalg.norm(rebuilt - m.array)
-        assert resid <= 1e-8 * max(1.0, frobenius_norm(m))
+        assert resid <= 1e-8 * max(1.0, np.linalg.norm(m.array))
 
     def test_orthonormal_basis(self):
         spec = jacobi_eigendecomposition(random_symmetric(15, 9))
@@ -269,4 +248,5 @@ class TestBuildTestSigma:
         sigma, spec = build_test_sigma(d, PowerLawSpectrum(1.0), basis)
         assert spec.eigenvalues[0] == 1.0
         assert spec.eigenvalues[-1] == pytest.approx(0.01, abs=0)
-        assert frobenius_norm(sigma) == pytest.approx(np.linalg.norm(spec.eigenvalues), rel=1e-12)
+        fro = np.linalg.norm(sigma.array)
+        assert fro == pytest.approx(np.linalg.norm(spec.eigenvalues), rel=1e-12)
