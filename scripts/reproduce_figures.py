@@ -3,7 +3,8 @@
 power-law spectrum with 200 power-iteration steps per component.
 
 Writes run.csv, v.csv, u.csv, meta.json, fig2/fig3/fig4.csv and bounds.csv
-into --out (default out/figures). Takes a minute or two.
+into --out (default out/figures). Takes under a second (about 0.7 s on a
+2-core machine, interpreter start-up included).
 """
 
 import argparse

@@ -47,7 +47,8 @@ def deflate_step(sigma_k: SymMatrix, v: np.ndarray) -> SymMatrix:
     """One deflation update: subtract the Rayleigh-weighted projector of ``v``.
 
     The update is bitwise symmetric as computed: ``a`` has mirrored triangles
-    and ``v_i v_j == v_j v_i`` in floating point.
+    and ``v_i v_j == v_j v_i`` in floating point. So the result is wrapped
+    without re-validation; only finiteness is checked.
     """
     # contiguous copy: BLAS kernels round differently on strided views, which
     # would break bitwise replay of a run from its stored output columns
@@ -58,8 +59,12 @@ def deflate_step(sigma_k: SymMatrix, v: np.ndarray) -> SymMatrix:
         raise ValueError("deflation vector must have unit norm")
     a = sigma_k.array
     rayleigh = float(v @ (a @ v))
-    b = a - rayleigh * np.outer(v, v)
-    return SymMatrix(b)
+    # a - rayleigh * outer(v, v), the same operations in the same order, in
+    # one d x d buffer
+    b = np.outer(v, v)
+    b *= rayleigh
+    np.subtract(a, b, out=b)
+    return SymMatrix._trusted(b)
 
 
 @dataclass(frozen=True)
@@ -168,19 +173,17 @@ class DeflationRun:
     K: int
     t: int
     seed: int
-    seed_path: tuple[int, ...]
     sigma: SymMatrix
     components: np.ndarray
     top_eigenvalues: np.ndarray
-    inits: np.ndarray
     exact_tops: np.ndarray | None
     sub_errors: np.ndarray | None
     init_alignments: np.ndarray | None
     assumption_ok: bool | None
 
     def __post_init__(self):
-        for name in ("components", "top_eigenvalues", "inits",
-                     "exact_tops", "sub_errors", "init_alignments"):
+        for name in ("components", "top_eigenvalues", "exact_tops",
+                     "sub_errors", "init_alignments"):
             arr = getattr(self, name)
             if arr is not None:
                 arr.setflags(write=False)
@@ -245,7 +248,6 @@ def run_inexact_deflation(
 
     components = np.empty((d, K))
     lambdas = np.empty(K)
-    inits = np.empty((d, K))
     exact_tops = np.empty((d, K)) if with_oracle else None
     sub_errors = np.empty((d, K)) if with_oracle else None
     alignments = np.empty(K) if with_oracle else None
@@ -270,7 +272,6 @@ def run_inexact_deflation(
         else:
             lambdas[k - 1] = result.rayleigh
         components[:, k - 1] = v
-        inits[:, k - 1] = x0
         current = deflate_step(current, v)
 
     return DeflationRun(
@@ -278,11 +279,9 @@ def run_inexact_deflation(
         K=K,
         t=t,
         seed=rng.seed,
-        seed_path=rng.path,
         sigma=sigma,
         components=components,
         top_eigenvalues=lambdas,
-        inits=inits,
         exact_tops=exact_tops,
         sub_errors=sub_errors,
         init_alignments=alignments,

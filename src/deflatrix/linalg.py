@@ -54,6 +54,21 @@ class SymMatrix:
         a.setflags(write=False)
         self.array = a
 
+    @classmethod
+    def _trusted(cls, a: np.ndarray) -> "SymMatrix":
+        """Wrap, without copying, a fresh float array that is bitwise symmetric
+        by construction (a result computed from mirrored inputs).
+
+        Only finiteness is checked; the array is made read-only in place.
+        External inputs go through the validating constructor instead.
+        """
+        if not np.isfinite(a).all():
+            raise ValueError("matrix entries must be finite")
+        a.setflags(write=False)
+        m = cls.__new__(cls)
+        m.array = a
+        return m
+
     @property
     def dim(self) -> int:
         return self.array.shape[0]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from deflatrix.clustering import build_rnn_graph, normalized_laplacian, synthetic_blobs
 from deflatrix.deflate import (
     aligned_top_eigenvector,
     deflate_step,
@@ -18,8 +19,10 @@ from deflatrix.linalg import (
     build_test_sigma,
     jacobi_eigendecomposition,
     random_orthogonal_basis,
+    sample_unit_sphere,
     spectral_norm,
 )
+from deflatrix.powerit import power_iterate
 
 
 def make_instance(d, seed, kind=None):
@@ -63,12 +66,72 @@ class TestDeflateStep:
         assert np.array_equal(b, b.T)
         assert np.array_equal(deflate_step(sigma, v).array, (b + b.T) / 2.0)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_update_fails_loudly(self):
+        # v . sigma v overflows to inf; the update must not return inf entries
+        big = SymMatrix([[1.5e308, -1.5e308], [-1.5e308, 1.5e308]])
+        with pytest.raises(ValueError, match="finite"):
+            deflate_step(big, np.array([1.0, -1.0]) / np.sqrt(2.0))
+
     def test_sign_invariance(self):
         sigma, _ = make_instance(6, 0)
         v = random_orthogonal_basis(6, RandomSource(1))[:, 0]
         a = deflate_step(sigma, v)
         b = deflate_step(sigma, -v)
         assert np.array_equal(a.array, b.array)
+
+
+def validated_step(sigma, v):
+    """The update as built through the validating constructor (copy, symmetry
+    check, triangle mirror): the reference the trusted update must match."""
+    v = np.ascontiguousarray(v, dtype=float)
+    a = sigma.array
+    return SymMatrix(a - float(v @ (a @ v)) * np.outer(v, v))
+
+
+def assert_same_update(sigma, v):
+    out = deflate_step(sigma, v)
+    ref = validated_step(sigma, v)
+    assert np.array_equal(out.array, ref.array)
+    # bytes too, so a signed zero the mirror would have cleared shows up
+    assert out.array.tobytes() == ref.array.tobytes()
+    assert not out.array.flags.writeable
+    return out
+
+
+class TestTrustedUpdate:
+    @pytest.mark.parametrize("d,seed", [(5, 0), (9, 1), (40, 2), (120, 3)])
+    def test_matches_validated_update_on_power_law(self, d, seed):
+        sigma, spec = make_instance(d, 60 + seed)
+        current = sigma
+        for k in range(1, min(d, 8) + 1):
+            # an inexact top direction: the ideal one plus a small tilt
+            v = spec.eigenvector(k - 1) + 1e-3 * sample_unit_sphere(d, RandomSource(seed, (k,)))
+            current = assert_same_update(current, v / np.linalg.norm(v))
+
+    def test_exact_cancellation_matches_validated_update(self):
+        # every entry of the result cancels exactly to +0.0 or is untouched
+        out = assert_same_update(SymMatrix(np.diag([3.0, 2.0, 1.0])), np.array([1.0, 0.0, 0.0]))
+        assert not np.signbit(out.array).any()
+
+    def test_matches_validated_update_with_negative_rayleigh(self):
+        basis = random_orthogonal_basis(6, RandomSource(70))
+        sigma = SymMatrix((basis * [2.0, 1.0, 0.5, -0.25, -1.5, -3.0]) @ basis.T)
+        v = np.ascontiguousarray(basis[:, 5] + 0.1 * basis[:, 0])
+        v /= np.linalg.norm(v)
+        assert float(v @ (sigma.array @ v)) < 0
+        out = assert_same_update(sigma, v)
+        assert_same_update(out, np.ascontiguousarray(basis[:, 4]))
+
+    def test_matches_validated_update_on_blob_laplacian(self):
+        lap = normalized_laplacian(build_rnn_graph(synthetic_blobs(), 10))
+        assert lap.dim == 500
+        # the bottom-end target of spectral_embed
+        target = SymMatrix(2.0 * np.eye(lap.dim) - lap.array)
+        current = target
+        for k in range(1, 4):
+            v = power_iterate(current, sample_unit_sphere(lap.dim, RandomSource(k)), 20).x_t
+            current = assert_same_update(current, v)
 
 
 class TestIdealDeflation:

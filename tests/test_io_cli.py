@@ -260,6 +260,16 @@ class TestClusterCommand:
         for name in ("mi_vs_t.csv", "mi_summary.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_thread_count_does_not_change_sweep(self, tmp_path):
+        # concurrent cells share one Laplacian; an in-place write into it
+        # would make the outputs depend on the interleaving
+        args = ["cluster", "--data", "blobs", "--r", "5", "--k", "3", "--clusters", "3",
+                "--t-values", "4,12", "--seeds", "0,1"]
+        assert run_cli(*args, "--jobs", "1", "--out", str(tmp_path / "a")) == 0
+        assert run_cli(*args, "--jobs", "2", "--out", str(tmp_path / "b")) == 0
+        for name in ("mi_vs_t.csv", "mi_summary.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
     def test_trend_line_reported(self, tmp_path, capsys):
         code = run_cli("cluster", "--data", "blobs", "--r", "5", "--k", "3",
                        "--clusters", "3", "--t-values", "4,30", "--seeds", "0",
