@@ -132,13 +132,9 @@ def spectral_embed(
     Laplacian spectrum; ``"bottom"`` extracts from the bottom (by deflating
     2I - L, which reverses the spectrum within its [0, 2] range).
     """
-    if spectrum_end not in ("top", "bottom"):
-        raise ValueError("spectrum_end must be 'top' or 'bottom'")
+    target = _embedding_target(lap, spectrum_end)
     if not 1 <= k <= lap.dim:
         raise ValueError(f"k must lie in [1, {lap.dim}]")
-    target = lap
-    if spectrum_end == "bottom":
-        target = SymMatrix(2.0 * np.eye(lap.dim) - lap.array)
     run = run_inexact_deflation(
         target,
         k,
@@ -147,6 +143,15 @@ def spectral_embed(
         with_oracle=False,
     )
     return run.components.copy()
+
+
+def _embedding_target(lap: SymMatrix, spectrum_end: str) -> SymMatrix:
+    """The matrix whose top eigenvectors are ``lap``'s at ``spectrum_end``."""
+    if spectrum_end not in ("top", "bottom"):
+        raise ValueError("spectrum_end must be 'top' or 'bottom'")
+    if spectrum_end == "bottom":
+        return SymMatrix(2.0 * np.eye(lap.dim) - lap.array)
+    return lap
 
 
 def kmeans(
@@ -283,9 +288,13 @@ def run_clustering_experiment(
 ) -> tuple[list[ClusteringCell], list[ClusteringSummary]]:
     """Run the full pipeline over every (t, seed) cell and score each run.
 
-    The graph and Laplacian depend only on the data, so they are built once;
-    cells are independent and may run concurrently. Results come back sorted
-    by (t, seed) regardless of the execution order.
+    The graph, the Laplacian and the matrix the embedding deflates (the
+    Laplacian itself, or 2I - L for the bottom end) depend only on the data,
+    so they are built once and shared read-only by every cell. With
+    ``jobs > 1`` the cells run on that many threads; the matrix-vector
+    products that dominate a cell release the GIL, so the threads run on
+    separate cores. Results come back sorted by (t, seed) and are
+    byte-identical for every ``jobs``.
     """
     t_values = [int(t) for t in t_values]
     seeds = [int(s) for s in seeds]
@@ -293,11 +302,15 @@ def run_clustering_experiment(
         raise ValueError("need at least one t value")
     if not seeds:
         raise ValueError("need at least one seed")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     lap = normalized_laplacian(build_rnn_graph(data, r))
+    target = _embedding_target(lap, spectrum_end)
 
     def one_cell(t: int, seed: int) -> ClusteringCell:
         root = RandomSource(seed)
-        features = spectral_embed(lap, k, t, root, spectrum_end=spectrum_end)
+        # the top end of the target is the requested end of the Laplacian
+        features = spectral_embed(target, k, t, root)
         if row_normalize:
             norms = np.linalg.norm(features, axis=1, keepdims=True)
             features = features / np.maximum(norms, 1e-300)

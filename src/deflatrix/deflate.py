@@ -58,7 +58,8 @@ def deflate_step(sigma_k: SymMatrix, v: np.ndarray) -> SymMatrix:
     if abs(np.linalg.norm(v) - 1.0) > _UNIT_TOL:
         raise ValueError("deflation vector must have unit norm")
     a = sigma_k.array
-    rayleigh = float(v @ (a @ v))
+    # np.dot releases the GIL around the BLAS call; `a @ v` does not
+    rayleigh = float(v @ np.dot(a, v))
     # a - rayleigh * outer(v, v), the same operations in the same order, in
     # one d x d buffer
     b = np.outer(v, v)

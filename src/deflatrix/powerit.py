@@ -49,12 +49,17 @@ def power_iterate(m: SymMatrix, x0: np.ndarray, t: int) -> PowerIterResult:
     a = m.array
     x = x0
     for _ in range(t):
-        y = a @ x
-        n = float(np.linalg.norm(y))
+        # np.dot releases the GIL around the BLAS call; `a @ x` does not
+        y = np.dot(a, x)
+        # the value np.linalg.norm computes for a 1-D vector, without its overhead
+        n = math.sqrt(np.dot(y, y))
         if n < 1e-300:
             raise DegenerateIterateError("iterate vanished: start vector lies in the kernel")
-        x = y / n
-    rayleigh = float(x @ (a @ x))
+        # y is fresh from np.dot, so dividing in place never writes into x0
+        y /= n
+        x = y
+    # np.dot releases the GIL around the BLAS call; `a @ x` does not
+    rayleigh = float(x @ np.dot(a, x))
     return PowerIterResult(x_t=x, rayleigh=rayleigh)
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from deflatrix.clustering import (
     synthetic_blobs,
 )
 from deflatrix.errors import DimensionMismatchError, IsolatedNodeError
-from deflatrix.linalg import RandomSource, jacobi_eigendecomposition
+from deflatrix.linalg import RandomSource, SymMatrix, jacobi_eigendecomposition
 
 
 def two_cluster_points():
@@ -239,6 +240,38 @@ class TestExperiment:
         serial = run_clustering_experiment(data, 4, 4, 4, [5, 15], [0, 1])
         parallel = run_clustering_experiment(data, 4, 4, 4, [5, 15], [0, 1], jobs=4)
         assert serial == parallel
+
+    def test_shared_bottom_target(self, monkeypatch):
+        # every cell reads the one 2I - L target; with a short switch interval
+        # the threads interleave often, and a write into the shared matrix
+        # would make the results depend on the interleaving
+        data = synthetic_blobs(n=40, clusters=4, seed=17)
+        args = (data, 4, 4, 4, [5, 15], [0, 1, 2])
+        opts = {"spectrum_end": "bottom", "row_normalize": True}
+        serial = run_clustering_experiment(*args, **opts, jobs=1)
+        init = SymMatrix.__init__
+        built = []
+
+        def counting_init(self, array):
+            built.append(1)
+            init(self, array)
+
+        monkeypatch.setattr(SymMatrix, "__init__", counting_init)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            parallel = run_clustering_experiment(*args, **opts, jobs=2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert serial == parallel
+        # the Laplacian and the target, built once for all six cells
+        assert len(built) == 2
+
+    def test_rejects_fewer_than_one_job(self):
+        data = synthetic_blobs(n=20, clusters=2, seed=16)
+        for jobs in (0, -3):
+            with pytest.raises(ValueError, match="jobs"):
+                run_clustering_experiment(data, 3, 2, 2, [5], [0], jobs=jobs)
 
     def test_rejects_empty_sweeps(self):
         data = synthetic_blobs(n=20, clusters=2, seed=16)

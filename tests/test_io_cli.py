@@ -270,6 +270,13 @@ class TestClusterCommand:
         for name in ("mi_vs_t.csv", "mi_summary.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_zero_jobs_rejected(self, tmp_path, capsys):
+        code = run_cli("cluster", "--data", "blobs", "--r", "5", "--k", "3", "--clusters", "3",
+                       "--t-values", "4", "--seeds", "0", "--jobs", "0", "--out", str(tmp_path))
+        assert code == 1
+        assert "jobs must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "mi_vs_t.csv").exists()
+
     def test_trend_line_reported(self, tmp_path, capsys):
         code = run_cli("cluster", "--data", "blobs", "--r", "5", "--k", "3",
                        "--clusters", "3", "--t-values", "4,30", "--seeds", "0",

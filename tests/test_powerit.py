@@ -79,6 +79,50 @@ class TestPowerIterate:
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
+def _reference_power_iterate(a, x0, t):
+    # the loop as first written, with `@` products, np.linalg.norm and an
+    # out-of-place divide; power_iterate must reproduce it bit for bit
+    x = np.ascontiguousarray(x0, dtype=float)
+    for _ in range(t):
+        y = a @ x
+        n = float(np.linalg.norm(y))
+        x = y / n
+    return x, float(x @ (a @ x))
+
+
+class TestPowerIterateMatchesReference:
+    @staticmethod
+    def assert_matches_reference(m, x0, t):
+        before = x0.copy()
+        res = power_iterate(m, x0, t)
+        x_ref, rayleigh_ref = _reference_power_iterate(m.array, x0, t)
+        assert np.array_equal(res.x_t, x_ref)
+        assert res.rayleigh == rayleigh_ref
+        assert np.array_equal(x0, before)
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 32, 100, 500])
+    @pytest.mark.parametrize("t", [0, 1, 7, 200])
+    def test_bitwise(self, d, t):
+        g = RandomSource(d).normal(d, d)
+        m = SymMatrix((g + g.T) / 2.0)
+        self.assert_matches_reference(m, sample_unit_sphere(d, RandomSource(d + 1)), t)
+
+    @pytest.mark.parametrize("t", [0, 1, 7, 200])
+    def test_strided_start_vector(self, t):
+        basis = random_orthogonal_basis(32, RandomSource(8))
+        sigma, _ = build_test_sigma(32, PowerLawSpectrum(1.0), basis)
+        x0 = basis[:, 3]
+        assert not x0.flags.c_contiguous
+        self.assert_matches_reference(sigma, x0, t)
+
+    @pytest.mark.parametrize("t", [0, 1, 7])
+    def test_read_only_start_vector(self, t):
+        g = RandomSource(9).normal(7, 7)
+        x0 = sample_unit_sphere(7, RandomSource(10))
+        x0.setflags(write=False)
+        self.assert_matches_reference(SymMatrix((g + g.T) / 2.0), x0, t)
+
+
 class TestErrorBound:
     def test_sqrt2_at_zero(self):
         assert pi_error_bound(1.0, 0.5, 0) == pytest.approx(math.sqrt(2.0), abs=0)
