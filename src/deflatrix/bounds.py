@@ -123,6 +123,12 @@ def _over_log_gap(x: float, log_gap: float) -> float:
     return math.inf if log_gap == 0.0 else x / log_gap
 
 
+def _check_epsilon(epsilon: float) -> None:
+    # nan would pass a plain `<= 0` test and then vanish inside min/max
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
+
+
 def _lam_next(lam: np.ndarray, k: int) -> float:
     """lambda_{k+1} with the convention that it is 0 past the end."""
     return float(lam[k]) if k < lam.size else 0.0
@@ -160,6 +166,8 @@ class BoundInputs:
             raise ValueError("init_constant is a reciprocal alignment and cannot be < 1")
         if self.t < 0:
             raise ValueError("t must be non-negative")
+        if self.epsilon is not None:
+            _check_epsilon(self.epsilon)
         if self.rates is not None:
             rates = np.asarray(self.rates, dtype=float)
             if rates.size < self.K:
@@ -259,8 +267,7 @@ def agnostic_bound(inputs: BoundInputs, gaps: SpectrumGaps, k: int) -> float | N
 
 
 def _budget_head(epsilon: float, inputs: BoundInputs, gaps: SpectrumGaps) -> float:
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    _check_epsilon(epsilon)
     K = inputs.K
     return min(epsilon * float(inputs.lambdas[K - 1]), gaps.min_gap(K)) / (20.0 * K)
 
@@ -392,7 +399,11 @@ def eigvec_drift_bound(
 def sum_recurrence_closed_form(a, b) -> list[float]:
     """Closed form of Q_k = a_k + b_k * sum_{k'<k} Q_{k'} (Q_1 = a_1).
 
-    Returns [Q_1, ..., Q_n] for the given coefficient lists.
+    Returns [Q_1, ..., Q_n] for the given coefficient lists: Q_k is a_k plus
+    b_k times the ascending sum over k' < k of a_{k'} prod_{k'<l<k} (1 + b_l).
+    Each product is kept across k and extended by its new last factor, so it
+    has the same factors in the same order (and the same bits) as a product
+    built from 1.0 for every k, and the whole list costs O(n^2).
     """
     a = [float(x) for x in a]
     b = [float(x) for x in b]
@@ -401,13 +412,15 @@ def sum_recurrence_closed_form(a, b) -> list[float]:
     if any(x < 0 for x in a) or any(x < 0 for x in b):
         raise ValueError("coefficients must be non-negative")
     out = []
+    prods: list[float] = []  # prods[k'-1] = prod over k' < l < k of (1 + b_l)
     for k in range(1, len(a) + 1):
+        if k > 1:
+            factor = 1.0 + b[k - 2]
+            prods = [p * factor for p in prods]
+            prods.append(1.0)
         acc = 0.0
-        for kp in range(1, k):
-            prod = 1.0
-            for ell in range(kp + 1, k):
-                prod *= 1.0 + b[ell - 1]
-            acc += a[kp - 1] * prod
+        for a_kp, prod in zip(a, prods):
+            acc += a_kp * prod
         out.append(a[k - 1] + b[k - 1] * acc if k > 1 else a[0])
     return out
 
@@ -415,7 +428,11 @@ def sum_recurrence_closed_form(a, b) -> list[float]:
 def affine_recurrence_closed_form(a, b, q1: float) -> list[float]:
     """Closed form of Q_{k+1} = a_k Q_k + b_k with Q_1 = q1.
 
-    Returns [Q_1, ..., Q_{n+1}] for coefficient lists of length n.
+    Returns [Q_1, ..., Q_{n+1}] for coefficient lists of length n: Q_k is
+    the ascending sum over 0 <= k' < k of b_{k'} prod_{k'<j<k} a_j, with
+    b_0 = q1. As in :func:`sum_recurrence_closed_form`, each product is kept
+    across k and extended by its new last factor (same factors, same order),
+    so the list costs O(n^2).
     """
     a = [float(x) for x in a]
     b = [float(x) for x in b]
@@ -425,13 +442,15 @@ def affine_recurrence_closed_form(a, b, q1: float) -> list[float]:
         raise ValueError("coefficients must be non-negative")
     coeffs = [float(q1)] + b  # b_0 := Q_1
     out = []
+    prods: list[float] = []  # prods[k'] = prod over k' < j < k of a_j
     for k in range(1, len(a) + 2):
+        if k > 1:
+            factor = a[k - 2]
+            prods = [p * factor for p in prods]
+        prods.append(1.0)
         acc = 0.0
-        for kp in range(0, k):
-            prod = 1.0
-            for j in range(kp + 1, k):
-                prod *= a[j - 1]
-            acc += coeffs[kp] * prod
+        for coeff, prod in zip(coeffs, prods):
+            acc += coeff * prod
         out.append(acc)
     return out
 

@@ -293,8 +293,8 @@ def run_clustering_experiment(
     so they are built once and shared read-only by every cell. With
     ``jobs > 1`` the cells run on that many threads; the matrix-vector
     products that dominate a cell release the GIL, so the threads run on
-    separate cores. Results come back sorted by (t, seed) and are
-    byte-identical for every ``jobs``.
+    separate cores. Cells are submitted longest (largest t) first; results
+    come back sorted by (t, seed) and are byte-identical for every ``jobs``.
     """
     t_values = [int(t) for t in t_values]
     seeds = [int(s) for s in seeds]
@@ -317,7 +317,9 @@ def run_clustering_experiment(
         labels = kmeans(features, k_clusters, root.substream(_KMEANS_STREAM))
         return ClusteringCell(t=t, seed=seed, mi=mutual_information(labels, data.labels))
 
-    cells_spec = [(t, s) for t in t_values for s in seeds]
+    # a cell's cost grows with t: submitting the longest first keeps the
+    # last worker from finishing alone on a long cell
+    cells_spec = sorted(((t, s) for t in t_values for s in seeds), key=lambda ts: -ts[0])
     if jobs > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
             cells = list(pool.map(lambda ts: one_cell(*ts), cells_spec))

@@ -268,5 +268,8 @@ def read_dataset_csv(path) -> Dataset:
         if len(cells) != len(header):
             raise SchemaError(f"{path}: row has {len(cells)} cells, header has {len(header)}")
         feats.append([float(cells[i]) for i in feat_idx])
-        labels.append(int(float(cells[label_idx])))
+        label = float(cells[label_idx])
+        if not label.is_integer():
+            raise SchemaError(f"{path}: label {cells[label_idx].strip()!r} is not an integer")
+        labels.append(int(label))
     return Dataset(features=np.array(feats), labels=np.array(labels))

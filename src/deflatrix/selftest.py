@@ -20,10 +20,11 @@ import numpy as np
 
 from .bounds import (
     BoundInputs,
+    BoundRow,
     SpectrumGaps,
     affine_recurrence_closed_form,
     agnostic_bound,
-    agnostic_bound_condition,
+    build_bound_report,
     directional_gap_bound,
     eigengaps,
     eigvec_drift_bound,
@@ -172,6 +173,23 @@ def build_run_corpus(rng: RandomSource, dims, t_values, runs_per_cell: int = 1) 
     return corpus
 
 
+def _directional_sums(run: DeflationRun, basis: np.ndarray) -> list[list[float]]:
+    """Right-hand sides of the directional-sum check: entry [k-1][j-1], for
+    j >= k, is the sum over k' < k of lambda_k' |v_k' . u_j|.
+
+    Each dot is taken once per run, and each row extends the previous one by
+    the step-k term, so the terms are added in ascending k'.
+    """
+    sums = [[0.0] * run.d]
+    for k in range(1, run.K):
+        v_k = run.components[:, k - 1]
+        row = sums[-1].copy()
+        for j in range(k + 1, run.d + 1):
+            row[j - 1] += run.top_eigenvalues[k - 1] * abs(float(v_k @ basis[:, j - 1]))
+        sums.append(row)
+    return sums
+
+
 def run_level_checks(corpus: list[RunBundle]) -> dict[str, Tally]:
     """Every per-run inequality: eigenvalue shift, gap recurrence, eigenvector
     sensitivity, directional gap sums and bounds, alignment floor, drift
@@ -194,6 +212,7 @@ def run_level_checks(corpus: list[RunBundle]) -> dict[str, Tally]:
         lam = truth.spectrum.eigenvalues
         basis = truth.spectrum.basis
         per_step_floor, _ = power_iter_bound_conditions(inputs, gaps)
+        weighted = _directional_sums(run, basis)
 
         for check in matrix_gap_recurrence_check(diags, lam):
             tallies["gap_recurrence"].record(check.verdict)
@@ -215,16 +234,10 @@ def run_level_checks(corpus: list[RunBundle]) -> dict[str, Tally]:
 
             # directional gap of step k against every later ideal direction is
             # at most the alignment-weighted sum of earlier top eigenvalues
-            ok = True
-            for j in range(k, run.d + 1):
-                acc = sum(
-                    run.top_eigenvalues[kp - 1]
-                    * abs(float(run.components[:, kp - 1] @ basis[:, j - 1]))
-                    for kp in range(1, k)
-                )
-                if dg.directional_gaps[j - 1] > acc + CHECK_SLACK:
-                    ok = False
-                    break
+            ok = not any(
+                dg.directional_gaps[j - 1] > weighted[k - 1][j - 1] + CHECK_SLACK
+                for j in range(k, run.d + 1)
+            )
             tallies["directional_sum"].record_bool(ok)
 
             check = alignment_lower_bound_check(
@@ -409,6 +422,19 @@ def _sum_condition_budgets(gaps: SpectrumGaps, lambdas, K: int) -> list[float]:
     return budgets
 
 
+def _bound_rows(
+    run: DeflationRun, truth: GroundTruthTrace, inputs: BoundInputs, gaps: SpectrumGaps
+) -> list[BoundRow]:
+    """A run's bound report against its measured output errors: both
+    families' flags and bounds from one pass of the engine behind
+    ``bounds.csv``."""
+    errors = [
+        float(np.linalg.norm(run.components[:, k - 1] - truth.ideal_vector(k)))
+        for k in range(1, run.K + 1)
+    ]
+    return build_bound_report(inputs, gaps, errors)
+
+
 def agnostic_soundness_trials(
     n: int,
     dims,
@@ -434,26 +460,22 @@ def agnostic_soundness_trials(
         if min(budgets) < 1e-11:
             continue  # not satisfiable in float64; draw another instance
         t = _budget_predicted_t(spectrum.eigenvalues, budgets, 3.0 * math.sqrt(d))
-        bundle = None
+        truth = ideal_deflation(spectrum, K)
+        rows = None
         while t <= t_cap:
             run = run_inexact_deflation(sigma, K, t, sub.substream(2), spectrum=spectrum)
             inputs = inputs_from_run(run, spectrum.eigenvalues)
-            if all(agnostic_bound_condition(inputs, gaps, k) for k in range(1, K + 1)):
-                bundle = (run, inputs)
+            candidate = _bound_rows(run, truth, inputs, gaps)
+            if all(row.condition_agnostic for row in candidate):
+                rows = candidate
                 break
             t *= 2
-        if bundle is None:
+        if rows is None:
             continue
-        run, inputs = bundle
-        truth = ideal_deflation(spectrum, K)
-        ok = True
-        for k in range(1, K + 1):
-            bound = agnostic_bound(inputs, gaps, k)
-            assert bound is not None
-            err = float(np.linalg.norm(run.components[:, k - 1] - truth.ideal_vector(k)))
-            if err > bound_scale * bound + CHECK_SLACK:
-                ok = False
-                break
+        assert all(row.agnostic is not None for row in rows)
+        ok = not any(
+            row.empirical > bound_scale * row.agnostic + CHECK_SLACK for row in rows
+        )
         tally.record_bool(ok)
         produced += 1
     return tally
@@ -495,28 +517,21 @@ def power_iter_soundness_trials(n: int, dims, rng: RandomSource) -> Tally:
         K = int(sub.substream(1).generator.integers(2, min(8, d // 2) + 1))
         gaps = eigengaps(spectrum.eigenvalues)
         c0 = 3.0 * math.sqrt(d)
-        run = None
-        inputs = None
+        truth = ideal_deflation(spectrum, K)
+        rows = None
         for _ in range(4):
             t = _min_t_power_iter(gaps, spectrum.eigenvalues, K, c0)
             run = run_inexact_deflation(sigma, K, t, sub.substream(2), spectrum=spectrum)
             inputs = inputs_from_run(run, spectrum.eigenvalues)
-            per_step, tail = power_iter_bound_conditions(inputs, gaps)
-            if tail and all(per_step):
+            candidate = _bound_rows(run, truth, inputs, gaps)
+            if all(row.condition_tail and row.condition_step_floor for row in candidate):
+                rows = candidate
                 break
             c0 = inputs.init_constant  # measured; recompute the floor with it
-            run = None
-        if run is None or inputs is None:
+        if rows is None:
             continue
-        truth = ideal_deflation(spectrum, K)
-        ok = True
-        for k in range(1, K + 1):
-            bound = power_iter_bound(inputs, gaps, k)
-            assert bound is not None
-            err = float(np.linalg.norm(run.components[:, k - 1] - truth.ideal_vector(k)))
-            if err > bound + CHECK_SLACK:
-                ok = False
-                break
+        assert all(row.power_iter is not None for row in rows)
+        ok = not any(row.empirical > row.power_iter + CHECK_SLACK for row in rows)
         tally.record_bool(ok)
         produced += 1
     return tally
@@ -640,7 +655,13 @@ def _formula_oracle_checks(bound_scale: float) -> dict[str, Tally]:
 
 
 def run_selftest(seed: int = 0, *, bound_scale: float = 1.0) -> dict[str, Tally]:
-    """Reduced-scale verification pass (dimensions <= 20, under a minute)."""
+    """Reduced-scale verification pass (dimensions <= 20, well under a minute).
+
+    Work is shared wherever the values allow it bit for bit: the recurrence
+    rows run the O(n^2) closed forms, each calibrated soundness run reads its
+    flags and bounds from one :func:`build_bound_report` (the engine behind
+    ``bounds.csv``), and the directional-sum row takes each dot once per run.
+    """
     rng = RandomSource(seed)
     report: dict[str, Tally] = {}
 

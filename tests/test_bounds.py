@@ -124,6 +124,36 @@ def _ref_error_budget(epsilon, inputs, gaps, k):
     return head / _ref_accumulation(inputs, gaps, k + 1, K)
 
 
+# Reference closed forms: every product built from 1.0 in ascending order for
+# every k (O(n^3)). The production versions keep the products across k and
+# must return the same bits.
+def _ref_sum_closed_form(a, b):
+    out = []
+    for k in range(1, len(a) + 1):
+        acc = 0.0
+        for kp in range(1, k):
+            prod = 1.0
+            for ell in range(kp + 1, k):
+                prod *= 1.0 + b[ell - 1]
+            acc += a[kp - 1] * prod
+        out.append(a[k - 1] + b[k - 1] * acc if k > 1 else a[0])
+    return out
+
+
+def _ref_affine_closed_form(a, b, q1):
+    coeffs = [q1] + list(b)
+    out = []
+    for k in range(1, len(a) + 2):
+        acc = 0.0
+        for kp in range(0, k):
+            prod = 1.0
+            for j in range(kp + 1, k):
+                prod *= a[j - 1]
+            acc += coeffs[kp] * prod
+        out.append(acc)
+    return out
+
+
 def _engine_case(seed, K, shape):
     """Random spectrum with relative consecutive gaps 10**r. "narrow" gaps
     make every f_j = 3 + 2 lambda_j / T_j about 1e13, so products of 24 or
@@ -256,6 +286,13 @@ class TestErrorBudget:
         inputs = proto_inputs([1.0, 0.5], [0.0, 0.0])
         with pytest.raises(ValueError):
             per_step_error_budget(0.0, inputs, eigengaps(inputs.lambdas), 1)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -1.0])
+    def test_rejects_epsilon_outside_positive_reals(self, epsilon):
+        # nan passes a plain `<= 0` test and then vanishes inside min()
+        inputs = proto_inputs([1.0, 0.5], [0.0, 0.0])
+        with pytest.raises(ValueError, match="epsilon"):
+            per_step_error_budget(epsilon, inputs, eigengaps(inputs.lambdas), 1)
 
 
 class TestLinearRateBudget:
@@ -496,6 +533,18 @@ class TestRecurrences:
             brute.append(float(a[k]) * brute[-1] + float(b[k]))
         np.testing.assert_allclose(closed, brute, rtol=1e-12)
 
+    @given(
+        st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0)), max_size=60),
+        st.floats(0.0, 10.0),
+    )
+    @example([(0.0, 0.0)], 0.0)
+    @settings(max_examples=120, deadline=None)
+    def test_closed_forms_match_triple_loop_bitwise(self, pairs, q1):
+        a = [x for x, _ in pairs]
+        b = [y for _, y in pairs]
+        assert sum_recurrence_closed_form(a, b) == _ref_sum_closed_form(a, b)
+        assert affine_recurrence_closed_form(a, b, q1) == _ref_affine_closed_form(a, b, q1)
+
     def test_geometric_tail_bounds_direct_sum(self):
         p = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         g, t, k = 2.0, 6.0, 5
@@ -514,6 +563,11 @@ class TestBoundInputs:
     def test_rejects_alignment_reciprocal_below_one(self):
         with pytest.raises(ValueError):
             proto_inputs([1.0, 0.5], [0.0, 0.0], c0=0.5)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf, -1.0, 0.0])
+    def test_rejects_epsilon_outside_positive_reals(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            proto_inputs([1.0, 0.5], [0.0, 0.0], epsilon=epsilon)
 
     def test_growth_constant_is_max_over_steps(self):
         lam = np.array([1.0, 0.5, 0.25])

@@ -19,6 +19,7 @@ from deflatrix.linalg import (
     build_test_sigma,
     random_orthogonal_basis,
 )
+from deflatrix.selftest import run_selftest
 
 
 class TestSymMatrixCsv:
@@ -72,6 +73,19 @@ class TestDatasetCsv:
         path = tmp_path / "data.csv"
         path.write_text("x,y\n0.0,1.0\n")
         with pytest.raises(SchemaError, match="label"):
+            dio.read_dataset_csv(path)
+
+    def test_integral_float_label_accepted(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("x,y,label\n0.0,1.0,0.0\n1.0,0.0,1.0\n")
+        assert dio.read_dataset_csv(path).labels.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("label", ["2.7", "nan", "inf"])
+    def test_non_integral_label_rejected(self, tmp_path, label):
+        # int(float("2.7")) would silently put the point in cluster 2
+        path = tmp_path / "data.csv"
+        path.write_text(f"x,y,label\n0.0,1.0,0\n1.0,0.0,{label}\n")
+        with pytest.raises(SchemaError, match="not an integer"):
             dio.read_dataset_csv(path)
 
 
@@ -192,6 +206,15 @@ class TestDeflateCommand:
         if epsilon:
             assert rows[0]["t_budget"] == "inf"
 
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("command", ["bounds", "deflate"])
+    def test_rejects_epsilon_outside_positive_reals(self, tmp_path, capsys, command, epsilon):
+        out = tmp_path / "out"
+        code = run_cli(command, "--d", "5", "--epsilon", epsilon, "--out", str(out))
+        assert code == 1
+        assert "epsilon must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_epsilon_adds_budget_columns(self, tmp_path):
         code = run_cli(
             "bounds", "--d", "8", "--K", "3", "--t", "120",
@@ -248,6 +271,17 @@ class TestClusterCommand:
         assert summary[1] == "t,mean_mi,std_mi"
         assert len(summary) == 4
 
+    def test_non_integral_label_exits_one(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        rows = [f"{i % 2}.0,{i // 2}.0,{i % 2}" for i in range(8)] + ["0.5,0.5,2.7"]
+        data.write_text("x,y,label\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        code = run_cli("cluster", "--data", str(data), "--r", "3", "--t-values", "4",
+                       "--seeds", "0", "--out", str(out))
+        assert code == 1
+        assert "not an integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_dataset_file(self, tmp_path):
         code = run_cli("cluster", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path))
         assert code == 1
@@ -285,6 +319,79 @@ class TestClusterCommand:
         assert "MI trend across t:" in capsys.readouterr().out
 
 
+# The selftest's closed forms, bound rows and directional sums share work
+# across steps but must compute the same bits as their one-term-at-a-time
+# forms, so neither this table nor any worst margin below may move.
+SELFTEST_SEED0_TABLE = """\
+check                      holds  violated  skipped
+agnostic_formula_oracle        1         0        0
+agnostic_soundness            10         0        0
+alignment_floor               68         0       35
+budget_e2e                     4         0        0
+directional_bound             55         0       48
+directional_sum              103         0        0
+drift_bound                   55         0       48
+eigenvalue_shift             103         0        0
+eigvec_sensitivity            66         0       37
+gap_recurrence                61         0       26
+inner_identity                40         0        0
+iterate_convergence           88         0        8
+perturbed_alignment           30         0        0
+pi_formula_oracle              1         0        0
+power_iter_formula_oracle      1         0        0
+power_iter_soundness           8         0        0
+recurrence_affine_form       200         0        0
+recurrence_geometric_tail    200         0        0
+recurrence_sum_form          200         0        0
+"""
+
+# (holds, violated, skipped, worst) per row of run_selftest(seed)
+SELFTEST_TALLIES = {
+    0: {
+        "agnostic_formula_oracle": (1, 0, 0, None),
+        "agnostic_soundness": (10, 0, 0, None),
+        "alignment_floor": (68, 0, 35, None),
+        "budget_e2e": (4, 0, 0, None),
+        "directional_bound": (55, 0, 48, None),
+        "directional_sum": (103, 0, 0, None),
+        "drift_bound": (55, 0, 48, None),
+        "eigenvalue_shift": (103, 0, 0, 9.999933386618523e-11),
+        "eigvec_sensitivity": (66, 0, 37, None),
+        "gap_recurrence": (61, 0, 26, None),
+        "inner_identity": (40, 0, 0, 9.999938461891137e-07),
+        "iterate_convergence": (88, 0, 8, None),
+        "perturbed_alignment": (30, 0, 0, None),
+        "pi_formula_oracle": (1, 0, 0, None),
+        "power_iter_formula_oracle": (1, 0, 0, None),
+        "power_iter_soundness": (8, 0, 0, None),
+        "recurrence_affine_form": (200, 0, 0, 9.993185283655222e-13),
+        "recurrence_geometric_tail": (200, 0, 0, None),
+        "recurrence_sum_form": (200, 0, 0, 9.98682188286243e-13),
+    },
+    1: {
+        "agnostic_formula_oracle": (1, 0, 0, None),
+        "agnostic_soundness": (10, 0, 0, None),
+        "alignment_floor": (69, 0, 25, None),
+        "budget_e2e": (4, 0, 0, None),
+        "directional_bound": (60, 0, 34, None),
+        "directional_sum": (94, 0, 0, None),
+        "drift_bound": (60, 0, 34, None),
+        "eigenvalue_shift": (94, 0, 0, 9.99991118215803e-11),
+        "eigvec_sensitivity": (68, 0, 26, None),
+        "gap_recurrence": (60, 0, 18, None),
+        "inner_identity": (40, 0, 0, 9.999988420844706e-07),
+        "iterate_convergence": (104, 0, 4, None),
+        "perturbed_alignment": (30, 0, 0, None),
+        "pi_formula_oracle": (1, 0, 0, None),
+        "power_iter_formula_oracle": (1, 0, 0, None),
+        "power_iter_soundness": (8, 0, 0, None),
+        "recurrence_affine_form": (200, 0, 0, 9.993511716680014e-13),
+        "recurrence_geometric_tail": (200, 0, 0, None),
+        "recurrence_sum_form": (200, 0, 0, 9.987690552755686e-13),
+    },
+}
+
+
 class TestSelftestCommand:
     def test_clean_run_exits_zero(self, capsys):
         import time
@@ -292,12 +399,22 @@ class TestSelftestCommand:
         start = time.perf_counter()
         code = run_cli("selftest", "--seed", "0")
         elapsed = time.perf_counter() - start
-        out = capsys.readouterr().out
+        captured = capsys.readouterr()
         assert code == 0
-        assert "violated" in out.splitlines()[0]
+        assert captured.out == SELFTEST_SEED0_TABLE
+        assert captured.err == ""
         assert elapsed <= 60.0
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_tallies_and_worst_margins_are_pinned(self, seed):
+        got = {
+            name: (t.holds, t.violated, t.skipped, t.worst)
+            for name, t in run_selftest(seed).items()
+        }
+        assert got == SELFTEST_TALLIES[seed]
 
     def test_mutation_canary_detected(self, capsys):
         code = run_cli("selftest", "--seed", "0", "--debug-eq8-constant", "4")
         assert code == 1
         assert "violation" in capsys.readouterr().err
+
