@@ -7,17 +7,11 @@ from .bounds import (
     BoundRow,
     SpectrumGaps,
     affine_recurrence_closed_form,
-    agnostic_bound,
-    agnostic_bound_condition,
     build_bound_report,
     directional_gap_bound,
     eigengaps,
     eigvec_drift_bound,
     geometric_tail_bound,
-    linear_rate_iteration_budget,
-    per_step_error_budget,
-    power_iter_bound,
-    power_iter_bound_conditions,
     power_iter_iteration_budget,
     sum_recurrence_closed_form,
 )
@@ -75,11 +69,9 @@ from .linalg import (
 )
 from .powerit import (
     PowerIterResult,
-    check_init_alignment,
     pi_alignment_bound,
     pi_error_bound,
     power_iterate,
-    random_init_threshold,
 )
 
 __version__ = "0.1.0"

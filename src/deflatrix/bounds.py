@@ -7,12 +7,16 @@ Two bound families are evaluated side by side:
 * the *power-iteration* family, which additionally exploits the direction of
   that error (its component along later eigenvectors decays geometrically).
 
-Every function here is a pure formula over a :class:`BoundInputs` bundle; all
-step indices are 1-based to match the recurrences being evaluated. Functions
-gated by admissibility conditions return ``None`` when the conditions fail,
-so callers can distinguish a vacuous bound from a violated one. Iteration
-budgets evaluate asymptotic prescriptions with their leading constant fixed
-to 1; treat them as order-of-magnitude predictors, not thresholds.
+:func:`build_bound_report` is the engine's one entry point: it evaluates
+both families, their admissibility flags and, given a target accuracy, both
+budgets for every step k = 1..K, one :class:`BoundRow` per step. A bound whose
+admissibility conditions fail reads ``None``, so callers can distinguish a
+vacuous bound from a violated one. The other functions here are pure
+formulas: the report's iteration budget, and the bounds and closed forms
+that the selftest checks against measured runs. All step indices are 1-based
+to match the recurrences being evaluated. Iteration budgets evaluate
+asymptotic prescriptions with their leading constant fixed to 1; treat them
+as order-of-magnitude predictors, not thresholds.
 
 Both families are sums over earlier steps of amplified errors, so one pass
 over k = 1..K evaluates them as first-order linear recurrences in plain
@@ -45,17 +49,11 @@ __all__ = [
     "BoundRow",
     "SpectrumGaps",
     "affine_recurrence_closed_form",
-    "agnostic_bound",
-    "agnostic_bound_condition",
     "build_bound_report",
     "directional_gap_bound",
     "eigengaps",
     "eigvec_drift_bound",
     "geometric_tail_bound",
-    "linear_rate_iteration_budget",
-    "per_step_error_budget",
-    "power_iter_bound",
-    "power_iter_bound_conditions",
     "power_iter_iteration_budget",
     "sum_recurrence_closed_form",
 ]
@@ -140,8 +138,8 @@ class BoundInputs:
 
     ``sub_error_norms[k-1]`` is the measured per-step sub-routine error size;
     ``init_constant`` is the reciprocal of the worst initial alignment across
-    steps (>= 1 since alignments cannot exceed 1); ``rates`` optionally holds
-    per-step linear convergence rates for the generic iteration budget.
+    steps (>= 1 since alignments cannot exceed 1); ``epsilon``, the target
+    accuracy, must be finite and positive when given and adds the budgets.
     """
 
     lambdas: np.ndarray
@@ -150,7 +148,6 @@ class BoundInputs:
     t: int
     K: int
     epsilon: float | None = None
-    rates: np.ndarray | None = None
     growth_constant: float = field(init=False)
 
     def __post_init__(self):
@@ -168,11 +165,6 @@ class BoundInputs:
             raise ValueError("t must be non-negative")
         if self.epsilon is not None:
             _check_epsilon(self.epsilon)
-        if self.rates is not None:
-            rates = np.asarray(self.rates, dtype=float)
-            if rates.size < self.K:
-                raise ValueError("need a convergence rate for every step up to K")
-            object.__setattr__(self, "rates", rates)
         object.__setattr__(self, "growth_constant", self._growth_constant())
 
     def _growth_constant(self) -> float:
@@ -245,59 +237,11 @@ def _bound_pass(inputs: BoundInputs, gaps: SpectrumGaps) -> _BoundPass:
     return _BoundPass(cond_agnostic, agnostic, cond_step, tail_ok, power_iter, suffix)
 
 
-def _step_index(inputs: BoundInputs, k: int) -> int:
-    if not 1 <= k <= inputs.K:
-        raise ValueError(f"k must lie in [1, {inputs.K}]")
-    return k - 1
-
-
-def agnostic_bound_condition(inputs: BoundInputs, gaps: SpectrumGaps, k: int) -> bool:
-    """Admissibility of the agnostic bound at step k: the weighted, growth-
-    amplified sum of earlier sub-routine errors must stay below a twentieth
-    of the smallest relevant eigengap."""
-    return _bound_pass(inputs, gaps).cond_agnostic[_step_index(inputs, k)]
-
-
-def agnostic_bound(inputs: BoundInputs, gaps: SpectrumGaps, k: int) -> float | None:
-    """Sub-routine-agnostic bound on ||v_k - ideal eigenvector k||.
-
-    Returns None when the admissibility condition fails for any step up to k.
-    """
-    return _bound_pass(inputs, gaps).agnostic[_step_index(inputs, k)]
-
-
-def _budget_head(epsilon: float, inputs: BoundInputs, gaps: SpectrumGaps) -> float:
-    _check_epsilon(epsilon)
+def _budget_head(inputs: BoundInputs, gaps: SpectrumGaps) -> float:
+    """Per-step error budget before the suffix product: the smaller of the
+    target accuracy at step K and the smallest gap, shared over K steps."""
     K = inputs.K
-    return min(epsilon * float(inputs.lambdas[K - 1]), gaps.min_gap(K)) / (20.0 * K)
-
-
-def per_step_error_budget(
-    epsilon: float, inputs: BoundInputs, gaps: SpectrumGaps, k: int
-) -> float:
-    """Sub-routine error size at step k sufficient for epsilon-accurate output
-    at every step up to K (the converse of the agnostic bound)."""
-    head = _budget_head(epsilon, inputs, gaps)
-    return head / _bound_pass(inputs, gaps).suffix_factors[_step_index(inputs, k)]
-
-
-def linear_rate_iteration_budget(inputs: BoundInputs, gaps: SpectrumGaps, k: int) -> float:
-    """Step count that a linearly converging sub-routine (rate alpha_k) needs
-    to satisfy the per-step budget; leading constant fixed to 1."""
-    if inputs.rates is None:
-        raise ValueError("per-step convergence rates are required")
-    if inputs.epsilon is None:
-        raise ValueError("a target accuracy is required")
-    alpha = float(inputs.rates[k - 1])
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("convergence rate must lie in (0, 1)")
-    K = inputs.K
-    lam = inputs.lambdas
-    head = min(inputs.epsilon * float(lam[k - 1]), gaps.min_gap(K))
-    log_sum = sum(
-        math.log(float(lam[j - 1]) / gaps.gap(j) + 1.0) for j in range(k + 1, K + 1)
-    )
-    return (math.log(inputs.init_constant * K / head) + log_sum) / math.log(1.0 / alpha)
+    return min(inputs.epsilon * float(inputs.lambdas[K - 1]), gaps.min_gap(K)) / (20.0 * K)
 
 
 def _contraction_ratio(lam: np.ndarray, k: int) -> float:
@@ -306,32 +250,6 @@ def _contraction_ratio(lam: np.ndarray, k: int) -> float:
     lam_k = float(lam[k - 1])
     lam_n = _lam_next(lam, k)
     return (7.0 * lam_k + lam_n) / (7.0 * lam_n + lam_k)
-
-
-def power_iter_bound_conditions(
-    inputs: BoundInputs, gaps: SpectrumGaps
-) -> tuple[list[bool], bool]:
-    """Admissibility of the power-iteration bound.
-
-    Returns (per-step flags, global flag). The per-step flag for k demands
-    the step count clear both floors: log(2 G_k) over the contraction log for
-    every earlier step, and the global spectral-decay floor 1/(log lambda_j -
-    log lambda_{j+1}) over the whole spectrum. The global flag checks that
-    the growth-weighted geometric tail stays below min_gap/(140 c0).
-    """
-    run = _bound_pass(inputs, gaps)
-    return run.cond_step_floor, run.cond_tail
-
-
-def power_iter_bound(inputs: BoundInputs, gaps: SpectrumGaps, k: int) -> float | None:
-    """Power-iteration-specific bound on ||v_k - ideal eigenvector k||.
-
-    Each summand combines the measured sub-routine error with the guaranteed
-    geometric leakage of the start-vector alignment; the 8**(k-k') factor
-    replaces the near-factorial growth of the agnostic family. Returns None
-    unless every admissibility condition holds.
-    """
-    return _bound_pass(inputs, gaps).power_iter[_step_index(inputs, k)]
 
 
 def power_iter_iteration_budget(inputs: BoundInputs, gaps: SpectrumGaps, k: int) -> float:
@@ -388,7 +306,9 @@ def eigvec_drift_bound(
     lam_k = float(lam[k - 1])
     t = inputs.t
     d = lam.size
-    tail = sum((float(lam[j - 1]) / lam_k) ** (2 * t) for j in range(k + 1, d + 1))
+    tail = 0.0  # an explicit loop: builtin sum() of floats is compensated from 3.12 on
+    for j in range(k + 1, d + 1):
+        tail += (float(lam[j - 1]) / lam_k) ** (2 * t)
     value = (
         4.8 / lam_k * matrix_gap_spec**2
         + 11.0 * inputs.init_constant**2 / (2.0 * gaps.gap(k) ** 2) * tail
@@ -480,7 +400,18 @@ def geometric_tail_bound(p, g: float, t: float, k: int) -> float:
 
 @dataclass(frozen=True)
 class BoundRow:
-    """One step of the side-by-side bound report."""
+    """One step of the side-by-side bound report.
+
+    ``condition_agnostic`` is the agnostic admissibility at step k (the
+    growth-amplified sum of earlier sub-routine errors stays below a twentieth
+    of the smallest gap); ``agnostic`` is None unless it holds at every step
+    up to k. ``condition_step_floor`` asks the step count to clear log(2 G_k)
+    over every earlier contraction log and the spectrum's decay floor;
+    ``condition_tail`` (one flag for the whole report) asks the growth-weighted
+    geometric tail to stay below min_gap / (140 c0). ``power_iter`` is None
+    unless the tail and every step floor hold. The budgets are set only when
+    the inputs carry a target accuracy.
+    """
 
     k: int
     agnostic: float | None
@@ -509,7 +440,7 @@ def build_bound_report(
     if empirical.size < inputs.K:
         raise ValueError("need an empirical error for every step up to K")
     run = _bound_pass(inputs, gaps)
-    head = None if inputs.epsilon is None else _budget_head(inputs.epsilon, inputs, gaps)
+    head = None if inputs.epsilon is None else _budget_head(inputs, gaps)
     rows = []
     for k in range(1, inputs.K + 1):
         budget = it_budget = None

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as dio
-from .bounds import build_bound_report, eigengaps
+from .bounds import _check_epsilon, build_bound_report, eigengaps
 from .clustering import run_clustering_experiment, synthetic_blobs
 from .deflate import ideal_deflation, run_inexact_deflation
 from .diagnostics import diagnose_run
@@ -124,6 +124,12 @@ def _run_from_args(args):
     return run, spectrum
 
 
+def _check_epsilon_flag(args) -> None:
+    # reject a bad --epsilon before the run, not after it
+    if args.epsilon is not None:
+        _check_epsilon(args.epsilon)
+
+
 def _bound_report(run, spectrum, epsilon):
     inputs = inputs_from_run(run, spectrum.eigenvalues, epsilon=epsilon)
     errors = [
@@ -134,6 +140,7 @@ def _bound_report(run, spectrum, epsilon):
 
 
 def cmd_deflate(args) -> int:
+    _check_epsilon_flag(args)
     run, spectrum = _run_from_args(args)
     d = run.d
     if args.j_slice is not None:
@@ -156,6 +163,7 @@ def cmd_deflate(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    _check_epsilon_flag(args)
     report = _bound_report(*_run_from_args(args), args.epsilon)
     out = _resolve_out(args)
     dio.write_bounds_csv(report, out / "bounds.csv", with_budgets=args.epsilon is not None)

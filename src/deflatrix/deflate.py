@@ -115,12 +115,7 @@ def ideal_deflation(spectrum: Spectrum, K: int) -> GroundTruthTrace:
     return GroundTruthTrace(spectrum=spectrum, K=K)
 
 
-def aligned_top_eigenvector(
-    sigma_k: SymMatrix,
-    u_star_k: np.ndarray,
-    *,
-    spectrum: Spectrum | None = None,
-) -> tuple[np.ndarray, float]:
+def aligned_top_eigenvector(sigma_k: SymMatrix, u_star_k: np.ndarray) -> tuple[np.ndarray, float]:
     """Oracle top eigenvector of ``sigma_k`` with its sign fixed by ``u_star_k``.
 
     Both signs of an eigenvector are valid; the returned one satisfies
@@ -133,7 +128,7 @@ def aligned_top_eigenvector(
         raise DimensionMismatchError("reference vector dimension mismatch")
     if abs(np.linalg.norm(u_star_k) - 1.0) > _UNIT_TOL:
         raise ValueError("reference vector must have unit norm")
-    spec = spectrum if spectrum is not None else jacobi_eigendecomposition(sigma_k)
+    spec = jacobi_eigendecomposition(sigma_k)
     if spec.dim >= 2 and spec.eigenvalues[0] - spec.eigenvalues[1] < _GAP_TOL:
         raise DegenerateGapError(
             f"top two eigenvalues within {_GAP_TOL:g}; top eigenvector is ambiguous"
@@ -260,10 +255,7 @@ def run_inexact_deflation(
         v = result.x_t
         if with_oracle:
             assert spectrum is not None
-            step_spec = jacobi_eigendecomposition(current)
-            u, lam = aligned_top_eigenvector(
-                current, spectrum.eigenvector(k - 1), spectrum=step_spec
-            )
+            u, lam = aligned_top_eigenvector(current, spectrum.eigenvector(k - 1))
             if float(v @ u) < 0:
                 v = -v
             exact_tops[:, k - 1] = u

@@ -19,20 +19,15 @@ from .clustering import ClusteringCell, ClusteringSummary, Dataset
 from .deflate import DeflationRun
 from .diagnostics import StepDiagnostics
 from .errors import SchemaError
-from .linalg import Spectrum, SymMatrix
 
 __all__ = [
     "SCHEMA_VERSION",
     "read_dataset_csv",
-    "read_spectrum_csv",
-    "read_symmatrix_csv",
     "write_bounds_csv",
     "write_dataset_csv",
     "write_figure_csvs",
     "write_mi_csvs",
     "write_run_dir",
-    "write_spectrum_csv",
-    "write_symmatrix_csv",
 ]
 
 SCHEMA_VERSION = 1
@@ -61,55 +56,6 @@ def _write_lines(path, lines) -> None:
 def _check_schema(line: str, path) -> None:
     if line.strip() != _SCHEMA_LINE:
         raise SchemaError(f"{path}: expected first line '{_SCHEMA_LINE}', got {line.strip()!r}")
-
-
-def write_symmatrix_csv(m: SymMatrix, path) -> None:
-    lines = [_SCHEMA_LINE, f"# symmatrix d={m.dim}"]
-    lines += [",".join(_fmt(x) for x in row) for row in m.array]
-    _write_lines(path, lines)
-
-
-def read_symmatrix_csv(path) -> SymMatrix:
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    if len(lines) < 2:
-        raise SchemaError(f"{path}: truncated file")
-    _check_schema(lines[0], path)
-    header = lines[1].strip()
-    if not header.startswith("# symmatrix d="):
-        raise SchemaError(f"{path}: missing symmatrix header")
-    d = int(header.split("=", 1)[1])
-    rows = [line for line in lines[2:] if line.strip()]
-    if len(rows) != d:
-        raise SchemaError(f"{path}: expected {d} rows, found {len(rows)}")
-    data = np.array([[float(x) for x in row.split(",")] for row in rows])
-    return SymMatrix(data)
-
-
-def write_spectrum_csv(spec: Spectrum, path) -> None:
-    lines = [_SCHEMA_LINE, f"# spectrum d={spec.dim}"]
-    lines.append(",".join(_fmt(x) for x in spec.eigenvalues))
-    lines += [",".join(_fmt(x) for x in spec.basis[:, j]) for j in range(spec.dim)]
-    _write_lines(path, lines)
-
-
-def read_spectrum_csv(path) -> Spectrum:
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    if len(lines) < 3:
-        raise SchemaError(f"{path}: truncated file")
-    _check_schema(lines[0], path)
-    if not lines[1].strip().startswith("# spectrum d="):
-        raise SchemaError(f"{path}: missing spectrum header")
-    d = int(lines[1].split("=", 1)[1])
-    rows = [line for line in lines[2:] if line.strip()]
-    if len(rows) != d + 1:
-        raise SchemaError(f"{path}: expected {d + 1} data rows, found {len(rows)}")
-    eigenvalues = np.array([float(x) for x in rows[0].split(",")])
-    basis = np.column_stack(
-        [np.array([float(x) for x in row.split(",")]) for row in rows[1:]]
-    )
-    return Spectrum(eigenvalues, basis)
 
 
 def _vectors_csv(mat: np.ndarray, label: str) -> list[str]:

@@ -18,11 +18,9 @@ from .linalg import SymMatrix
 
 __all__ = [
     "PowerIterResult",
-    "check_init_alignment",
     "pi_alignment_bound",
     "pi_error_bound",
     "power_iterate",
-    "random_init_threshold",
 ]
 
 _UNIT_TOL = 1e-10
@@ -107,22 +105,3 @@ def pi_alignment_bound(
     leak = h_aj_norm / (sigma1 - sigma_j_star)
     return c0 * (decay + leak)
 
-
-def random_init_threshold(d: int) -> float:
-    """Alignment level 1/sqrt(1 + 2 d^3) that a uniform start vector clears
-    with high probability."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    return 1.0 / math.sqrt(1.0 + 2.0 * d**3)
-
-
-def check_init_alignment(x0: np.ndarray, u: np.ndarray, d: int) -> tuple[float, bool]:
-    """Measure |x0 . u| and compare it against :func:`random_init_threshold`."""
-    x0 = np.asarray(x0, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if x0.shape != (d,) or u.shape != (d,):
-        raise DimensionMismatchError(
-            f"expected two vectors of dim {d}, got {x0.shape} and {u.shape}"
-        )
-    alignment = float(abs(x0 @ u))
-    return alignment, alignment >= random_init_threshold(d)

@@ -23,15 +23,11 @@ from .bounds import (
     BoundRow,
     SpectrumGaps,
     affine_recurrence_closed_form,
-    agnostic_bound,
     build_bound_report,
     directional_gap_bound,
     eigengaps,
     eigvec_drift_bound,
     geometric_tail_bound,
-    per_step_error_budget,
-    power_iter_bound,
-    power_iter_bound_conditions,
     sum_recurrence_closed_form,
 )
 from .deflate import (
@@ -211,7 +207,7 @@ def run_level_checks(corpus: list[RunBundle]) -> dict[str, Tally]:
         gaps, inputs = bundle.gaps, bundle.inputs
         lam = truth.spectrum.eigenvalues
         basis = truth.spectrum.basis
-        per_step_floor, _ = power_iter_bound_conditions(inputs, gaps)
+        rows = build_bound_report(inputs, gaps, np.zeros(inputs.K))
         weighted = _directional_sums(run, basis)
 
         for check in matrix_gap_recurrence_check(diags, lam):
@@ -248,7 +244,7 @@ def run_level_checks(corpus: list[RunBundle]) -> dict[str, Tally]:
             fro_ok = all(
                 diags[kp - 1].matrix_gap_fro <= gaps.min_gap(k) / 8.0 for kp in range(1, k)
             )
-            if fro_ok and per_step_floor[k - 1]:
+            if fro_ok and rows[k - 1].condition_step_floor:
                 bound = eigvec_drift_bound(inputs, gaps, k, dg.matrix_gap_spec)
                 tallies["drift_bound"].record_bool(dg.drift <= bound + CHECK_SLACK)
                 ok = True
@@ -369,9 +365,13 @@ def recurrence_trials(n: int, rng: RandomSource) -> dict[str, Tally]:
         a = gen.uniform(0.0, 2.0, length)
         b = gen.uniform(0.0, 2.0, length)
         closed = sum_recurrence_closed_form(a, b)
-        brute = []
-        for k in range(length):
-            brute.append(float(a[k] + b[k] * sum(brute)) if k else float(a[0]))
+        # a running total adds in the same order as summing the prefix anew,
+        # and unlike builtin sum() it is not compensated on Python 3.12+
+        brute = [float(a[0])]
+        total = brute[0]
+        for k in range(1, length):
+            brute.append(float(a[k] + b[k] * total))
+            total += brute[-1]
         rel = max(
             abs(c - e) / max(abs(e), 1e-30) for c, e in zip(closed, brute)
         )
@@ -490,8 +490,8 @@ def _min_t_power_iter(gaps: SpectrumGaps, lambdas, K: int, c0: float) -> int:
             t=t,
             K=K,
         )
-        per_step, tail = power_iter_bound_conditions(inputs, gaps)
-        return tail and all(per_step)
+        rows = build_bound_report(inputs, gaps, np.zeros(K))
+        return all(row.condition_tail and row.condition_step_floor for row in rows)
 
     t = 8
     while t <= 1 << 20:
@@ -554,16 +554,17 @@ def budget_e2e_trials(
         sub = rng.substream(i)
         sigma, spectrum, _ = make_instance(d, sub.substream(0))
         gaps = eigengaps(spectrum.eigenvalues)
-        proto = BoundInputs(
-            lambdas=spectrum.eigenvalues,
-            sub_error_norms=np.zeros(K),
-            init_constant=3.0 * math.sqrt(d),
-            t=1,
-            K=K,
-        )
         truth = ideal_deflation(spectrum, K)
         for eps in epsilons:
-            budgets = [per_step_error_budget(eps, proto, gaps, k) for k in range(1, K + 1)]
+            proto = BoundInputs(
+                lambdas=spectrum.eigenvalues,
+                sub_error_norms=np.zeros(K),
+                init_constant=3.0 * math.sqrt(d),
+                t=1,
+                K=K,
+                epsilon=eps,
+            )
+            budgets = [row.error_budget for row in build_bound_report(proto, gaps, np.zeros(K))]
             if min(budgets) < 1e-11:
                 tally.record(Verdict.SKIPPED)
                 continue
@@ -622,8 +623,7 @@ def _formula_oracle_checks(bound_scale: float) -> dict[str, Tally]:
         t=10,
         K=2,
     )
-    gaps = eigengaps(lam)
-    got = agnostic_bound(inputs, gaps, 2)
+    got = build_bound_report(inputs, eigengaps(lam), np.zeros(2))[1].agnostic
     expected = 0.55  # 5*(2*0.01*(3+2*(1/2)/(1/2)) + 0.01*1)
     ok = got is not None and abs(bound_scale * got - expected) <= 1e-12
     tallies["agnostic_formula_oracle"].record_bool(ok)
@@ -636,9 +636,7 @@ def _formula_oracle_checks(bound_scale: float) -> dict[str, Tally]:
         t=20,
         K=2,
     )
-    gaps3 = eigengaps(lam3)
-    per_step, tail = power_iter_bound_conditions(inputs3, gaps3)
-    got = power_iter_bound(inputs3, gaps3, 2) if tail and all(per_step) else None
+    got = build_bound_report(inputs3, eigengaps(lam3), np.zeros(2))[1].power_iter
     expected = 3.0 * (
         8.0 * 2.0 * (5e-6 + 7.0 * 2.0 / 0.5 * 0.5**20)
         + (5e-6 + 7.0 * 2.0 / (1.0 / 6.0) * (2.0 / 3.0) ** 20)

@@ -8,24 +8,18 @@ from hypothesis import strategies as st
 from deflatrix.bounds import (
     BoundInputs,
     affine_recurrence_closed_form,
-    agnostic_bound,
-    agnostic_bound_condition,
     build_bound_report,
     directional_gap_bound,
     eigengaps,
     eigvec_drift_bound,
     geometric_tail_bound,
-    linear_rate_iteration_budget,
-    per_step_error_budget,
-    power_iter_bound,
-    power_iter_bound_conditions,
     power_iter_iteration_budget,
     sum_recurrence_closed_form,
 )
 from deflatrix.errors import InvalidSpectrumError
 
 
-def proto_inputs(lambdas, errs, c0=1.0, t=10, K=None, epsilon=None, rates=None):
+def proto_inputs(lambdas, errs, c0=1.0, t=10, K=None, epsilon=None):
     lambdas = np.asarray(lambdas, dtype=float)
     return BoundInputs(
         lambdas=lambdas,
@@ -34,8 +28,13 @@ def proto_inputs(lambdas, errs, c0=1.0, t=10, K=None, epsilon=None, rates=None):
         t=t,
         K=K if K is not None else lambdas.size,
         epsilon=epsilon,
-        rates=None if rates is None else np.asarray(rates, dtype=float),
     )
+
+
+def report(inputs):
+    """The engine's rows for ``inputs``; no test here reads the empirical
+    column, so it is zero."""
+    return build_bound_report(inputs, eigengaps(inputs.lambdas), np.zeros(inputs.K))
 
 
 # Literal double-loop evaluations of the bound formulas: the reference for
@@ -222,31 +221,26 @@ class TestEigengaps:
 
 class TestAgnosticFamily:
     def test_condition_trivial_cases(self):
-        inputs = proto_inputs([1.0, 0.5], [0.0, 0.0])
-        gaps = eigengaps(inputs.lambdas)
-        assert agnostic_bound_condition(inputs, gaps, 1)
-        assert agnostic_bound_condition(inputs, gaps, 2)
+        rows = report(proto_inputs([1.0, 0.5], [0.0, 0.0]))
+        assert rows[0].condition_agnostic
+        assert rows[1].condition_agnostic
 
     def test_condition_hand_false(self):
-        inputs = proto_inputs([1.0, 0.5], [0.1, 0.0], K=2)
-        gaps = eigengaps(inputs.lambdas)
+        rows = report(proto_inputs([1.0, 0.5], [0.1, 0.0], K=2))
         # sum is 1 * 0.1 with an empty product, threshold is 0.5 / 20
-        assert not agnostic_bound_condition(inputs, gaps, 2)
+        assert not rows[1].condition_agnostic
 
     def test_bound_single_step(self):
-        inputs = proto_inputs([1.0, 0.5], [0.01, 0.0])
-        gaps = eigengaps(inputs.lambdas)
-        assert agnostic_bound(inputs, gaps, 1) == pytest.approx(0.05, rel=1e-15)
+        rows = report(proto_inputs([1.0, 0.5], [0.01, 0.0]))
+        assert rows[0].agnostic == pytest.approx(0.05, rel=1e-15)
 
     def test_bound_hand_value(self):
-        inputs = proto_inputs([1.0, 0.5], [0.01, 0.01])
-        gaps = eigengaps(inputs.lambdas)
-        assert agnostic_bound(inputs, gaps, 2) == pytest.approx(0.55, rel=1e-14)
+        rows = report(proto_inputs([1.0, 0.5], [0.01, 0.01]))
+        assert rows[1].agnostic == pytest.approx(0.55, rel=1e-14)
 
     def test_bound_zero_errors(self):
-        inputs = proto_inputs([1.0, 0.5, 0.25], [0.0, 0.0, 0.0])
-        gaps = eigengaps(inputs.lambdas)
-        assert agnostic_bound(inputs, gaps, 3) == 0.0
+        rows = report(proto_inputs([1.0, 0.5, 0.25], [0.0, 0.0, 0.0]))
+        assert rows[2].agnostic == 0.0
 
     def test_zero_errors_under_overflowing_products(self):
         # relative gaps of 1e-13 make the product of f_j overflow float64;
@@ -254,83 +248,38 @@ class TestAgnosticFamily:
         lam = [1e-3]
         for _ in range(29):
             lam.append(lam[-1] * (1.0 + 1e-13))
-        inputs = proto_inputs(lam[::-1], np.zeros(30))
-        gaps = eigengaps(inputs.lambdas)
-        assert all(agnostic_bound_condition(inputs, gaps, k) for k in range(1, 31))
-        assert agnostic_bound(inputs, gaps, 30) == 0.0
+        rows = report(proto_inputs(lam[::-1], np.zeros(30)))
+        assert all(row.condition_agnostic for row in rows)
+        assert rows[29].agnostic == 0.0
 
     def test_bound_gated(self):
-        inputs = proto_inputs([1.0, 0.5], [0.2, 0.2], K=2)
-        gaps = eigengaps(inputs.lambdas)
-        assert agnostic_bound(inputs, gaps, 2) is None
+        rows = report(proto_inputs([1.0, 0.5], [0.2, 0.2], K=2))
+        assert rows[1].agnostic is None
 
 
 class TestErrorBudget:
     def test_single_component(self):
-        inputs = proto_inputs([1.0, 0.5], [0.0, 0.0], K=1)
-        gaps = eigengaps(inputs.lambdas)
-        assert per_step_error_budget(0.1, inputs, gaps, 1) == pytest.approx(0.005, rel=1e-15)
+        rows = report(proto_inputs([1.0, 0.5], [0.0, 0.0], K=1, epsilon=0.1))
+        assert rows[0].error_budget == pytest.approx(0.005, rel=1e-15)
 
     def test_budget_shrinks_with_more_components(self):
         lam = 1.0 / np.arange(1, 9)
-        gaps = eigengaps(lam)
         previous = None
         for K in range(2, 8):
-            inputs = proto_inputs(lam, np.zeros(8), K=K)
-            budget = per_step_error_budget(1e-2, inputs, gaps, 1)
+            budget = report(proto_inputs(lam, np.zeros(8), K=K, epsilon=1e-2))[0].error_budget
             if previous is not None:
                 assert budget <= previous
             previous = budget
 
     def test_rejects_bad_epsilon(self):
-        inputs = proto_inputs([1.0, 0.5], [0.0, 0.0])
         with pytest.raises(ValueError):
-            per_step_error_budget(0.0, inputs, eigengaps(inputs.lambdas), 1)
+            report(proto_inputs([1.0, 0.5], [0.0, 0.0], epsilon=0.0))
 
     @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -1.0])
     def test_rejects_epsilon_outside_positive_reals(self, epsilon):
         # nan passes a plain `<= 0` test and then vanishes inside min()
-        inputs = proto_inputs([1.0, 0.5], [0.0, 0.0])
         with pytest.raises(ValueError, match="epsilon"):
-            per_step_error_budget(epsilon, inputs, eigengaps(inputs.lambdas), 1)
-
-
-class TestLinearRateBudget:
-    def test_reduction_at_last_step(self):
-        lam = np.array([1.0, 0.5, 0.25])
-        inputs = proto_inputs(lam, np.zeros(3), c0=1.0, K=3, epsilon=1e-3,
-                              rates=[0.5, 0.5, 0.5])
-        gaps = eigengaps(lam)
-        got = linear_rate_iteration_budget(inputs, gaps, 3)
-        head = min(1e-3 * 0.25, gaps.min_gap(3))
-        assert got == pytest.approx(math.log(3 / head) / math.log(2.0), rel=1e-12)
-
-    def test_monotone_in_epsilon(self):
-        lam = 1.0 / np.arange(1, 7)
-        gaps = eigengaps(lam)
-        budgets = []
-        for eps in (1e-1, 1e-2, 1e-3):
-            inputs = proto_inputs(lam, np.zeros(6), K=4, epsilon=eps, rates=[0.5] * 6)
-            budgets.append(linear_rate_iteration_budget(inputs, gaps, 2))
-        assert budgets[0] <= budgets[1] <= budgets[2]
-
-    def test_power_law_sum_matches_symbolic(self):
-        d, K, k = 10, 8, 2
-        lam = 1.0 / np.arange(1, d + 1)
-        inputs = proto_inputs(lam, np.zeros(d), K=K, epsilon=1e-2, rates=[0.5] * d)
-        gaps = eigengaps(lam)
-        got = linear_rate_iteration_budget(inputs, gaps, k)
-        head = min(1e-2 * lam[k - 1], gaps.min_gap(K))
-        symbolic = (
-            math.log(1.0 * K / head) + sum(math.log(j + 2) for j in range(k + 1, K + 1))
-        ) / math.log(2.0)
-        assert got == pytest.approx(symbolic, rel=1e-12)
-
-    def test_rejects_rate_outside_unit_interval(self):
-        lam = np.array([1.0, 0.5])
-        inputs = proto_inputs(lam, np.zeros(2), K=2, epsilon=1e-2, rates=[1.0, 0.5])
-        with pytest.raises(ValueError):
-            linear_rate_iteration_budget(inputs, eigengaps(lam), 1)
+            report(proto_inputs([1.0, 0.5], [0.0, 0.0], epsilon=epsilon))
 
 
 class TestPowerIterFamily:
@@ -343,24 +292,20 @@ class TestPowerIterFamily:
 
     def test_tail_condition_passes_for_large_t(self):
         lam = np.array([1.0, 0.5, 0.25])
-        gaps = eigengaps(lam)
-        inputs = proto_inputs(lam, np.zeros(3), c0=2.0, t=400, K=3)
-        per_step, tail = power_iter_bound_conditions(inputs, gaps)
-        assert tail and all(per_step)
+        rows = report(proto_inputs(lam, np.zeros(3), c0=2.0, t=400, K=3))
+        assert all(row.condition_tail and row.condition_step_floor for row in rows)
 
     def test_tail_condition_fails_for_small_t(self):
         lam = 1.0 / np.arange(1, 12)
-        gaps = eigengaps(lam)
-        inputs = proto_inputs(lam, np.zeros(11), c0=5.0, t=1, K=8)
-        _, tail = power_iter_bound_conditions(inputs, gaps)
-        assert not tail
-        assert power_iter_bound(inputs, gaps, 3) is None
+        rows = report(proto_inputs(lam, np.zeros(11), c0=5.0, t=1, K=8))
+        assert not rows[0].condition_tail
+        assert rows[2].power_iter is None
 
     def test_conditions_cross_evaluated(self):
         lam = np.array([1.0, 0.5])
-        inputs = proto_inputs(lam, np.zeros(2), c0=2.0, t=50, K=2)
-        gaps = eigengaps(lam)
-        per_step, tail = power_iter_bound_conditions(inputs, gaps)
+        rows = report(proto_inputs(lam, np.zeros(2), c0=2.0, t=50, K=2))
+        per_step = [row.condition_step_floor for row in rows]
+        tail = rows[0].condition_tail
         # independent evaluation of both requirements
         g2 = 1.0  # lambda_3 = 0 convention at k = K = d... k=2 has no successor
         ratio1 = (7.0 * 1.0 + 0.5) / (7.0 * 0.5 + 1.0)
@@ -373,9 +318,7 @@ class TestPowerIterFamily:
 
     def test_bound_formula_reevaluation(self):
         lam = np.array([1.0, 0.5, 1.0 / 3.0])
-        inputs = proto_inputs(lam, [1e-6, 1e-6, 0.0], c0=2.0, t=20, K=2)
-        gaps = eigengaps(lam)
-        got = power_iter_bound(inputs, gaps, 2)
+        got = report(proto_inputs(lam, [1e-6, 1e-6, 0.0], c0=2.0, t=20, K=2))[1].power_iter
         expected = 3.0 * (
             8.0 * 2.0 * (5.0 * 1e-6 + (7.0 * 2.0 / 0.5) * 0.5**20)
             + 1.0 * (5.0 * 1e-6 + (7.0 * 2.0 / (1.0 / 6.0)) * (2.0 / 3.0) ** 20)
@@ -387,17 +330,13 @@ class TestPowerIterFamily:
         # inadmissible rather than raise
         K = 343
         lam = 1.0 / np.arange(1, K + 1)
-        gaps = eigengaps(lam)
-        inputs = proto_inputs(lam, np.zeros(K), c0=1.0, t=200, K=K)
-        _, tail = power_iter_bound_conditions(inputs, gaps)
-        assert not tail
-        assert power_iter_bound(inputs, gaps, K) is None
+        rows = report(proto_inputs(lam, np.zeros(K), c0=1.0, t=200, K=K))
+        assert not rows[K - 1].condition_tail
+        assert rows[K - 1].power_iter is None
 
     def test_bound_vanishes_eventually(self):
         lam = np.array([1.0, 0.5])
-        gaps = eigengaps(lam)
-        inputs = proto_inputs(lam, [0.0, 0.0], c0=1.0, t=4000, K=1)
-        bound = power_iter_bound(inputs, gaps, 1)
+        bound = report(proto_inputs(lam, [0.0, 0.0], c0=1.0, t=4000, K=1))[0].power_iter
         assert bound is not None and bound <= 1e-100
 
     def test_improvement_over_agnostic_at_depth(self):
@@ -409,18 +348,13 @@ class TestPowerIterFamily:
         # advantage grows with depth k
         d, K, t = 30, 15, 800
         lam = 1.0 / np.arange(1, d + 1)
-        gaps = eigengaps(lam)
-        errs = np.full(K, 1e-23)
-        inputs = proto_inputs(lam, errs, c0=1.0, t=t, K=K)
-        per_step, tail = power_iter_bound_conditions(inputs, gaps)
-        assert tail and all(per_step)
-        assert all(agnostic_bound_condition(inputs, gaps, k) for k in range(1, K + 1))
+        rows = report(proto_inputs(lam, np.full(K, 1e-23), c0=1.0, t=t, K=K))
+        assert all(row.condition_tail and row.condition_step_floor for row in rows)
+        assert all(row.condition_agnostic for row in rows)
         ratios = []
-        for k in range(1, K + 1):
-            a = agnostic_bound(inputs, gaps, k)
-            p = power_iter_bound(inputs, gaps, k)
-            assert a is not None and p is not None
-            ratios.append(p / a)
+        for row in rows:
+            assert row.agnostic is not None and row.power_iter is not None
+            ratios.append(row.power_iter / row.agnostic)
         assert all(b < a for a, b in zip(ratios[2:], ratios[3:]))  # decays with depth
         assert all(r < 1.0 for r in ratios[4:])
         assert ratios[-1] < 1e-4
@@ -495,6 +429,19 @@ class TestDriftBound:
         tail = (0.25 / 0.5) ** 18
         expected = math.sqrt(4.8 / 0.5 * 0.003**2 + 11.0 * 4.0 / (2.0 * 0.25**2) * tail)
         assert got == pytest.approx(expected, rel=1e-14)
+
+    def test_tail_is_summed_left_to_right(self, monkeypatch):
+        # builtin sum() of floats is compensated from Python 3.12 on; with a
+        # compensated sum in its place the tail must still be the plain
+        # left-to-right sum, so the bound has the same bits on every interpreter
+        monkeypatch.setattr("deflatrix.bounds.sum", math.fsum, raising=False)
+        lam = 1.0 / np.arange(1, 61)
+        inputs = proto_inputs(lam, np.zeros(60), c0=1.0, t=1, K=2)
+        tail = 0.0
+        for j in range(2, 61):
+            tail += (float(lam[j - 1]) / 1.0) ** 2
+        expected = math.sqrt(11.0 * 1.0**2 / (2.0 * 0.5**2) * tail)
+        assert eigvec_drift_bound(inputs, eigengaps(lam), 1, 0.0) == expected
 
     def test_vanishes_at_exact_match_and_large_t(self):
         lam = np.array([1.0, 0.5, 0.25])
@@ -606,7 +553,7 @@ class TestBoundReport:
         inputs = _engine_case(1, 25, "narrow")
         gaps = eigengaps(inputs.lambdas)
         assert _ref_accumulation(inputs, gaps, 2, 25) == math.inf
-        assert per_step_error_budget(inputs.epsilon, inputs, gaps, 1) == 0.0
+        assert report(inputs)[0].error_budget == 0.0
 
     @given(st.integers(0, 10_000), st.integers(1, 25), st.sampled_from(["wide", "narrow", "mixed"]))
     @example(1, 25, "narrow")  # the overflowing case above
@@ -617,18 +564,13 @@ class TestBoundReport:
         rows = build_bound_report(inputs, gaps, np.zeros(K))
         conds = [_ref_agnostic_condition(inputs, gaps, k) for k in range(1, K + 1)]
         steps, tail = _ref_power_iter_conditions(inputs, gaps)
-        assert power_iter_bound_conditions(inputs, gaps) == (steps, tail)
         for row in rows:
             k = row.k
             assert row.condition_agnostic == conds[k - 1]
-            assert agnostic_bound_condition(inputs, gaps, k) == conds[k - 1]
             assert (row.condition_step_floor, row.condition_tail) == (steps[k - 1], tail)
             want = _ref_agnostic_value(inputs, gaps, k) if all(conds[:k]) else None
             _assert_matches(row.agnostic, want)
-            _assert_matches(agnostic_bound(inputs, gaps, k), want)
             want = _ref_power_iter_value(inputs, gaps, k) if tail and all(steps) else None
             _assert_matches(row.power_iter, want)
-            _assert_matches(power_iter_bound(inputs, gaps, k), want)
             want = _ref_error_budget(inputs.epsilon, inputs, gaps, k)
             _assert_matches(row.error_budget, want)
-            _assert_matches(per_step_error_budget(inputs.epsilon, inputs, gaps, k), want)

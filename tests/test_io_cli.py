@@ -1,10 +1,13 @@
 import json
+import math
 import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import deflatrix.bounds
+import deflatrix.selftest
 from deflatrix import io as dio
 from deflatrix.cli import main, parse_spectrum
 from deflatrix.clustering import synthetic_blobs
@@ -15,43 +18,10 @@ from deflatrix.linalg import (
     ExponentialSpectrum,
     PowerLawSpectrum,
     RandomSource,
-    SymMatrix,
     build_test_sigma,
     random_orthogonal_basis,
 )
 from deflatrix.selftest import run_selftest
-
-
-class TestSymMatrixCsv:
-    def test_round_trip(self, tmp_path):
-        g = RandomSource(1).normal(5, 5)
-        m = SymMatrix((g + g.T) / 2.0)
-        path = tmp_path / "m.csv"
-        dio.write_symmatrix_csv(m, path)
-        back = dio.read_symmatrix_csv(path)
-        assert np.array_equal(m.array, back.array)
-        first = path.read_text().splitlines()[:2]
-        assert first[0] == "# schema=1"
-        assert first[1] == "# symmatrix d=5"
-
-    def test_rejects_unknown_schema(self, tmp_path):
-        path = tmp_path / "m.csv"
-        path.write_text("# schema=2\n# symmatrix d=1\n1.0\n")
-        with pytest.raises(SchemaError):
-            dio.read_symmatrix_csv(path)
-
-
-class TestSpectrumCsv:
-    def test_round_trip(self, tmp_path):
-        from deflatrix.linalg import jacobi_eigendecomposition
-
-        g = RandomSource(2).normal(4, 4)
-        spec = jacobi_eigendecomposition(SymMatrix((g + g.T) / 2.0))
-        path = tmp_path / "spec.csv"
-        dio.write_spectrum_csv(spec, path)
-        back = dio.read_spectrum_csv(path)
-        assert np.array_equal(back.eigenvalues, spec.eigenvalues)
-        assert np.array_equal(back.basis, spec.basis)
 
 
 class TestDatasetCsv:
@@ -62,6 +32,12 @@ class TestDatasetCsv:
         back = dio.read_dataset_csv(path)
         assert np.array_equal(back.labels, data.labels)
         np.testing.assert_allclose(back.features, data.features, atol=0)
+
+    def test_rejects_unknown_schema(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("# schema=2\nx,y,label\n0.0,1.0,0\n")
+        with pytest.raises(SchemaError, match="schema=1"):
+            dio.read_dataset_csv(path)
 
     def test_plain_csv_without_schema_line(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -211,6 +187,18 @@ class TestDeflateCommand:
     def test_rejects_epsilon_outside_positive_reals(self, tmp_path, capsys, command, epsilon):
         out = tmp_path / "out"
         code = run_cli(command, "--d", "5", "--epsilon", epsilon, "--out", str(out))
+        assert code == 1
+        assert "epsilon must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["bounds", "deflate"])
+    def test_bad_epsilon_rejected_before_the_run(self, tmp_path, monkeypatch, capsys, command):
+        def forbidden(*a, **kw):
+            raise AssertionError("a bad --epsilon must be rejected before the deflation")
+
+        monkeypatch.setattr("deflatrix.cli.run_inexact_deflation", forbidden)
+        out = tmp_path / "out"
+        code = run_cli(command, "--d", "5", "--epsilon", "nan", "--out", str(out))
         assert code == 1
         assert "epsilon must be finite and positive" in capsys.readouterr().err
         assert not out.exists()
@@ -412,6 +400,18 @@ class TestSelftestCommand:
             for name, t in run_selftest(seed).items()
         }
         assert got == SELFTEST_TALLIES[seed]
+
+    def test_tallies_do_not_depend_on_compensated_sum(self, monkeypatch):
+        # builtin sum() of floats is compensated from Python 3.12 on; the
+        # selftest's float sums must not go through it, so a compensated sum
+        # in its place leaves every tally and worst margin where it is
+        for module in (deflatrix.bounds, deflatrix.selftest):
+            monkeypatch.setattr(module, "sum", math.fsum, raising=False)
+        got = {
+            name: (t.holds, t.violated, t.skipped, t.worst)
+            for name, t in run_selftest(0).items()
+        }
+        assert got == SELFTEST_TALLIES[0]
 
     def test_mutation_canary_detected(self, capsys):
         code = run_cli("selftest", "--seed", "0", "--debug-eq8-constant", "4")

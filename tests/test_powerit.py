@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from deflatrix.errors import (
     DegenerateIterateError,
-    DimensionMismatchError,
     InvalidSpectrumError,
 )
 from deflatrix.linalg import (
@@ -18,13 +17,7 @@ from deflatrix.linalg import (
     random_orthogonal_basis,
     sample_unit_sphere,
 )
-from deflatrix.powerit import (
-    check_init_alignment,
-    pi_alignment_bound,
-    pi_error_bound,
-    power_iterate,
-    random_init_threshold,
-)
+from deflatrix.powerit import pi_alignment_bound, pi_error_bound, power_iterate
 
 
 class TestPowerIterate:
@@ -212,25 +205,6 @@ def perturbed_instance():
 
 
 class TestInitAlignment:
-    def test_aligned(self):
-        u = np.zeros(4)
-        u[0] = 1.0
-        value, ok = check_init_alignment(u, u, 4)
-        assert value == 1.0 and ok
-
-    def test_orthogonal(self):
-        u = np.array([1.0, 0.0])
-        v = np.array([0.0, 1.0])
-        value, ok = check_init_alignment(u, v, 2)
-        assert value == 0.0 and not ok
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            check_init_alignment(np.ones(3), np.ones(4) / 2.0, 3)
-
-    def test_threshold_value(self):
-        assert random_init_threshold(50) == pytest.approx(1.0 / math.sqrt(1.0 + 2 * 50**3))
-
     def test_random_init_clears_threshold_often(self):
         # all-K pass frequency over uniform draws must beat 1 - 2K/(3d)
         d, K, trials = 50, 10, 10_000
@@ -239,5 +213,6 @@ class TestInitAlignment:
         draws /= np.linalg.norm(draws, axis=2, keepdims=True)
         # alignment against any fixed orthonormal directions; use coordinates
         alignments = np.abs(draws[:, np.arange(K), np.arange(K)])
-        all_pass = (alignments >= random_init_threshold(d)).all(axis=1)
+        threshold = 1.0 / math.sqrt(1.0 + 2.0 * d**3)
+        all_pass = (alignments >= threshold).all(axis=1)
         assert all_pass.mean() >= 1.0 - 2 * K / (3 * d)
