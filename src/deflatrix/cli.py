@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--row-normalize", dest="row_normalize", action="store_const", const=True,
                    help="normalize embedding rows before k-means")
-    p.add_argument("--jobs", type=int, help="concurrent (t, seed) cells (default 1)")
+    p.add_argument("--jobs", type=int, help="worker processes for the (t, seed) cells (default 1)")
     p.set_defaults(func=cmd_cluster, row_normalize=None)
 
     p = sub.add_parser("selftest", help="reduced-scale verification table")

@@ -133,8 +133,7 @@ def spectral_embed(
     2I - L, which reverses the spectrum within its [0, 2] range).
     """
     target = _embedding_target(lap, spectrum_end)
-    if not 1 <= k <= lap.dim:
-        raise ValueError(f"k must lie in [1, {lap.dim}]")
+    _check_count("k", k, lap.dim)
     run = run_inexact_deflation(
         target,
         k,
@@ -143,6 +142,11 @@ def spectral_embed(
         with_oracle=False,
     )
     return run.components.copy()
+
+
+def _check_count(name: str, value: int, n: int) -> None:
+    if not 1 <= value <= n:
+        raise ValueError(f"{name} must lie in [1, {n}]")
 
 
 def _embedding_target(lap: SymMatrix, spectrum_end: str) -> SymMatrix:
@@ -175,8 +179,7 @@ def _kmeans_with_history(points, k_clusters, rng, max_iters=300):
     if x.ndim != 2:
         raise DimensionMismatchError("points must be a 2-d array")
     n = x.shape[0]
-    if not 1 <= k_clusters <= n:
-        raise ValueError(f"k_clusters must lie in [1, {n}]")
+    _check_count("k_clusters", k_clusters, n)
     gen = rng.generator
     centers = _seed_centers(x, k_clusters, gen)
     assignments = np.full(n, -1, dtype=np.int64)
@@ -274,6 +277,31 @@ class ClusteringSummary:
     std_mi: float
 
 
+def _run_cell(target, labels, k, k_clusters, row_normalize, t, seed) -> ClusteringCell:
+    """Embed, cluster and score one (t, seed) cell against ``labels``."""
+    root = RandomSource(seed)
+    # the top end of the target is the requested end of the Laplacian
+    features = spectral_embed(target, k, t, root)
+    if row_normalize:
+        norms = np.linalg.norm(features, axis=1, keepdims=True)
+        features = features / np.maximum(norms, 1e-300)
+    assignments = kmeans(features, k_clusters, root.substream(_KMEANS_STREAM))
+    return ClusteringCell(t=t, seed=seed, mi=mutual_information(assignments, labels))
+
+
+# the sweep's shared inputs in a worker process, set once by _init_worker
+_worker_inputs: tuple = ()
+
+
+def _init_worker(*inputs) -> None:
+    global _worker_inputs
+    _worker_inputs = inputs
+
+
+def _worker_cell(ts: tuple[int, int]) -> ClusteringCell:
+    return _run_cell(*_worker_inputs, *ts)
+
+
 def run_clustering_experiment(
     data: Dataset,
     r: int,
@@ -291,10 +319,12 @@ def run_clustering_experiment(
     The graph, the Laplacian and the matrix the embedding deflates (the
     Laplacian itself, or 2I - L for the bottom end) depend only on the data,
     so they are built once and shared read-only by every cell. With
-    ``jobs > 1`` the cells run on that many threads; the matrix-vector
-    products that dominate a cell release the GIL, so the threads run on
-    separate cores. Cells are submitted longest (largest t) first; results
-    come back sorted by (t, seed) and are byte-identical for every ``jobs``.
+    ``jobs > 1`` the cells run in N = min(jobs, cells) worker processes,
+    which receive the shared inputs once when they start (forked where the
+    platform can fork, so the inputs are inherited rather than pickled).
+    A cell's argument errors are raised here before any work starts. Cells
+    are submitted longest (largest t) first; results come back sorted by
+    (t, seed) and are byte-identical for every ``jobs``.
     """
     t_values = [int(t) for t in t_values]
     seeds = [int(s) for s in seeds]
@@ -304,27 +334,33 @@ def run_clustering_experiment(
         raise ValueError("need at least one seed")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
+    for seed in seeds:
+        RandomSource(seed)  # rejects a seed outside [0, 2**64)
+    _check_count("k", k, data.n)
+    if min(t_values) < 1:
+        raise ValueError("t must be >= 1")
+    _check_count("k_clusters", k_clusters, data.n)
     lap = normalized_laplacian(build_rnn_graph(data, r))
-    target = _embedding_target(lap, spectrum_end)
-
-    def one_cell(t: int, seed: int) -> ClusteringCell:
-        root = RandomSource(seed)
-        # the top end of the target is the requested end of the Laplacian
-        features = spectral_embed(target, k, t, root)
-        if row_normalize:
-            norms = np.linalg.norm(features, axis=1, keepdims=True)
-            features = features / np.maximum(norms, 1e-300)
-        labels = kmeans(features, k_clusters, root.substream(_KMEANS_STREAM))
-        return ClusteringCell(t=t, seed=seed, mi=mutual_information(labels, data.labels))
+    inputs = (_embedding_target(lap, spectrum_end), data.labels, k, k_clusters, row_normalize)
 
     # a cell's cost grows with t: submitting the longest first keeps the
     # last worker from finishing alone on a long cell
     cells_spec = sorted(((t, s) for t in t_values for s in seeds), key=lambda ts: -ts[0])
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(lambda ts: one_cell(*ts), cells_spec))
+    # a fork pool starts every worker up front, so never more than the cells
+    workers = min(jobs, len(cells_spec))
+    if workers > 1:
+        import multiprocessing
+
+        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context(method),
+            initializer=_init_worker,
+            initargs=inputs,
+        ) as pool:
+            cells = list(pool.map(_worker_cell, cells_spec))
     else:
-        cells = [one_cell(t, s) for t, s in cells_spec]
+        cells = [_run_cell(*inputs, t, s) for t, s in cells_spec]
     cells.sort(key=lambda cell: (cell.t, cell.seed))
 
     summary = []

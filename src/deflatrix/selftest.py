@@ -224,7 +224,9 @@ def run_level_checks(corpus: list[RunBundle]) -> dict[str, Tally]:
             dk_gap = gaps.davis_kahan_gap(k)
             if dg.matrix_gap_fro <= dk_gap / 4.0:
                 bound = 2.0 / dk_gap * dg.matrix_gap_fro
-                tallies["eigvec_sensitivity"].record_bool(dg.drift <= bound + CHECK_SLACK)
+                tallies["eigvec_sensitivity"].record_bool(
+                    dg.drift <= bound + CHECK_SLACK, bound + CHECK_SLACK - dg.drift
+                )
             else:
                 tallies["eigvec_sensitivity"].record(Verdict.SKIPPED)
 
@@ -234,29 +236,38 @@ def run_level_checks(corpus: list[RunBundle]) -> dict[str, Tally]:
                 dg.directional_gaps[j - 1] > weighted[k - 1][j - 1] + CHECK_SLACK
                 for j in range(k, run.d + 1)
             )
-            tallies["directional_sum"].record_bool(ok)
+            margin = min(
+                float(weighted[k - 1][j - 1] + CHECK_SLACK - dg.directional_gaps[j - 1])
+                for j in range(k, run.d + 1)
+            )
+            tallies["directional_sum"].record_bool(ok, margin)
 
             check = alignment_lower_bound_check(
                 dg.matrix_gap_fro, run.exact_tops[:, k - 1], truth, k
             )
-            tallies["alignment_floor"].record(check.verdict)
+            tallies["alignment_floor"].record(
+                check.verdict,
+                None if check.lhs is None else check.lhs - check.rhs + CHECK_SLACK,
+            )
 
             fro_ok = all(
                 diags[kp - 1].matrix_gap_fro <= gaps.min_gap(k) / 8.0 for kp in range(1, k)
             )
             if fro_ok and rows[k - 1].condition_step_floor:
                 bound = eigvec_drift_bound(inputs, gaps, k, dg.matrix_gap_spec)
-                tallies["drift_bound"].record_bool(dg.drift <= bound + CHECK_SLACK)
-                ok = True
+                tallies["drift_bound"].record_bool(
+                    dg.drift <= bound + CHECK_SLACK, bound + CHECK_SLACK - dg.drift
+                )
                 lam_k = float(run.top_eigenvalues[k - 1])
-                for j in range(k, run.d + 1):
-                    if lam_k <= lam[j - 1]:
-                        continue
-                    bound = directional_gap_bound(inputs, k, j, lam_k)
-                    if dg.directional_gaps[j - 1] > bound + CHECK_SLACK:
-                        ok = False
-                        break
-                tallies["directional_bound"].record_bool(ok)
+                checked = [
+                    (float(dg.directional_gaps[j - 1]), directional_gap_bound(inputs, k, j, lam_k))
+                    for j in range(k, run.d + 1)
+                    if lam_k > lam[j - 1]
+                ]
+                tallies["directional_bound"].record_bool(
+                    not any(gap > bound + CHECK_SLACK for gap, bound in checked),
+                    min((bound + CHECK_SLACK - gap for gap, bound in checked), default=None),
+                )
             else:
                 tallies["drift_bound"].record(Verdict.SKIPPED)
                 tallies["directional_bound"].record(Verdict.SKIPPED)

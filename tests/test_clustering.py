@@ -1,14 +1,22 @@
+import concurrent.futures
 import math
+import multiprocessing
+import re
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import deflatrix
+from deflatrix import clustering
 from deflatrix.clustering import (
     Dataset,
     _kmeans_with_history,
+    _run_cell,
     build_rnn_graph,
     entropy,
     kmeans,
@@ -242,13 +250,12 @@ class TestExperiment:
         assert serial == parallel
 
     def test_shared_bottom_target(self, monkeypatch):
-        # every cell reads the one 2I - L target; with a short switch interval
-        # the threads interleave often, and a write into the shared matrix
-        # would make the results depend on the interleaving
+        # every cell reads the one 2I - L target: the serial run evaluates all
+        # six cells on it in turn, while each worker process starts from its
+        # own copy, so a write into it would make the two runs differ
         data = synthetic_blobs(n=40, clusters=4, seed=17)
         args = (data, 4, 4, 4, [5, 15], [0, 1, 2])
         opts = {"spectrum_end": "bottom", "row_normalize": True}
-        serial = run_clustering_experiment(*args, **opts, jobs=1)
         init = SymMatrix.__init__
         built = []
 
@@ -257,15 +264,68 @@ class TestExperiment:
             init(self, array)
 
         monkeypatch.setattr(SymMatrix, "__init__", counting_init)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            parallel = run_clustering_experiment(*args, **opts, jobs=2)
-        finally:
-            sys.setswitchinterval(interval)
-        assert serial == parallel
+        serial = run_clustering_experiment(*args, **opts, jobs=1)
         # the Laplacian and the target, built once for all six cells
         assert len(built) == 2
+        parallel = run_clustering_experiment(*args, **opts, jobs=2)
+        assert serial == parallel
+        # workers count in their own copies of the list; the parent builds
+        # the same two matrices again
+        assert len(built) == 4
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"k": 0}, "k must lie in [1, 20]"),
+            ({"k": 21}, "k must lie in [1, 20]"),
+            ({"k_clusters": 0}, "k_clusters must lie in [1, 20]"),
+            ({"k_clusters": 21}, "k_clusters must lie in [1, 20]"),
+            ({"t_values": [5, 0]}, "t must be >= 1"),
+            ({"seeds": [0, -1]}, "seed must be a 64-bit unsigned integer"),
+            ({"seeds": [0, 2**64]}, "seed must be a 64-bit unsigned integer"),
+        ],
+    )
+    def test_cell_argument_errors_raise_before_any_work(self, monkeypatch, change, message):
+        data = synthetic_blobs(n=20, clusters=2, seed=16)
+        spec = {"k": 2, "k_clusters": 2, "t_values": [5], "seeds": [0], **change}
+        # the message is the one the cell itself raises
+        lap = normalized_laplacian(build_rnn_graph(data, 3))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _run_cell(lap, data.labels, spec["k"], spec["k_clusters"], False,
+                      min(spec["t_values"]), spec["seeds"][-1])
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the arguments were checked")
+
+        monkeypatch.setattr(clustering, "build_rnn_graph", no_work)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_clustering_experiment(data, 3, spec["k"], spec["k_clusters"],
+                                      spec["t_values"], spec["seeds"], jobs=2)
+
+    def test_pool_size_is_capped_at_the_cell_count(self, monkeypatch):
+        # a fork pool starts all its workers at once; the recording stand-in
+        # refuses to start any
+        class NoPool(Exception):
+            pass
+
+        seen = []
+
+        def refuse(max_workers, mp_context, **kwargs):
+            seen.append((max_workers, mp_context.get_start_method()))
+            raise NoPool
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        data = synthetic_blobs(n=20, clusters=2, seed=16)
+        for jobs in (3, 10_000):
+            with pytest.raises(NoPool):
+                run_clustering_experiment(data, 3, 2, 2, [5, 10], [0, 1, 2], jobs=jobs)
+        forks = "fork" in multiprocessing.get_all_start_methods()
+        method = "fork" if forks else multiprocessing.get_context().get_start_method()
+        assert seen == [(3, method), (6, method)]
+        # one cell needs no pool at all
+        cells, _ = run_clustering_experiment(data, 3, 2, 2, [5], [0], jobs=4)
+        assert len(cells) == 1 and len(seen) == 2
 
     def test_rejects_fewer_than_one_job(self):
         data = synthetic_blobs(n=20, clusters=2, seed=16)
@@ -277,3 +337,14 @@ class TestExperiment:
         data = synthetic_blobs(n=20, clusters=2, seed=16)
         with pytest.raises(ValueError):
             run_clustering_experiment(data, 3, 2, 2, [], [0])
+
+
+def test_cli_import_does_not_load_multiprocessing():
+    # the pool's modules cost ~20 ms to import; only a parallel sweep pays it
+    src = str(Path(deflatrix.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import deflatrix.cli; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import os
 import tracemalloc
 
@@ -7,13 +8,14 @@ import numpy as np
 import pytest
 
 import deflatrix.bounds
+import deflatrix.clustering
 import deflatrix.selftest
 from deflatrix import io as dio
 from deflatrix.cli import main, parse_spectrum
 from deflatrix.clustering import synthetic_blobs
 from deflatrix.deflate import ideal_deflation, run_inexact_deflation
 from deflatrix.diagnostics import diagnose_run
-from deflatrix.errors import SchemaError
+from deflatrix.errors import DegenerateGapError, SchemaError
 from deflatrix.linalg import (
     ExponentialSpectrum,
     PowerLawSpectrum,
@@ -282,15 +284,33 @@ class TestClusterCommand:
         for name in ("mi_vs_t.csv", "mi_summary.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    def test_thread_count_does_not_change_sweep(self, tmp_path):
-        # concurrent cells share one Laplacian; an in-place write into it
-        # would make the outputs depend on the interleaving
+    def test_job_count_does_not_change_sweep(self, tmp_path):
+        # worker processes compute the cells the serial run computes in turn,
+        # and every worker has exited once the command returns
         args = ["cluster", "--data", "blobs", "--r", "5", "--k", "3", "--clusters", "3",
                 "--t-values", "4,12", "--seeds", "0,1"]
         assert run_cli(*args, "--jobs", "1", "--out", str(tmp_path / "a")) == 0
         assert run_cli(*args, "--jobs", "2", "--out", str(tmp_path / "b")) == 0
+        assert multiprocessing.active_children() == []
         for name in ("mi_vs_t.csv", "mi_summary.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="workers inherit the patched k-means only when forked",
+    )
+    def test_worker_failure_exits_two(self, tmp_path, capsys, monkeypatch):
+        def degenerate(*args, **kwargs):
+            raise DegenerateGapError("k-means found no gap")
+
+        monkeypatch.setattr(deflatrix.clustering, "kmeans", degenerate)
+        code = run_cli("cluster", "--data", "blobs", "--r", "5", "--k", "3", "--clusters", "3",
+                       "--t-values", "4", "--seeds", "0,1,2", "--jobs", "2",
+                       "--out", str(tmp_path))
+        assert code == 2
+        assert "k-means found no gap" in capsys.readouterr().err
+        assert not (tmp_path / "mi_vs_t.csv").exists()
+        assert multiprocessing.active_children() == []
 
     def test_zero_jobs_rejected(self, tmp_path, capsys):
         code = run_cli("cluster", "--data", "blobs", "--r", "5", "--k", "3", "--clusters", "3",
@@ -338,13 +358,13 @@ SELFTEST_TALLIES = {
     0: {
         "agnostic_formula_oracle": (1, 0, 0, None),
         "agnostic_soundness": (10, 0, 0, None),
-        "alignment_floor": (68, 0, 35, None),
+        "alignment_floor": (68, 0, 35, 9.999689137553105e-11),
         "budget_e2e": (4, 0, 0, None),
-        "directional_bound": (55, 0, 48, None),
-        "directional_sum": (103, 0, 0, None),
-        "drift_bound": (55, 0, 48, None),
+        "directional_bound": (55, 0, 48, 9.999988663927533e-11),
+        "directional_sum": (103, 0, 0, 9.999983849183828e-11),
+        "drift_bound": (55, 0, 48, 9.999827261953733e-11),
         "eigenvalue_shift": (103, 0, 0, 9.999933386618523e-11),
-        "eigvec_sensitivity": (66, 0, 37, None),
+        "eigvec_sensitivity": (66, 0, 37, 9.999827261953733e-11),
         "gap_recurrence": (61, 0, 26, None),
         "inner_identity": (40, 0, 0, 9.999938461891137e-07),
         "iterate_convergence": (88, 0, 8, None),
@@ -359,13 +379,13 @@ SELFTEST_TALLIES = {
     1: {
         "agnostic_formula_oracle": (1, 0, 0, None),
         "agnostic_soundness": (10, 0, 0, None),
-        "alignment_floor": (69, 0, 25, None),
+        "alignment_floor": (69, 0, 25, 9.99982236431606e-11),
         "budget_e2e": (4, 0, 0, None),
-        "directional_bound": (60, 0, 34, None),
-        "directional_sum": (94, 0, 0, None),
-        "drift_bound": (60, 0, 34, None),
+        "directional_bound": (60, 0, 34, 9.999987949028632e-11),
+        "directional_sum": (94, 0, 0, 9.99998935548323e-11),
+        "drift_bound": (60, 0, 34, 9.999881034831809e-11),
         "eigenvalue_shift": (94, 0, 0, 9.99991118215803e-11),
-        "eigvec_sensitivity": (68, 0, 26, None),
+        "eigvec_sensitivity": (68, 0, 26, 9.999881034831809e-11),
         "gap_recurrence": (60, 0, 18, None),
         "inner_identity": (40, 0, 0, 9.999988420844706e-07),
         "iterate_convergence": (104, 0, 4, None),
