@@ -14,6 +14,7 @@ precondition abort.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -284,9 +285,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first call and shared by later ones: parse_args leaves the
+# parser unchanged and returns a fresh namespace each time.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if getattr(args, "config", None):
             _apply_config(args, args.config)

@@ -95,11 +95,14 @@ def build_rnn_graph(data: Dataset, r: int) -> SimilarityGraph:
     d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
     d2 = (d2 + d2.T) / 2.0
     np.fill_diagonal(d2, np.inf)
-    # Stable argsort on distance: equal distances resolve by column index.
-    order = np.argsort(d2, axis=1, kind="stable")[:, :r]
-    neighbor = np.zeros((n, n), dtype=bool)
-    rows = np.repeat(np.arange(n), r)
-    neighbor[rows, order.ravel()] = True
+    # The first r columns of a stable argsort of each row: every entry below
+    # the row's r-th smallest distance, then the lowest-index entries equal
+    # to it until r are chosen.
+    kth = np.partition(d2, r - 1, axis=1)[:, [r - 1]]
+    neighbor = d2 < kth
+    tie = d2 == kth
+    room = r - np.count_nonzero(neighbor, axis=1)
+    neighbor |= tie & (np.cumsum(tie, axis=1, dtype=np.int32) <= room[:, None])
     adjacency = neighbor | neighbor.T
     weights = np.where(adjacency, np.exp(-0.5 * np.where(adjacency, d2, 0.0)), 0.0)
     np.fill_diagonal(weights, 0.0)

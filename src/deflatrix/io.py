@@ -59,9 +59,11 @@ def _check_schema(line: str, path) -> None:
 
 
 def _vectors_csv(mat: np.ndarray, label: str) -> list[str]:
-    # one column per step; rows are coordinates
+    # one column per step; rows are coordinates. tolist() yields Python
+    # floats, whose repr is what _fmt writes for a float, without its
+    # per-entry type checks.
     lines = [_SCHEMA_LINE, f"# {label} d={mat.shape[0]} K={mat.shape[1]}"]
-    lines += [",".join(_fmt(x) for x in row) for row in mat]
+    lines += [",".join(map(repr, row)) for row in mat.tolist()]
     return lines
 
 

@@ -46,15 +46,22 @@ def power_iterate(m: SymMatrix, x0: np.ndarray, t: int) -> PowerIterResult:
         raise ValueError("step count must be non-negative")
     a = m.array
     x = x0
-    for _ in range(t):
-        # np.dot releases the GIL around the BLAS call; `a @ x` does not
-        y = np.dot(a, x)
+    # Step i writes its product into buffer i % 2 and normalizes it there,
+    # so a step never writes the iterate it reads, the loop only reads x0,
+    # and the buffer returned as x_t belongs to this call alone.
+    # `a.dot(x, y)` releases the GIL around the BLAS call, like np.dot; the
+    # 2-D x 1-D `a @ x` does not.
+    buffers = (np.empty(m.dim), np.empty(m.dim))
+    matvec = a.dot
+    divide = np.divide
+    for i in range(t):
+        y = buffers[i % 2]
+        matvec(x, y)
         # the value np.linalg.norm computes for a 1-D vector, without its overhead
-        n = math.sqrt(np.dot(y, y))
+        n = math.sqrt(y.dot(y))
         if n < 1e-300:
             raise DegenerateIterateError("iterate vanished: start vector lies in the kernel")
-        # y is fresh from np.dot, so dividing in place never writes into x0
-        y /= n
+        divide(y, n, out=y)
         x = y
     # np.dot releases the GIL around the BLAS call; `a @ x` does not
     rayleigh = float(x @ np.dot(a, x))

@@ -99,6 +99,57 @@ class TestRnnGraph:
             build_rnn_graph(data, 6)
 
 
+def _reference_rnn_weights(data, r):
+    # the graph as first written, selecting neighbors with a full stable
+    # argsort of each row; build_rnn_graph must reproduce it bit for bit
+    n = data.n
+    x = data.features
+    sq = (x * x).sum(axis=1)
+    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
+    d2 = (d2 + d2.T) / 2.0
+    np.fill_diagonal(d2, np.inf)
+    order = np.argsort(d2, axis=1, kind="stable")[:, :r]
+    neighbor = np.zeros((n, n), dtype=bool)
+    neighbor[np.repeat(np.arange(n), r), order.ravel()] = True
+    adjacency = neighbor | neighbor.T
+    weights = np.where(adjacency, np.exp(-0.5 * np.where(adjacency, d2, 0.0)), 0.0)
+    np.fill_diagonal(weights, 0.0)
+    return weights
+
+
+def _grid_points():
+    g = np.arange(20.0)
+    xs, ys = np.meshgrid(g, g)
+    return Dataset(features=np.column_stack([xs.ravel(), ys.ravel()]),
+                   labels=np.zeros(400, dtype=int))
+
+
+def _duplicated_points():
+    base = synthetic_blobs(n=60, clusters=3, seed=5)
+    # every third point appears three times, so many distances are exactly 0
+    rows = np.concatenate([np.arange(60), np.arange(0, 60, 3), np.arange(0, 60, 3)])
+    return Dataset(features=base.features[rows], labels=base.labels[rows])
+
+
+class TestRnnGraphMatchesArgsortReference:
+    @staticmethod
+    def assert_matches_reference(data, r):
+        g = build_rnn_graph(data, r)
+        assert g.weights.tobytes() == _reference_rnn_weights(data, r).tobytes()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_blobs(self, seed):
+        self.assert_matches_reference(synthetic_blobs(seed=seed), 10)
+
+    @pytest.mark.parametrize("r", [1, 3, 4, 5, 8, 12])
+    def test_integer_grid_with_exact_ties(self, r):
+        self.assert_matches_reference(_grid_points(), r)
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 7])
+    def test_duplicate_points(self, r):
+        self.assert_matches_reference(_duplicated_points(), r)
+
+
 class TestNormalizedLaplacian:
     def test_two_node_hand_value(self):
         data = Dataset(features=np.zeros((2, 1)), labels=np.array([0, 0]))

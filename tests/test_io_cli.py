@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import multiprocessing
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import deflatrix.bounds
+import deflatrix.cli
 import deflatrix.clustering
 import deflatrix.selftest
 from deflatrix import io as dio
@@ -80,6 +82,16 @@ class TestRunDir:
             dio.write_run_dir(run, diags[:-1], tmp_path / "short")
 
 
+class TestVectorsCsv:
+    def test_rows_match_per_entry_formatting(self):
+        values = [-0.0, 5e-324, 1e16, 1.0, 0.1, -1.5e-300, 1e300]
+        mat = np.array([values, values[::-1], values[3:] + values[:3]]).T
+        lines = dio._vectors_csv(mat, "vectors")
+        # the writer's per-entry formatter is the reference for every row
+        assert lines[2:] == [",".join(dio._fmt(x) for x in row) for row in mat]
+        assert [line.split(",")[0] for line in lines[2:]] == [repr(x) for x in values]
+
+
 class TestParseSpectrum:
     def test_kinds(self):
         assert parse_spectrum("power-law:1.5") == PowerLawSpectrum(1.5)
@@ -94,6 +106,20 @@ class TestParseSpectrum:
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+# SHA-256 of each file written by
+# `deflate --d 32 --K 32 --t 200 --spectrum power-law:1 --seed 1`
+FIGURE_TRACE_SHA256 = {
+    "bounds.csv": "73bcdffa323e952d44c894545e3bf6a35a6b91b68342a3f999981f36d260c61d",
+    "fig2.csv": "232a1c6b10a2d2d3676a04871f05325bad6eb031b9184609ac6fa5f608973c03",
+    "fig3.csv": "6a72f361c115712e2e99af291d29d675b7267a58530ec64ab500e55b11a0ffdb",
+    "fig4.csv": "3d8a6022432a72128671fa97cf3afc1d2037d7e7a565bf6fb00beb54a006151d",
+    "meta.json": "c6cf07780b148a4fe5ade0bd006dfc7d34b08073195cd94803c6d04d2b417dbb",
+    "run.csv": "5239896903f58f8a82347dd05a7089445d49c46d111bbf6008a7e6725270fc18",
+    "u.csv": "bb2543ce92613a07072eff07c92d4b2cc76b019171b795e1a767806208c884ff",
+    "v.csv": "c5a848ce54d046d973c5b811aef29627d955b00de8d02b8f570131f4f1e873c0",
+}
 
 
 class TestDeflateCommand:
@@ -113,6 +139,22 @@ class TestDeflateCommand:
             "k,thm1_bound,thm2_bound,empirical_err,slack_thm1,slack_thm2,"
             "cond7,cond12,cond13"
         )
+
+    def test_figure_trace_files_are_pinned(self, tmp_path):
+        # A change that claims the same output bits must leave every file
+        # of this run as it is. At d=32 OpenBLAS runs its matrix-vector
+        # products on one thread, so the digests do not depend on the BLAS
+        # thread count.
+        code = run_cli(
+            "deflate", "--d", "32", "--K", "32", "--t", "200",
+            "--spectrum", "power-law:1", "--seed", "1", "--out", str(tmp_path),
+        )
+        assert code == 0
+        got = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(tmp_path.iterdir())
+        }
+        assert got == FIGURE_TRACE_SHA256, f"numpy {np.__version__}"
 
     def test_usage_error_when_k_exceeds_d(self, tmp_path, capsys):
         code = run_cli("deflate", "--d", "3", "--K", "5", "--out", str(tmp_path))
@@ -438,3 +480,41 @@ class TestSelftestCommand:
         assert code == 1
         assert "violation" in capsys.readouterr().err
 
+
+
+class TestParserReuse:
+    # main() builds its parser once per process; each call must still behave
+    # as if it had a parser of its own
+    SEQUENCE = [
+        ("deflate", "--d", "12", "--K", "12", "--t", "40", "--seed", "3",
+         "--spectrum", "exponential:0.7", "--epsilon", "1e-2"),
+        ("bounds", "--d", "10", "--t", "30"),
+        ("bounds", "--t", "many"),
+        ("selftest", "--seed", "0"),
+    ]
+
+    @staticmethod
+    def outcome(argv, out, capsys):
+        try:
+            code = main([*argv, "--out", str(out)])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+        return code, captured.out.replace(str(out), "OUT"), captured.err, files
+
+    def test_calls_in_one_process_match_fresh_parsers(self, tmp_path, capsys):
+        fresh = []
+        for i, argv in enumerate(self.SEQUENCE):
+            deflatrix.cli._parser.cache_clear()
+            fresh.append(self.outcome(argv, tmp_path / f"fresh{i}", capsys))
+        deflatrix.cli._parser.cache_clear()
+        reused = [
+            self.outcome(argv, tmp_path / f"reused{i}", capsys)
+            for i, argv in enumerate(self.SEQUENCE)
+        ]
+        assert deflatrix.cli._parser.cache_info().misses == 1
+        assert [o[0] for o in reused] == [0, 0, 2, 0]
+        assert "invalid int value: 'many'" in reused[2][2]
+        assert "delta_budget" not in reused[1][3]["bounds.csv"].decode()
+        assert reused == fresh

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deflatrix.deflate import run_inexact_deflation
 from deflatrix.errors import (
     DegenerateIterateError,
     InvalidSpectrumError,
@@ -114,6 +115,37 @@ class TestPowerIterateMatchesReference:
         x0 = sample_unit_sphere(7, RandomSource(10))
         x0.setflags(write=False)
         self.assert_matches_reference(SymMatrix((g + g.T) / 2.0), x0, t)
+
+
+class TestIterateOwnership:
+    # the loop writes into buffers of its own; a result must never alias the
+    # start vector or another call's result
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 8])
+    def test_result_does_not_alias_start(self, t):
+        g = RandomSource(11).normal(9, 9)
+        x0 = sample_unit_sphere(9, RandomSource(12))
+        res = power_iterate(SymMatrix((g + g.T) / 2.0), x0, t)
+        assert not np.shares_memory(res.x_t, x0)
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 8])
+    def test_consecutive_results_are_independent(self, t):
+        g = RandomSource(13).normal(9, 9)
+        m = SymMatrix((g + g.T) / 2.0)
+        first = power_iterate(m, sample_unit_sphere(9, RandomSource(14)), t).x_t
+        kept = first.copy()
+        second = power_iterate(m, sample_unit_sphere(9, RandomSource(15)), t).x_t
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+
+    def test_run_components_survive_another_run(self):
+        basis = random_orthogonal_basis(12, RandomSource(16))
+        sigma, spectrum = build_test_sigma(12, PowerLawSpectrum(1.0), basis)
+        run = run_inexact_deflation(sigma, 12, 9, RandomSource(17), spectrum=spectrum)
+        kept = run.components.copy()
+        other = run_inexact_deflation(sigma, 12, 9, RandomSource(18), spectrum=spectrum)
+        assert not np.array_equal(other.components, kept)
+        assert np.array_equal(run.components, kept)
 
 
 class TestErrorBound:
