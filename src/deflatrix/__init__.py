@@ -28,10 +28,8 @@ from .clustering import (
 )
 from .deflate import (
     DeflationRun,
-    GroundTruthTrace,
     aligned_top_eigenvector,
     deflate_step,
-    ideal_deflation,
     run_inexact_deflation,
 )
 from .diagnostics import (
@@ -39,6 +37,7 @@ from .diagnostics import (
     StepDiagnostics,
     Verdict,
     alignment_lower_bound_check,
+    bound_report,
     diagnose_run,
     eigvec_inner_identity_check,
     matrix_gap_recurrence_check,

@@ -19,13 +19,11 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import io as dio
-from .bounds import _check_epsilon, build_bound_report, eigengaps
+from .bounds import _check_epsilon
 from .clustering import run_clustering_experiment, synthetic_blobs
-from .deflate import ideal_deflation, run_inexact_deflation
-from .diagnostics import diagnose_run
+from .deflate import run_inexact_deflation
+from .diagnostics import bound_report, diagnose_run
 from .errors import PreconditionError, SchemaError
 from .linalg import (
     ExplicitSpectrum,
@@ -35,7 +33,7 @@ from .linalg import (
     build_test_sigma,
     random_orthogonal_basis,
 )
-from .selftest import Tally, inputs_from_run, run_selftest
+from .selftest import Tally, run_selftest
 
 _BASIS_STREAM = 0
 _RUN_STREAM = 1
@@ -121,8 +119,7 @@ def _run_from_args(args):
     root = RandomSource(seed)
     basis = random_orthogonal_basis(d, root.substream(_BASIS_STREAM))
     sigma, spectrum = build_test_sigma(d, kind, basis)
-    run = run_inexact_deflation(sigma, K, t, root.substream(_RUN_STREAM), spectrum=spectrum)
-    return run, spectrum
+    return run_inexact_deflation(sigma, K, t, root.substream(_RUN_STREAM), spectrum=spectrum)
 
 
 def _check_epsilon_flag(args) -> None:
@@ -131,18 +128,9 @@ def _check_epsilon_flag(args) -> None:
         _check_epsilon(args.epsilon)
 
 
-def _bound_report(run, spectrum, epsilon):
-    inputs = inputs_from_run(run, spectrum.eigenvalues, epsilon=epsilon)
-    errors = [
-        float(np.linalg.norm(run.components[:, k - 1] - spectrum.eigenvector(k - 1)))
-        for k in range(1, run.K + 1)
-    ]
-    return build_bound_report(inputs, eigengaps(spectrum.eigenvalues), errors)
-
-
 def cmd_deflate(args) -> int:
     _check_epsilon_flag(args)
-    run, spectrum = _run_from_args(args)
+    run = _run_from_args(args)
     d = run.d
     if args.j_slice is not None:
         j_slice = _int_list(args.j_slice)
@@ -151,9 +139,8 @@ def cmd_deflate(args) -> int:
     bad = [j for j in j_slice if not 1 <= j <= d]
     if bad:
         raise ValueError(f"--j-slice entries out of range: {bad}")
-    truth = ideal_deflation(spectrum, run.K)
-    diags = diagnose_run(run, truth)
-    report = _bound_report(run, spectrum, args.epsilon)
+    diags = diagnose_run(run)
+    report = bound_report(run, args.epsilon)
     label = args.spectrum if args.spectrum is not None else "power-law:1"
     out = _resolve_out(args)
     dio.write_run_dir(run, diags, out, spectrum_label=label)
@@ -165,7 +152,7 @@ def cmd_deflate(args) -> int:
 
 def cmd_bounds(args) -> int:
     _check_epsilon_flag(args)
-    report = _bound_report(*_run_from_args(args), args.epsilon)
+    report = bound_report(_run_from_args(args), args.epsilon)
     out = _resolve_out(args)
     dio.write_bounds_csv(report, out / "bounds.csv", with_budgets=args.epsilon is not None)
     print(f"wrote {out / 'bounds.csv'}")
@@ -206,10 +193,7 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    scale = 1.0
-    if args.debug_eq8_constant is not None:
-        scale = float(args.debug_eq8_constant) / 5.0
-    report = run_selftest(seed=args.seed if args.seed is not None else 0, bound_scale=scale)
+    report = run_selftest(seed=args.seed if args.seed is not None else 0)
     width = max(len(name) for name in report)
     print(f"{'check'.ljust(width)}  holds  violated  skipped")
     bad = 0
@@ -275,12 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="reduced-scale verification table")
     common(p)
-    p.add_argument(
-        "--debug-eq8-constant",
-        dest="debug_eq8_constant",
-        type=float,
-        help=argparse.SUPPRESS,  # mutation canary: mis-scale the agnostic bound
-    )
     p.set_defaults(func=cmd_selftest)
     return parser
 
@@ -291,7 +269,11 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error; 2 is the precondition-abort code
+        return 1 if exc.code == 2 else exc.code
     try:
         if getattr(args, "config", None):
             _apply_config(args, args.config)

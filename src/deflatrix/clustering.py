@@ -8,7 +8,8 @@ information score against ground-truth labels.
 The embedding deliberately uses the *top* end of the Laplacian spectrum
 (``spectrum_end="top"``); a ``"bottom"`` switch embeds from the other end for
 comparison. Laplacians routinely carry (near-)repeated eigenvalues, so the
-deflation run skips the strict-decay check here.
+deflation run gets no reference spectrum here: no oracle runs and no decay is
+required.
 """
 
 from __future__ import annotations
@@ -137,13 +138,7 @@ def spectral_embed(
     """
     target = _embedding_target(lap, spectrum_end)
     _check_count("k", k, lap.dim)
-    run = run_inexact_deflation(
-        target,
-        k,
-        t,
-        rng.substream(_EMBED_STREAM),
-        with_oracle=False,
-    )
+    run = run_inexact_deflation(target, k, t, rng.substream(_EMBED_STREAM))
     return run.components.copy()
 
 

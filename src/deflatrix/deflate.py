@@ -5,12 +5,13 @@ top eigenvector of the current matrix, then removes that direction:
 
     sigma_{k+1} = sigma_k - (v_k . sigma_k v_k) v_k v_k^T.
 
-The run keeps vectors, not matrices: alongside each output ``v_k`` it
-records the oracle's exact top eigenpair of ``sigma_k`` and the sub-routine
-error vector, plus a reference to the input matrix. Every ``sigma_k`` can be
-replayed bitwise from the input and the outputs with :func:`deflate_step`,
-and every ideal matrix is a closed form of the known spectrum, so memory
-stays O(d^2) however many steps are taken.
+The run keeps vectors, not matrices: alongside each output ``v_k`` it keeps
+a reference to the input matrix and, when a reference spectrum is given,
+that spectrum, the oracle's exact top eigenpair of ``sigma_k`` and the
+sub-routine error vector. Every ``sigma_k`` can be replayed bitwise from the
+input and the outputs with :func:`deflate_step`, and every ideal matrix is a
+closed form of the spectrum, so memory stays O(d^2) however many steps are
+taken.
 """
 
 from __future__ import annotations
@@ -32,10 +33,8 @@ from .powerit import power_iterate
 
 __all__ = [
     "DeflationRun",
-    "GroundTruthTrace",
     "aligned_top_eigenvector",
     "deflate_step",
-    "ideal_deflation",
     "run_inexact_deflation",
 ]
 
@@ -66,53 +65,6 @@ def deflate_step(sigma_k: SymMatrix, v: np.ndarray) -> SymMatrix:
     b *= rayleigh
     np.subtract(a, b, out=b)
     return SymMatrix._trusted(b)
-
-
-@dataclass(frozen=True)
-class GroundTruthTrace:
-    """The ideal deflation sequence: what exact sub-routine steps would produce.
-
-    The k-th ideal matrix (``k = 1`` is the original matrix, ``k = K + 1`` the
-    matrix after K exact steps) is built on demand from its closed form; its
-    top eigenpair is ``spectrum.eigenvector(k-1)`` / ``eigenvalues[k-1]``.
-    """
-
-    spectrum: Spectrum
-    K: int
-
-    @property
-    def dim(self) -> int:
-        return self.spectrum.dim
-
-    def ideal_matrix(self, k: int) -> SymMatrix:
-        """Ideal deflated matrix at step ``k`` (1-based, up to K+1): the
-        original matrix with its first k-1 eigencomponents dropped."""
-        if not 1 <= k <= self.K + 1:
-            raise ValueError(f"k must lie in [1, {self.K + 1}], got {k}")
-        basis = self.spectrum.basis
-        tail = basis[:, k - 1:] * self.spectrum.eigenvalues[k - 1:]
-        return SymMatrix(tail @ basis[:, k - 1:].T)
-
-    def ideal_vector(self, k: int) -> np.ndarray:
-        return self.spectrum.eigenvector(k - 1)
-
-    def ideal_value(self, k: int) -> float:
-        return float(self.spectrum.eigenvalues[k - 1])
-
-
-def ideal_deflation(spectrum: Spectrum, K: int) -> GroundTruthTrace:
-    """The ideal deflation sequence of ``spectrum`` up to step K.
-
-    Exact deflation drops one eigencomponent per step only if the basis is
-    orthonormal; a basis off by more than 1e-10 raises.
-    """
-    d = spectrum.dim
-    if not 1 <= K <= d:
-        raise ValueError(f"K must lie in [1, {d}], got {K}")
-    basis = spectrum.basis
-    if np.abs(basis.T @ basis - np.eye(d)).max() > 1e-10:
-        raise InvalidSpectrumError("spectrum basis columns are not orthonormal")
-    return GroundTruthTrace(spectrum=spectrum, K=K)
 
 
 def aligned_top_eigenvector(sigma_k: SymMatrix, u_star_k: np.ndarray) -> tuple[np.ndarray, float]:
@@ -147,7 +99,9 @@ def aligned_top_eigenvector(sigma_k: SymMatrix, u_star_k: np.ndarray) -> tuple[n
 class DeflationRun:
     """Vector trace of an inexact deflation run.
 
-    ``sigma`` is the input matrix. The run stores no deflated matrix:
+    ``sigma`` is the input matrix and ``spectrum`` the reference spectrum the
+    run was checked and measured against (``None`` for a run without the
+    oracle). The run stores no deflated matrix:
     sigma_{k+1} = deflate_step(sigma_k, components[:, k-1]) replays them
     bitwise.
 
@@ -170,12 +124,12 @@ class DeflationRun:
     t: int
     seed: int
     sigma: SymMatrix
+    spectrum: Spectrum | None
     components: np.ndarray
     top_eigenvalues: np.ndarray
     exact_tops: np.ndarray | None
     sub_errors: np.ndarray | None
     init_alignments: np.ndarray | None
-    assumption_ok: bool | None
 
     def __post_init__(self):
         for name in ("components", "top_eigenvalues", "exact_tops",
@@ -184,25 +138,28 @@ class DeflationRun:
             if arr is not None:
                 arr.setflags(write=False)
 
-    @property
-    def has_oracle_trace(self) -> bool:
-        return self.exact_tops is not None
-
     def component(self, k: int) -> np.ndarray:
         """Output vector at step ``k`` (1-based)."""
         return self.components[:, k - 1]
 
 
-def _check_assumption(spectrum: Spectrum) -> bool:
+def _check_spectrum(spectrum: Spectrum, d: int, K: int) -> None:
+    """The run's precondition on its reference spectrum.
+
+    Theorems 1-2, ``min_gap(K)`` and the oracle's per-step gap read only
+    lambda_1..lambda_{K+1}, so only those must decrease strictly; every
+    eigenvalue must be positive.
+    """
+    if spectrum.dim != d:
+        raise DimensionMismatchError("spectrum dimension does not match the matrix")
+    basis = spectrum.basis
+    if np.abs(basis.T @ basis - np.eye(d)).max() > 1e-10:
+        raise InvalidSpectrumError("spectrum basis columns are not orthonormal")
     lam = spectrum.eigenvalues
-    if lam[-1] <= 0 or np.any(np.diff(lam) >= -_GAP_TOL):
+    if lam[-1] <= 0 or np.any(np.diff(lam[:K + 1]) >= -_GAP_TOL):
         raise InvalidSpectrumError(
             "matrix must have strictly decreasing positive eigenvalues"
         )
-    if abs(lam[0] - 1.0) > 1e-12:
-        warnings.warn("leading eigenvalue is not 1; proceeding without rescaling", stacklevel=3)
-        return False
-    return True
 
 
 def run_inexact_deflation(
@@ -212,49 +169,42 @@ def run_inexact_deflation(
     rng: RandomSource,
     *,
     spectrum: Spectrum | None = None,
-    with_oracle: bool = True,
 ) -> DeflationRun:
     """Extract K approximate top eigenvectors with t power-iteration steps each.
 
     Every step draws its start vector from an independent substream derived
-    from (seed, k), runs the sub-routine, deflates, and (when ``with_oracle``)
-    records the exact top eigenpair of the current matrix for diagnostics.
-    The runtime path never feeds oracle information back into the algorithm;
-    the only oracle-dependent choice is the reported sign of the output
-    vector, and the deflation update is sign-invariant.
+    from (seed, k), runs the sub-routine and deflates. Given the reference
+    ``spectrum`` of ``sigma``, the run first checks it (orthonormal basis,
+    positive eigenvalues, lambda_1..lambda_{K+1} strictly decreasing) and
+    records the exact top eigenpair of every current matrix for
+    diagnostics. The runtime path never feeds oracle information back into
+    the algorithm; the only oracle-dependent choice is the reported sign of
+    the output vector, and the deflation update is sign-invariant.
 
-    ``with_oracle=False`` also skips the strict-eigenvalue-decay check, for
-    matrices (such as graph Laplacians) that may carry ties; step-level
-    degeneracies then surface as errors only where they matter.
+    Without a spectrum no oracle runs and no decay is required, for matrices
+    (such as graph Laplacians) that may carry ties.
     """
     d = sigma.dim
     if not 1 <= K <= d:
         raise ValueError(f"K must lie in [1, {d}], got {K}")
     if t < 1:
         raise ValueError("t must be >= 1")
-
-    assumption_ok: bool | None = None
-    if spectrum is None and with_oracle:
-        spectrum = jacobi_eigendecomposition(sigma)
-    if spectrum is not None:
-        if spectrum.dim != d:
-            raise DimensionMismatchError("spectrum dimension does not match the matrix")
-        if with_oracle:
-            assumption_ok = _check_assumption(spectrum)
+    oracle = spectrum is not None
+    if oracle:
+        _check_spectrum(spectrum, d, K)
 
     components = np.empty((d, K))
     lambdas = np.empty(K)
-    exact_tops = np.empty((d, K)) if with_oracle else None
-    sub_errors = np.empty((d, K)) if with_oracle else None
-    alignments = np.empty(K) if with_oracle else None
+    exact_tops = np.empty((d, K)) if oracle else None
+    sub_errors = np.empty((d, K)) if oracle else None
+    alignments = np.empty(K) if oracle else None
 
     current = sigma
     for k in range(1, K + 1):
         x0 = sample_unit_sphere(d, rng.substream(k))
         result = power_iterate(current, x0, t)
         v = result.x_t
-        if with_oracle:
-            assert spectrum is not None
+        if oracle:
             u, lam = aligned_top_eigenvector(current, spectrum.eigenvector(k - 1))
             if float(v @ u) < 0:
                 v = -v
@@ -273,10 +223,10 @@ def run_inexact_deflation(
         t=t,
         seed=rng.seed,
         sigma=sigma,
+        spectrum=spectrum,
         components=components,
         top_eigenvalues=lambdas,
         exact_tops=exact_tops,
         sub_errors=sub_errors,
         init_alignments=alignments,
-        assumption_ok=assumption_ok,
     )

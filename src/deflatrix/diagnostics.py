@@ -1,11 +1,14 @@
-"""Measured error-propagation quantities and gated inequality checks.
+"""Measured error-propagation quantities, bound reports and gated inequality
+checks.
 
-Everything here is read-only analysis of a finished run against its ideal
-trace. The run stores vectors only; :func:`diagnose_run` replays its deflated
-matrices one step at a time from the input matrix and the output vectors,
-and builds each ideal matrix from its closed form. Alignment profiles are
-always taken against the *original* eigenbasis (the ideal directions), not
-per-step oracles, because that is what the figure traces plot.
+Everything here is read-only analysis of a finished run against the
+reference spectrum it carries. The run stores vectors only;
+:func:`diagnose_run` replays its deflated matrices one step at a time from
+the input matrix and the output vectors, and builds each ideal matrix from
+its closed form. :func:`bound_report` feeds the run's measurements to the
+bound engine. Alignment profiles are always taken against the *original*
+eigenbasis (the ideal directions), not per-step oracles, because that is
+what the figure traces plot.
 
 Inequality checks return a three-valued verdict (holds / violated / skipped)
 so property tests never silently count vacuous cases as passes. Comparisons
@@ -21,9 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deflate import DeflationRun, GroundTruthTrace, deflate_step
+from .bounds import BoundInputs, BoundRow, build_bound_report, eigengaps
+from .deflate import DeflationRun, deflate_step
 from .errors import DegenerateGapError, DimensionMismatchError
-from .linalg import SymMatrix, jacobi_eigendecomposition, spectral_norm
+from .linalg import Spectrum, SymMatrix, jacobi_eigendecomposition, spectral_norm
 
 __all__ = [
     "CHECK_SLACK",
@@ -31,8 +35,10 @@ __all__ = [
     "StepDiagnostics",
     "Verdict",
     "alignment_lower_bound_check",
+    "bound_report",
     "diagnose_run",
     "eigvec_inner_identity_check",
+    "inputs_from_run",
     "matrix_gap_recurrence_check",
 ]
 
@@ -81,26 +87,33 @@ class StepDiagnostics:
     inner_gap: float
 
 
-def diagnose_run(run: DeflationRun, truth: GroundTruthTrace) -> list[StepDiagnostics]:
-    """Compute the full per-step diagnostic table for an oracle-enabled run.
+def _ideal_matrix(spectrum: Spectrum, k: int) -> SymMatrix:
+    """Ideal deflated matrix at step ``k`` (1-based): the original matrix with
+    its first k-1 eigencomponents dropped."""
+    basis = spectrum.basis
+    tail = basis[:, k - 1:] * spectrum.eigenvalues[k - 1:]
+    return SymMatrix(tail @ basis[:, k - 1:].T)
+
+
+def diagnose_run(run: DeflationRun) -> list[StepDiagnostics]:
+    """Compute the full per-step diagnostic table for a run with a spectrum.
 
     sigma_k is replayed from ``run.sigma`` with the run's own update at the
     end of every step, so it equals the matrix the run deflated bitwise. Its
     gap to the (mirrored) ideal matrix is a difference of two bitwise
     symmetric matrices, hence bitwise symmetric, and is wrapped unvalidated.
     """
-    if not run.has_oracle_trace:
-        raise ValueError("diagnostics need a run recorded with the oracle enabled")
-    if run.d != truth.dim or run.K != truth.K:
-        raise DimensionMismatchError("run and ideal trace do not match")
-    basis = truth.spectrum.basis
+    spectrum = run.spectrum
+    if spectrum is None:
+        raise ValueError("diagnostics need a run recorded with a reference spectrum")
+    basis = spectrum.basis
     out = []
     sigma_k = run.sigma
     for k in range(1, run.K + 1):
-        gap = SymMatrix._trusted(sigma_k.array - truth.ideal_matrix(k).array)
+        gap = SymMatrix._trusted(sigma_k.array - _ideal_matrix(spectrum, k).array)
         v = run.components[:, k - 1]
         u = run.exact_tops[:, k - 1]
-        u_star = truth.ideal_vector(k)
+        u_star = spectrum.eigenvector(k - 1)
         sub_err = float(np.linalg.norm(run.sub_errors[:, k - 1]))
         output_err = float(np.linalg.norm(v - u_star))
         drift = float(np.linalg.norm(u - u_star))
@@ -122,6 +135,37 @@ def diagnose_run(run: DeflationRun, truth: GroundTruthTrace) -> list[StepDiagnos
         )
         sigma_k = deflate_step(sigma_k, v)
     return out
+
+
+def inputs_from_run(run: DeflationRun, epsilon: float | None = None) -> BoundInputs:
+    """Bundle a finished run's measurements for the bound formulas."""
+    if run.spectrum is None:
+        raise ValueError("bound inputs need a run recorded with a reference spectrum")
+    sub_norms = np.linalg.norm(run.sub_errors, axis=0)
+    worst_alignment = float(run.init_alignments.min())
+    if worst_alignment <= 1e-12:
+        raise ValueError("a start vector was (numerically) orthogonal to its target")
+    return BoundInputs(
+        lambdas=run.spectrum.eigenvalues,
+        sub_error_norms=sub_norms,
+        init_constant=max(1.0, 1.0 / worst_alignment),
+        t=run.t,
+        K=run.K,
+        epsilon=epsilon,
+    )
+
+
+def bound_report(run: DeflationRun, epsilon: float | None = None) -> list[BoundRow]:
+    """The run's bound report (the rows of ``bounds.csv``): both families'
+    flags and bounds, and with ``epsilon`` both budgets, next to each step's
+    measured output error against the ideal eigenvector."""
+    inputs = inputs_from_run(run, epsilon)
+    spectrum = run.spectrum
+    errors = [
+        float(np.linalg.norm(run.components[:, k - 1] - spectrum.eigenvector(k - 1)))
+        for k in range(1, run.K + 1)
+    ]
+    return build_bound_report(inputs, eigengaps(spectrum.eigenvalues), errors)
 
 
 def matrix_gap_recurrence_check(
@@ -178,7 +222,7 @@ def eigvec_inner_identity_check(
 
 
 def alignment_lower_bound_check(
-    gap_fro: float, u: np.ndarray, truth: GroundTruthTrace, k: int
+    gap_fro: float, u: np.ndarray, spectrum: Spectrum, k: int
 ) -> InequalityCheck:
     """Alignment floor for the running top eigenvector.
 
@@ -188,12 +232,11 @@ def alignment_lower_bound_check(
     with the ideal eigenvector is bounded below by one minus a gap term minus
     the leaked alignment onto later eigenvectors.
     """
-    lam_k = truth.ideal_value(k)
+    lam_k = float(spectrum.eigenvalues[k - 1])
     if gap_fro > lam_k / 8.0:
         return InequalityCheck(Verdict.SKIPPED)
-    basis = truth.spectrum.basis
-    lhs = float(u @ truth.ideal_vector(k)) ** 2
-    later = basis[:, k:].T @ u
+    lhs = float(u @ spectrum.eigenvector(k - 1)) ** 2
+    later = spectrum.basis[:, k:].T @ u
     rhs = 1.0 - 2.4 / lam_k**2 * gap_fro**2 - float(later @ later)
     verdict = Verdict.HOLDS if lhs >= rhs - CHECK_SLACK else Verdict.VIOLATED
     return InequalityCheck(verdict, lhs=lhs, rhs=rhs)

@@ -80,8 +80,8 @@ def write_run_dir(
     and, from the run's diagnostics, the sub-routine error size, the output
     error against the ideal eigenvector and the Frobenius matrix gap.
     """
-    if not run.has_oracle_trace:
-        raise ValueError("serialization needs an oracle-enabled run")
+    if run.spectrum is None:
+        raise ValueError("serialization needs a run recorded with a reference spectrum")
     if [dg.k for dg in diags] != list(range(1, run.K + 1)):
         raise ValueError("serialization needs one diagnostic row per step")
     out = Path(out_dir)

@@ -4,11 +4,9 @@ Shared engine behind the ``selftest`` CLI command and the acceptance test
 suite: it generates randomized instances, runs the deflation pipeline, and
 tallies every inequality and identity the package claims, as a three-way
 count (holds / violated / skipped) per check. Checks marked skipped did not
-meet their precondition; they are never counted as passes.
-
-The ``bound_scale`` knob deliberately mis-scales the agnostic bound family
-(a mutation canary: a wrong leading constant must surface as violations in
-the formula-oracle rows); production paths never set it.
+meet their precondition; they are never counted as passes. Each run carries
+its reference spectrum, so its diagnostics and bound report are read from
+the run alone.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ import numpy as np
 
 from .bounds import (
     BoundInputs,
-    BoundRow,
     SpectrumGaps,
     affine_recurrence_closed_form,
     build_bound_report,
@@ -30,19 +27,16 @@ from .bounds import (
     geometric_tail_bound,
     sum_recurrence_closed_form,
 )
-from .deflate import (
-    DeflationRun,
-    GroundTruthTrace,
-    ideal_deflation,
-    run_inexact_deflation,
-)
+from .deflate import DeflationRun, run_inexact_deflation
 from .diagnostics import (
     CHECK_SLACK,
     StepDiagnostics,
     Verdict,
     alignment_lower_bound_check,
+    bound_report,
     diagnose_run,
     eigvec_inner_identity_check,
+    inputs_from_run,
     matrix_gap_recurrence_check,
 )
 from .errors import DegenerateGapError
@@ -50,6 +44,7 @@ from .linalg import (
     ExponentialSpectrum,
     PowerLawSpectrum,
     RandomSource,
+    Spectrum,
     SymMatrix,
     build_test_sigma,
     jacobi_eigendecomposition,
@@ -66,7 +61,6 @@ __all__ = [
     "build_run_corpus",
     "figure_protocol",
     "inner_identity_trials",
-    "inputs_from_run",
     "iterate_convergence_trials",
     "make_instance",
     "perturbed_alignment_trials",
@@ -114,30 +108,9 @@ def make_instance(d: int, rng: RandomSource, kind=None):
     return sigma, spectrum, kind
 
 
-def inputs_from_run(
-    run: DeflationRun, spectrum_eigs: np.ndarray, epsilon: float | None = None
-) -> BoundInputs:
-    """Bundle a finished run's measurements for the bound formulas."""
-    if run.sub_errors is None or run.init_alignments is None:
-        raise ValueError("bound inputs need an oracle-enabled run")
-    sub_norms = np.linalg.norm(run.sub_errors, axis=0)
-    worst_alignment = float(run.init_alignments.min())
-    if worst_alignment <= 1e-12:
-        raise ValueError("a start vector was (numerically) orthogonal to its target")
-    return BoundInputs(
-        lambdas=np.asarray(spectrum_eigs, dtype=float),
-        sub_error_norms=sub_norms,
-        init_constant=max(1.0, 1.0 / worst_alignment),
-        t=run.t,
-        K=run.K,
-        epsilon=epsilon,
-    )
-
-
 @dataclass
 class RunBundle:
     run: DeflationRun
-    truth: GroundTruthTrace
     diags: list[StepDiagnostics]
     gaps: SpectrumGaps
     inputs: BoundInputs
@@ -156,14 +129,12 @@ def build_run_corpus(rng: RandomSource, dims, t_values, runs_per_cell: int = 1) 
                 k_hi = max(3, min(d - 2, 10))
                 K = int(sub.substream(1).generator.integers(3, k_hi + 1))
                 run = run_inexact_deflation(sigma, K, t, sub.substream(2), spectrum=spectrum)
-                truth = ideal_deflation(spectrum, K)
                 corpus.append(
                     RunBundle(
                         run=run,
-                        truth=truth,
-                        diags=diagnose_run(run, truth),
+                        diags=diagnose_run(run),
                         gaps=eigengaps(spectrum.eigenvalues),
-                        inputs=inputs_from_run(run, spectrum.eigenvalues),
+                        inputs=inputs_from_run(run),
                     )
                 )
     return corpus
@@ -203,10 +174,10 @@ def run_level_checks(corpus: list[RunBundle]) -> dict[str, Tally]:
         )
     }
     for bundle in corpus:
-        run, truth, diags = bundle.run, bundle.truth, bundle.diags
+        run, diags = bundle.run, bundle.diags
         gaps, inputs = bundle.gaps, bundle.inputs
-        lam = truth.spectrum.eigenvalues
-        basis = truth.spectrum.basis
+        lam = run.spectrum.eigenvalues
+        basis = run.spectrum.basis
         rows = build_bound_report(inputs, gaps, np.zeros(inputs.K))
         weighted = _directional_sums(run, basis)
 
@@ -215,7 +186,7 @@ def run_level_checks(corpus: list[RunBundle]) -> dict[str, Tally]:
 
         for dg in diags:
             k = dg.k
-            shift = abs(run.top_eigenvalues[k - 1] - truth.ideal_value(k))
+            shift = abs(run.top_eigenvalues[k - 1] - float(lam[k - 1]))
             tallies["eigenvalue_shift"].record_bool(
                 shift <= dg.matrix_gap_spec + CHECK_SLACK,
                 dg.matrix_gap_spec + CHECK_SLACK - shift,
@@ -243,7 +214,7 @@ def run_level_checks(corpus: list[RunBundle]) -> dict[str, Tally]:
             tallies["directional_sum"].record_bool(ok, margin)
 
             check = alignment_lower_bound_check(
-                dg.matrix_gap_fro, run.exact_tops[:, k - 1], truth, k
+                dg.matrix_gap_fro, run.exact_tops[:, k - 1], run.spectrum, k
             )
             tallies["alignment_floor"].record(
                 check.verdict,
@@ -433,26 +404,8 @@ def _sum_condition_budgets(gaps: SpectrumGaps, lambdas, K: int) -> list[float]:
     return budgets
 
 
-def _bound_rows(
-    run: DeflationRun, truth: GroundTruthTrace, inputs: BoundInputs, gaps: SpectrumGaps
-) -> list[BoundRow]:
-    """A run's bound report against its measured output errors: both
-    families' flags and bounds from one pass of the engine behind
-    ``bounds.csv``."""
-    errors = [
-        float(np.linalg.norm(run.components[:, k - 1] - truth.ideal_vector(k)))
-        for k in range(1, run.K + 1)
-    ]
-    return build_bound_report(inputs, gaps, errors)
-
-
 def agnostic_soundness_trials(
-    n: int,
-    dims,
-    rng: RandomSource,
-    *,
-    bound_scale: float = 1.0,
-    t_cap: int = 4096,
+    n: int, dims, rng: RandomSource, *, t_cap: int = 4096
 ) -> Tally:
     """Measured output error against the agnostic bound, on runs calibrated so
     the admissibility condition holds at every step."""
@@ -471,12 +424,10 @@ def agnostic_soundness_trials(
         if min(budgets) < 1e-11:
             continue  # not satisfiable in float64; draw another instance
         t = _budget_predicted_t(spectrum.eigenvalues, budgets, 3.0 * math.sqrt(d))
-        truth = ideal_deflation(spectrum, K)
         rows = None
         while t <= t_cap:
             run = run_inexact_deflation(sigma, K, t, sub.substream(2), spectrum=spectrum)
-            inputs = inputs_from_run(run, spectrum.eigenvalues)
-            candidate = _bound_rows(run, truth, inputs, gaps)
+            candidate = bound_report(run)
             if all(row.condition_agnostic for row in candidate):
                 rows = candidate
                 break
@@ -484,9 +435,7 @@ def agnostic_soundness_trials(
         if rows is None:
             continue
         assert all(row.agnostic is not None for row in rows)
-        ok = not any(
-            row.empirical > bound_scale * row.agnostic + CHECK_SLACK for row in rows
-        )
+        ok = not any(row.empirical > row.agnostic + CHECK_SLACK for row in rows)
         tally.record_bool(ok)
         produced += 1
     return tally
@@ -528,17 +477,15 @@ def power_iter_soundness_trials(n: int, dims, rng: RandomSource) -> Tally:
         K = int(sub.substream(1).generator.integers(2, min(8, d // 2) + 1))
         gaps = eigengaps(spectrum.eigenvalues)
         c0 = 3.0 * math.sqrt(d)
-        truth = ideal_deflation(spectrum, K)
         rows = None
         for _ in range(4):
             t = _min_t_power_iter(gaps, spectrum.eigenvalues, K, c0)
             run = run_inexact_deflation(sigma, K, t, sub.substream(2), spectrum=spectrum)
-            inputs = inputs_from_run(run, spectrum.eigenvalues)
-            candidate = _bound_rows(run, truth, inputs, gaps)
+            candidate = bound_report(run)
             if all(row.condition_tail and row.condition_step_floor for row in candidate):
                 rows = candidate
                 break
-            c0 = inputs.init_constant  # measured; recompute the floor with it
+            c0 = inputs_from_run(run).init_constant  # measured; recompute the floor with it
         if rows is None:
             continue
         assert all(row.power_iter is not None for row in rows)
@@ -565,7 +512,6 @@ def budget_e2e_trials(
         sub = rng.substream(i)
         sigma, spectrum, _ = make_instance(d, sub.substream(0))
         gaps = eigengaps(spectrum.eigenvalues)
-        truth = ideal_deflation(spectrum, K)
         for eps in epsilons:
             proto = BoundInputs(
                 lambdas=spectrum.eigenvalues,
@@ -594,7 +540,8 @@ def budget_e2e_trials(
                 tally.record(Verdict.SKIPPED)
                 continue
             ok = all(
-                float(np.linalg.norm(run.components[:, k - 1] - truth.ideal_vector(k))) <= eps
+                float(np.linalg.norm(run.components[:, k - 1] - spectrum.eigenvector(k - 1)))
+                <= eps
                 for k in range(1, K + 1)
             )
             tally.record_bool(ok)
@@ -603,23 +550,21 @@ def budget_e2e_trials(
 
 def figure_protocol(
     d: int = 100, t: int = 200, seed: int = 42, K: int | None = None
-) -> tuple[DeflationRun, GroundTruthTrace, list[StepDiagnostics]]:
+) -> tuple[DeflationRun, Spectrum, list[StepDiagnostics]]:
     """The reference trace: power-law spectrum, random basis, full sweep."""
     K = d if K is None else K
     root = RandomSource(seed)
     basis = random_orthogonal_basis(d, root.substream(0))
     sigma, spectrum = build_test_sigma(d, PowerLawSpectrum(1.0), basis)
     run = run_inexact_deflation(sigma, K, t, root.substream(1), spectrum=spectrum)
-    truth = ideal_deflation(spectrum, K)
-    return run, truth, diagnose_run(run, truth)
+    return run, spectrum, diagnose_run(run)
 
 
-def _formula_oracle_checks(bound_scale: float) -> dict[str, Tally]:
+def _formula_oracle_checks() -> dict[str, Tally]:
     """Frozen hand-computed values for the closed forms.
 
     Expected numbers were evaluated by hand, independent of the code paths
-    under test; a mis-scaled implementation (the mutation canary) must fail
-    here.
+    under test; a mis-scaled implementation must fail here.
     """
     tallies = {
         "agnostic_formula_oracle": Tally(),
@@ -636,7 +581,7 @@ def _formula_oracle_checks(bound_scale: float) -> dict[str, Tally]:
     )
     got = build_bound_report(inputs, eigengaps(lam), np.zeros(2))[1].agnostic
     expected = 0.55  # 5*(2*0.01*(3+2*(1/2)/(1/2)) + 0.01*1)
-    ok = got is not None and abs(bound_scale * got - expected) <= 1e-12
+    ok = got is not None and abs(got - expected) <= 1e-12
     tallies["agnostic_formula_oracle"].record_bool(ok)
 
     lam3 = np.array([1.0, 0.5, 1.0 / 3.0])
@@ -663,13 +608,13 @@ def _formula_oracle_checks(bound_scale: float) -> dict[str, Tally]:
     return tallies
 
 
-def run_selftest(seed: int = 0, *, bound_scale: float = 1.0) -> dict[str, Tally]:
+def run_selftest(seed: int = 0) -> dict[str, Tally]:
     """Reduced-scale verification pass (dimensions <= 20, well under a minute).
 
     Work is shared wherever the values allow it bit for bit: the recurrence
     rows run the O(n^2) closed forms, each calibrated soundness run reads its
-    flags and bounds from one :func:`build_bound_report` (the engine behind
-    ``bounds.csv``), and the directional-sum row takes each dot once per run.
+    flags and bounds from one :func:`bound_report` (the rows ``bounds.csv``
+    writes), and the directional-sum row takes each dot once per run.
     """
     rng = RandomSource(seed)
     report: dict[str, Tally] = {}
@@ -680,10 +625,8 @@ def run_selftest(seed: int = 0, *, bound_scale: float = 1.0) -> dict[str, Tally]
     report["inner_identity"] = inner_identity_trials(40, rng.substream(3))
     report["iterate_convergence"] = iterate_convergence_trials(30, rng.substream(4))
     report.update(recurrence_trials(200, rng.substream(5)))
-    report["agnostic_soundness"] = agnostic_soundness_trials(
-        10, (8, 12), rng.substream(6), bound_scale=bound_scale
-    )
+    report["agnostic_soundness"] = agnostic_soundness_trials(10, (8, 12), rng.substream(6))
     report["power_iter_soundness"] = power_iter_soundness_trials(8, (8, 12), rng.substream(7))
     report["budget_e2e"] = budget_e2e_trials(4, rng.substream(8), epsilons=(1e-2,), d=10, K=3)
-    report.update(_formula_oracle_checks(bound_scale))
+    report.update(_formula_oracle_checks())
     return report

@@ -1,14 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from deflatrix.clustering import build_rnn_graph, normalized_laplacian, synthetic_blobs
-from deflatrix.deflate import (
-    aligned_top_eigenvector,
-    deflate_step,
-    ideal_deflation,
-    run_inexact_deflation,
-)
-from deflatrix.errors import DegenerateGapError, InvalidSpectrumError
+from deflatrix.deflate import aligned_top_eigenvector, deflate_step, run_inexact_deflation
+from deflatrix.diagnostics import _ideal_matrix
+from deflatrix.errors import DegenerateGapError, DimensionMismatchError, InvalidSpectrumError
 from deflatrix.linalg import (
     ExplicitSpectrum,
     ExponentialSpectrum,
@@ -138,45 +136,36 @@ class TestIdealDeflation:
     @pytest.mark.filterwarnings("ignore:leading eigenvalue")
     def test_diagonal_example(self):
         _, spec = build_test_sigma(3, ExplicitSpectrum((3.0, 2.0, 1.0)), np.eye(3))
-        truth = ideal_deflation(spec, 2)
-        np.testing.assert_allclose(truth.ideal_matrix(2).array, np.diag([0.0, 2.0, 1.0]), atol=1e-12)
+        np.testing.assert_allclose(_ideal_matrix(spec, 2).array, np.diag([0.0, 2.0, 1.0]), atol=1e-12)
 
     def test_full_deflation_reaches_zero(self):
         _, spec = make_instance(5, 3)
-        truth = ideal_deflation(spec, 5)
-        assert np.abs(truth.ideal_matrix(6).array).max() <= 1e-12
+        assert np.abs(_ideal_matrix(spec, 6).array).max() <= 1e-12
 
     @pytest.mark.parametrize("seed", range(10))
     def test_recursion_matches_closed_form(self, seed):
         # deflating with the exact eigenvectors reproduces the closed form
         sigma, spec = make_instance(20, seed, ExponentialSpectrum(0.8))
-        truth = ideal_deflation(spec, 12)
         current = sigma
         for k in range(1, 14):
-            gap = np.linalg.norm(current.array - truth.ideal_matrix(k).array)
+            gap = np.linalg.norm(current.array - _ideal_matrix(spec, k).array)
             assert gap <= 1e-10
             if k <= 12:
                 current = deflate_step(current, spec.eigenvector(k - 1))
 
     def test_rejects_non_orthonormal_basis(self):
-        _, spec = make_instance(6, 7)
+        sigma, spec = make_instance(6, 7)
         skewed = spec.basis.copy()
         skewed[:, 1] += 1e-6 * skewed[:, 0]
         with pytest.raises(InvalidSpectrumError, match="orthonormal"):
-            ideal_deflation(Spectrum(spec.eigenvalues, skewed), 3)
-
-    def test_ideal_matrix_range(self):
-        _, spec = make_instance(5, 8)
-        truth = ideal_deflation(spec, 3)
-        for k in (0, 5):
-            with pytest.raises(ValueError):
-                truth.ideal_matrix(k)
+            run_inexact_deflation(
+                sigma, 3, 10, RandomSource(0), spectrum=Spectrum(spec.eigenvalues, skewed)
+            )
 
     def test_annihilates_processed_directions(self):
         _, spec = make_instance(8, 4)
-        truth = ideal_deflation(spec, 6)
         for k in range(1, 7):
-            m = truth.ideal_matrix(k).array
+            m = _ideal_matrix(spec, k).array
             for j in range(1, spec.dim + 1):
                 image = m @ spec.eigenvector(j - 1)
                 if j < k:
@@ -187,9 +176,8 @@ class TestIdealDeflation:
 
     def test_ideal_matrices_are_psd(self):
         _, spec = make_instance(10, 6)
-        truth = ideal_deflation(spec, 10)
         for k in range(1, 11):
-            w = jacobi_eigendecomposition(truth.ideal_matrix(k)).eigenvalues
+            w = jacobi_eigendecomposition(_ideal_matrix(spec, k)).eigenvalues
             assert w.min() >= -1e-10
 
 
@@ -267,40 +255,34 @@ class TestRunInexactDeflation:
     def test_unit_outputs_and_sign_convention(self):
         sigma, spec = make_instance(10, 12)
         run = run_inexact_deflation(sigma, 6, 30, RandomSource(2), spectrum=spec)
-        truth = ideal_deflation(spec, 6)
         for k in range(1, 7):
             assert abs(np.linalg.norm(run.component(k)) - 1.0) <= 1e-12
-            assert run.exact_tops[:, k - 1] @ truth.ideal_vector(k) >= 0
+            assert run.exact_tops[:, k - 1] @ spec.eigenvector(k - 1) >= 0
             assert run.component(k) @ run.exact_tops[:, k - 1] >= 0
 
     def test_weyl_consistency(self):
         sigma, spec = make_instance(10, 13)
         run = run_inexact_deflation(sigma, 6, 15, RandomSource(5), spectrum=spec)
-        truth = ideal_deflation(spec, 6)
         mats = replay(run)
         for k in range(1, 7):
-            gap = SymMatrix(mats[k - 1].array - truth.ideal_matrix(k).array)
-            shift = abs(run.top_eigenvalues[k - 1] - truth.ideal_value(k))
+            gap = SymMatrix(mats[k - 1].array - _ideal_matrix(spec, k).array)
+            shift = abs(run.top_eigenvalues[k - 1] - spec.eigenvalues[k - 1])
             assert shift <= spectral_norm(gap) + 1e-10
 
     def test_matrices_not_too_indefinite(self):
         sigma, spec = make_instance(10, 14)
         run = run_inexact_deflation(sigma, 8, 10, RandomSource(6), spectrum=spec)
-        truth = ideal_deflation(spec, 8)
         mats = replay(run)
         for k in range(1, 9):
-            gap = SymMatrix(mats[k - 1].array - truth.ideal_matrix(k).array)
+            gap = SymMatrix(mats[k - 1].array - _ideal_matrix(spec, k).array)
             w_min = jacobi_eigendecomposition(mats[k - 1]).eigenvalues.min()
             assert w_min >= -spectral_norm(gap) - 1e-10
 
     def test_exact_subroutine_limit(self):
         sigma, spec = make_instance(9, 15)
-        truth = ideal_deflation(spec, 5)
         current = sigma
         for k in range(1, 6):
-            assert (
-                np.linalg.norm(current.array - truth.ideal_matrix(k).array) <= 1e-10
-            )
+            assert np.linalg.norm(current.array - _ideal_matrix(spec, k).array) <= 1e-10
             current = deflate_step(current, spec.eigenvector(k - 1))
 
     def test_rejects_bad_k_and_t(self):
@@ -311,22 +293,63 @@ class TestRunInexactDeflation:
             run_inexact_deflation(sigma, 2, 0, RandomSource(0), spectrum=spec)
 
     def test_rejects_tied_spectrum(self):
-        with pytest.raises(InvalidSpectrumError):
-            run_inexact_deflation(SymMatrix(np.eye(3)), 2, 10, RandomSource(0))
+        sigma = SymMatrix(np.diag([1.0, 0.5, 0.5]))
+        spec = Spectrum(np.array([1.0, 0.5, 0.5]), np.eye(3))
+        with pytest.raises(InvalidSpectrumError, match="strictly decreasing"):
+            run_inexact_deflation(sigma, 2, 10, RandomSource(0), spectrum=spec)
 
     def test_scale_warning_not_fatal(self):
-        sigma = SymMatrix(np.diag([3.0, 2.0, 1.0]))
+        # spectrum_eigenvalues warns once; the run adds no second warning
         with pytest.warns(UserWarning, match="leading eigenvalue"):
-            run = run_inexact_deflation(sigma, 2, 50, RandomSource(0))
-        assert run.assumption_ok is False
+            sigma, spec = build_test_sigma(3, ExplicitSpectrum((3.0, 2.0, 1.0)), np.eye(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run = run_inexact_deflation(sigma, 2, 50, RandomSource(0), spectrum=spec)
+        assert run.top_eigenvalues[0] == pytest.approx(3.0, abs=1e-12)
 
     def test_oracle_free_mode(self):
-        sigma, spec = make_instance(8, 17)
-        run = run_inexact_deflation(
-            sigma, 3, 60, RandomSource(4), spectrum=spec, with_oracle=False
-        )
+        sigma, _ = make_instance(8, 17)
+        run = run_inexact_deflation(sigma, 3, 60, RandomSource(4))
+        assert run.spectrum is None
         assert run.exact_tops is None and run.sub_errors is None
         mats = replay(run)
         for k in range(1, 4):
             oracle = jacobi_eigendecomposition(mats[k - 1])
             assert abs(run.component(k) @ oracle.eigenvector(0)) >= 1.0 - 1e-8
+
+
+class TestSpectrumPrecondition:
+    # a run checks strict decay only over lambda_1..lambda_{K+1}, the
+    # eigenvalues its oracle steps and the bounds read
+    TAIL_TIED = (1.0, 0.5, 0.25, 0.125, 0.125)
+
+    def tail_tied(self):
+        spec = Spectrum(np.array(self.TAIL_TIED), random_orthogonal_basis(5, RandomSource(3)))
+        sigma = SymMatrix((spec.basis * spec.eigenvalues) @ spec.basis.T)
+        return sigma, spec
+
+    def test_tie_past_k_plus_one_runs(self):
+        sigma, spec = self.tail_tied()
+        run = run_inexact_deflation(sigma, 3, 200, RandomSource(1), spectrum=spec)
+        assert run.spectrum is spec
+        for k in range(1, 4):
+            assert np.linalg.norm(run.component(k) - spec.eigenvector(k - 1)) <= 1e-8
+
+    @pytest.mark.parametrize("K", [4, 5])
+    def test_tie_within_k_plus_one_rejected(self, K):
+        sigma, spec = self.tail_tied()
+        with pytest.raises(InvalidSpectrumError, match="strictly decreasing"):
+            run_inexact_deflation(sigma, K, 50, RandomSource(1), spectrum=spec)
+
+    @pytest.mark.parametrize("last", [0.0, -0.1])
+    def test_non_positive_tail_rejected(self, last):
+        lam = np.array([1.0, 0.5, 0.25, last])
+        sigma = SymMatrix(np.diag(lam))
+        with pytest.raises(InvalidSpectrumError, match="positive"):
+            run_inexact_deflation(sigma, 1, 50, RandomSource(0), spectrum=Spectrum(lam, np.eye(4)))
+
+    def test_rejects_spectrum_of_another_dimension(self):
+        sigma, _ = make_instance(5, 18)
+        _, other = make_instance(6, 18)
+        with pytest.raises(DimensionMismatchError):
+            run_inexact_deflation(sigma, 2, 10, RandomSource(0), spectrum=other)

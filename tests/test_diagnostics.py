@@ -3,21 +3,20 @@ import dataclasses
 import numpy as np
 import pytest
 
-from deflatrix.deflate import (
-    aligned_top_eigenvector,
-    deflate_step,
-    ideal_deflation,
-    run_inexact_deflation,
-)
+from deflatrix.bounds import BoundInputs, build_bound_report, eigengaps
+from deflatrix.deflate import aligned_top_eigenvector, deflate_step, run_inexact_deflation
 from deflatrix.diagnostics import (
     StepDiagnostics,
     Verdict,
+    _ideal_matrix,
     alignment_lower_bound_check,
+    bound_report,
     diagnose_run,
     eigvec_inner_identity_check,
+    inputs_from_run,
     matrix_gap_recurrence_check,
 )
-from deflatrix.errors import DegenerateGapError, DimensionMismatchError
+from deflatrix.errors import DegenerateGapError
 from deflatrix.linalg import (
     ExponentialSpectrum,
     PowerLawSpectrum,
@@ -34,13 +33,13 @@ def make_instance(d, seed, kind=None):
     return build_test_sigma(d, kind or PowerLawSpectrum(1.0), basis)
 
 
-def stored_chain_diagnostics(run, truth):
+def stored_chain_diagnostics(run):
     """Reference: diagnostics over a fully stored matrix chain, the way they
     were computed when runs kept every sigma_k and every ideal matrix."""
     matrices = [run.sigma]
     for k in range(1, run.K + 1):
         matrices.append(deflate_step(matrices[-1], run.components[:, k - 1]))
-    lam, basis = truth.spectrum.eigenvalues, truth.spectrum.basis
+    lam, basis = run.spectrum.eigenvalues, run.spectrum.basis
     ideal = []
     for k in range(run.K + 1):
         tail = basis[:, k:] * lam[k:]
@@ -51,7 +50,7 @@ def stored_chain_diagnostics(run, truth):
         gap = SymMatrix(matrices[k - 1].array - ideal[k - 1].array)
         v = run.components[:, k - 1]
         u = run.exact_tops[:, k - 1]
-        u_star = truth.ideal_vector(k)
+        u_star = run.spectrum.eigenvector(k - 1)
         out.append(
             StepDiagnostics(
                 k=k,
@@ -73,26 +72,23 @@ def stored_chain_diagnostics(run, truth):
 def accurate_bundle():
     sigma, spec = make_instance(10, 21)
     run = run_inexact_deflation(sigma, 6, 300, RandomSource(7), spectrum=spec)
-    truth = ideal_deflation(spec, 6)
-    return run, truth, diagnose_run(run, truth)
+    return run, spec, diagnose_run(run)
 
 
 @pytest.fixture(scope="module")
 def sloppy_bundle():
     sigma, spec = make_instance(10, 22, ExponentialSpectrum(0.6))
     run = run_inexact_deflation(sigma, 6, 4, RandomSource(8), spectrum=spec)
-    truth = ideal_deflation(spec, 6)
-    return run, truth, diagnose_run(run, truth)
+    return run, spec, diagnose_run(run)
 
 
 class TestDiagnoseRun:
     def test_exact_subroutine_limit_is_clean(self):
         # drive the deflation with the ideal eigenvectors themselves
         sigma, spec = make_instance(8, 23)
-        truth = ideal_deflation(spec, 5)
         current = sigma
         for k in range(1, 6):
-            gap = np.linalg.norm(current.array - truth.ideal_matrix(k).array)
+            gap = np.linalg.norm(current.array - _ideal_matrix(spec, k).array)
             assert gap <= 1e-9
             current = deflate_step(current, spec.eigenvector(k - 1))
 
@@ -102,9 +98,8 @@ class TestDiagnoseRun:
     def test_replay_matches_stored_chain(self, d, K, t, seed):
         sigma, spec = make_instance(d, seed)
         run = run_inexact_deflation(sigma, K, t, RandomSource(seed), spectrum=spec)
-        truth = ideal_deflation(spec, K)
-        got = diagnose_run(run, truth)
-        want = stored_chain_diagnostics(run, truth)
+        got = diagnose_run(run)
+        want = stored_chain_diagnostics(run)
         assert len(got) == len(want) == K
         for a, b in zip(got, want):
             for field in dataclasses.fields(StepDiagnostics):
@@ -143,34 +138,49 @@ class TestDiagnoseRun:
             assert dg.top_alignments.argmax() == dg.k - 1
 
     def test_rejects_oracle_free_run(self):
-        sigma, spec = make_instance(6, 24)
-        run = run_inexact_deflation(sigma, 3, 30, RandomSource(9), spectrum=spec,
-                                    with_oracle=False)
-        truth = ideal_deflation(spec, 3)
-        with pytest.raises(ValueError):
-            diagnose_run(run, truth)
+        sigma, _ = make_instance(6, 24)
+        run = run_inexact_deflation(sigma, 3, 30, RandomSource(9))
+        with pytest.raises(ValueError, match="reference spectrum"):
+            diagnose_run(run)
 
-    def test_rejects_mismatched_truth(self):
-        sigma, spec = make_instance(6, 25)
-        run = run_inexact_deflation(sigma, 3, 30, RandomSource(9), spectrum=spec)
-        truth = ideal_deflation(spec, 2)
-        with pytest.raises(DimensionMismatchError):
-            diagnose_run(run, truth)
+
+class TestBoundReport:
+    @pytest.mark.parametrize("epsilon", [None, 1e-2])
+    def test_reads_the_run_and_its_spectrum(self, accurate_bundle, epsilon):
+        run, spec, _ = accurate_bundle
+        worst = float(run.init_alignments.min())
+        inputs = BoundInputs(
+            lambdas=spec.eigenvalues,
+            sub_error_norms=np.linalg.norm(run.sub_errors, axis=0),
+            init_constant=max(1.0, 1.0 / worst),
+            t=run.t,
+            K=run.K,
+            epsilon=epsilon,
+        )
+        errors = [np.linalg.norm(run.component(k) - spec.eigenvector(k - 1)) for k in range(1, 7)]
+        want = build_bound_report(inputs, eigengaps(spec.eigenvalues), errors)
+        assert bound_report(run, epsilon) == want
+
+    def test_needs_a_spectrum(self):
+        sigma, _ = make_instance(6, 25)
+        run = run_inexact_deflation(sigma, 3, 30, RandomSource(9))
+        for report in (inputs_from_run, bound_report):
+            with pytest.raises(ValueError, match="reference spectrum"):
+                report(run)
 
 
 class TestGapRecurrence:
     def test_accurate_run_holds(self, accurate_bundle):
-        _, truth, diags = accurate_bundle
-        checks = matrix_gap_recurrence_check(diags, truth.spectrum.eigenvalues)
+        _, spec, diags = accurate_bundle
+        checks = matrix_gap_recurrence_check(diags, spec.eigenvalues)
         assert len(checks) == len(diags) - 1
         assert all(c.verdict is Verdict.HOLDS for c in checks)
 
     def test_large_errors_are_skipped_not_failed(self):
         sigma, spec = make_instance(8, 26, ExponentialSpectrum(0.55))
         run = run_inexact_deflation(sigma, 5, 1, RandomSource(10), spectrum=spec)
-        truth = ideal_deflation(spec, 5)
-        diags = diagnose_run(run, truth)
-        checks = matrix_gap_recurrence_check(diags, truth.spectrum.eigenvalues)
+        diags = diagnose_run(run)
+        checks = matrix_gap_recurrence_check(diags, spec.eigenvalues)
         assert any(c.verdict is Verdict.SKIPPED for c in checks)
         assert not any(c.verdict is Verdict.VIOLATED for c in checks)
 
@@ -219,32 +229,30 @@ class TestInnerIdentity:
 class TestAlignmentLowerBound:
     def test_exact_match_holds(self):
         sigma, spec = make_instance(7, 32)
-        truth = ideal_deflation(spec, 3)
-        check = alignment_lower_bound_check(0.0, spec.eigenvector(0), truth, 1)
+        check = alignment_lower_bound_check(0.0, spec.eigenvector(0), spec, 1)
         assert check.verdict is Verdict.HOLDS
         assert check.lhs == pytest.approx(1.0, abs=1e-9)
 
     def test_gate_skips_large_gaps(self):
         sigma, spec = make_instance(7, 33)
-        truth = ideal_deflation(spec, 3)
         # gap far beyond an eighth of the ideal eigenvalue
         k = 3
-        big = SymMatrix(truth.ideal_matrix(k).array + 0.5 * np.eye(7))
-        gap_fro = float(np.linalg.norm(big.array - truth.ideal_matrix(k).array))
-        check = alignment_lower_bound_check(gap_fro, spec.eigenvector(k - 1), truth, k)
+        big = SymMatrix(_ideal_matrix(spec, k).array + 0.5 * np.eye(7))
+        gap_fro = float(np.linalg.norm(big.array - _ideal_matrix(spec, k).array))
+        check = alignment_lower_bound_check(gap_fro, spec.eigenvector(k - 1), spec, k)
         assert check.verdict is Verdict.SKIPPED
 
     def test_reads_the_run_trace(self, sloppy_bundle):
         # the measured gap and the run's oracle vector give the same verdict
         # as decomposing the replayed sigma_k again
-        run, truth, diags = sloppy_bundle
+        run, spec, diags = sloppy_bundle
         sigma_k = run.sigma
         for dg in diags:
             k = dg.k
-            u, _ = aligned_top_eigenvector(sigma_k, truth.ideal_vector(k))
-            fresh = alignment_lower_bound_check(dg.matrix_gap_fro, u, truth, k)
+            u, _ = aligned_top_eigenvector(sigma_k, spec.eigenvector(k - 1))
+            fresh = alignment_lower_bound_check(dg.matrix_gap_fro, u, spec, k)
             check = alignment_lower_bound_check(
-                dg.matrix_gap_fro, run.exact_tops[:, k - 1], truth, k
+                dg.matrix_gap_fro, run.exact_tops[:, k - 1], spec, k
             )
             assert check == fresh
             assert check.verdict is not Verdict.VIOLATED

@@ -1,9 +1,11 @@
+import dataclasses
 import hashlib
 import json
 import math
 import multiprocessing
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ import deflatrix.selftest
 from deflatrix import io as dio
 from deflatrix.cli import main, parse_spectrum
 from deflatrix.clustering import synthetic_blobs
-from deflatrix.deflate import ideal_deflation, run_inexact_deflation
+from deflatrix.deflate import run_inexact_deflation
 from deflatrix.diagnostics import diagnose_run
 from deflatrix.errors import DegenerateGapError, SchemaError
 from deflatrix.linalg import (
@@ -74,7 +76,7 @@ class TestRunDir:
         basis = random_orthogonal_basis(6, RandomSource(3))
         sigma, spec = build_test_sigma(6, PowerLawSpectrum(1.0), basis)
         run = run_inexact_deflation(sigma, 3, 40, RandomSource(4), spectrum=spec)
-        diags = diagnose_run(run, ideal_deflation(spec, 3))
+        diags = diagnose_run(run)
         dio.write_run_dir(run, diags, tmp_path / "ok")
         rows = (tmp_path / "ok" / "run.csv").read_text().splitlines()[2:]
         assert [float(r.split(",")[2]) for r in rows] == [dg.sub_err for dg in diags]
@@ -183,10 +185,9 @@ class TestDeflateCommand:
         assert run_cli("deflate", *args, "--out", str(tmp_path / "d")) == 0
 
         def forbidden(*a, **kw):
-            raise AssertionError("bounds must not run the diagnostics or the ideal trace")
+            raise AssertionError("bounds must not run the diagnostics")
 
         monkeypatch.setattr("deflatrix.cli.diagnose_run", forbidden)
-        monkeypatch.setattr("deflatrix.cli.ideal_deflation", forbidden)
         assert run_cli("bounds", *args, "--out", str(tmp_path / "b")) == 0
         expected = (tmp_path / "d" / "bounds.csv").read_bytes()
         assert (tmp_path / "b" / "bounds.csv").read_bytes() == expected
@@ -286,6 +287,59 @@ class TestDeflateCommand:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("dd=10\n")
         assert run_cli("deflate", "--config", str(cfg)) == 1
+
+
+class TestDecayPrecondition:
+    # decay is checked over lambda_1..lambda_{K+1} only, so a fast-decaying
+    # spectrum whose tail gaps fall below 1e-12 runs at small K
+    @pytest.mark.parametrize(
+        "argv, files",
+        [
+            (("deflate", "--d", "45", "--K", "5", "--spectrum", "exponential:0.5"),
+             {"run.csv", "v.csv", "u.csv", "meta.json",
+              "fig2.csv", "fig3.csv", "fig4.csv", "bounds.csv"}),
+            (("bounds", "--d", "100", "--K", "20", "--spectrum", "exponential:0.7"),
+             {"bounds.csv"}),
+        ],
+    )
+    def test_tail_gaps_below_tolerance_run(self, tmp_path, argv, files):
+        assert run_cli(*argv, "--out", str(tmp_path)) == 0
+        assert {p.name for p in tmp_path.iterdir()} == files
+        lines = (tmp_path / "bounds.csv").read_text().splitlines()
+        assert len(lines) == 2 + int(argv[4])
+
+    @pytest.mark.parametrize("K, code", [("1", 0), ("2", 2)])
+    def test_gap_within_k_plus_one_aborts(self, tmp_path, capsys, K, code):
+        # lambda_2 - lambda_3 = 1e-13 matters only once the run reaches step 2
+        out = tmp_path / "out"
+        got = run_cli("deflate", "--d", "3", "--K", K, "--t", "20",
+                      "--spectrum", "explicit:1,0.5,0.4999999999999", "--out", str(out))
+        assert got == code
+        if code == 2:
+            assert "strictly decreasing" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_leading_eigenvalue_warned_once(self, tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("deflate", "--d", "3", "--K", "2", "--t", "50",
+                           "--spectrum", "explicit:2,1,0.5", "--out", str(tmp_path))
+        assert code == 0
+        assert [str(w.message) for w in caught] == [
+            "leading eigenvalue is not 1; proceeding without rescaling"
+        ]
+
+
+class TestUsageErrors:
+    # argparse's own exit code 2 is reserved for precondition aborts
+    @pytest.mark.parametrize("argv", [("deflate", "--bogus"), ()])
+    def test_usage_error_exits_one(self, capsys, argv):
+        assert main(list(argv)) == 1
+        assert "usage: deflatrix" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage: deflatrix" in capsys.readouterr().out
 
 
 class TestClusterCommand:
@@ -475,8 +529,18 @@ class TestSelftestCommand:
         }
         assert got == SELFTEST_TALLIES[0]
 
-    def test_mutation_canary_detected(self, capsys):
-        code = run_cli("selftest", "--seed", "0", "--debug-eq8-constant", "4")
+    def test_mutation_canary_detected(self, capsys, monkeypatch):
+        # a leading constant of 4 in place of 5 in the agnostic bound must
+        # surface as violations
+        real = deflatrix.bounds._bound_pass
+
+        def misscaled(inputs, gaps):
+            p = real(inputs, gaps)
+            agnostic = [None if b is None else 0.8 * b for b in p.agnostic]
+            return dataclasses.replace(p, agnostic=agnostic)
+
+        monkeypatch.setattr(deflatrix.bounds, "_bound_pass", misscaled)
+        code = run_cli("selftest", "--seed", "0")
         assert code == 1
         assert "violation" in capsys.readouterr().err
 
@@ -514,7 +578,7 @@ class TestParserReuse:
             for i, argv in enumerate(self.SEQUENCE)
         ]
         assert deflatrix.cli._parser.cache_info().misses == 1
-        assert [o[0] for o in reused] == [0, 0, 2, 0]
+        assert [o[0] for o in reused] == [0, 0, 1, 0]
         assert "invalid int value: 'many'" in reused[2][2]
         assert "delta_budget" not in reused[1][3]["bounds.csv"].decode()
         assert reused == fresh

@@ -32,7 +32,7 @@ def _ref_sums(run, basis, k):
 def _ref_verdicts(corpus):
     holds = violated = 0
     for bundle in corpus:
-        run, basis = bundle.run, bundle.truth.spectrum.basis
+        run, basis = bundle.run, bundle.run.spectrum.basis
         for dg in bundle.diags:
             sums = _ref_sums(run, basis, dg.k)
             ok = True
@@ -47,7 +47,7 @@ def _ref_verdicts(corpus):
 
 def test_directional_sums_match_reference_bitwise(corpus):
     for bundle in corpus:
-        run, basis = bundle.run, bundle.truth.spectrum.basis
+        run, basis = bundle.run, bundle.run.spectrum.basis
         got = _directional_sums(run, basis)
         assert len(got) == run.K
         for k in range(1, run.K + 1):
