@@ -12,7 +12,6 @@ from .bounds import (
     eigengaps,
     eigvec_drift_bound,
     geometric_tail_bound,
-    power_iter_iteration_budget,
     sum_recurrence_closed_form,
 )
 from .clustering import (
@@ -67,7 +66,6 @@ from .linalg import (
     spectrum_eigenvalues,
 )
 from .powerit import (
-    PowerIterResult,
     pi_alignment_bound,
     pi_error_bound,
     power_iterate,

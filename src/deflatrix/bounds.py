@@ -7,38 +7,43 @@ Two bound families are evaluated side by side:
 * the *power-iteration* family, which additionally exploits the direction of
   that error (its component along later eigenvectors decays geometrically).
 
-:func:`build_bound_report` is the engine's one entry point: it evaluates
-both families, their admissibility flags and, given a target accuracy, both
-budgets for every step k = 1..K, one :class:`BoundRow` per step. A bound whose
-admissibility conditions fail reads ``None``, so callers can distinguish a
-vacuous bound from a violated one. The other functions here are pure
-formulas: the report's iteration budget, and the bounds and closed forms
+:func:`build_bound_report` is the engine's one entry point: a forward pass
+over k = 1..K evaluates both families and their admissibility flags, and a
+backward pass adds both budgets when a target accuracy is given, one
+:class:`BoundRow` per step. A bound whose admissibility conditions fail
+reads ``None``, so callers can distinguish a vacuous bound from a violated
+one. The other functions here are pure formulas, the bounds and closed forms
 that the selftest checks against measured runs. All step indices are 1-based
 to match the recurrences being evaluated. Iteration budgets evaluate
 asymptotic prescriptions with their leading constant fixed to 1; treat them
 as order-of-magnitude predictors, not thresholds.
 
-Both families are sums over earlier steps of amplified errors, so one pass
-over k = 1..K evaluates them as first-order linear recurrences in plain
-float64, where a bound too large to represent saturates to +inf instead of
-raising. With f_j = 3 + 2 lambda_j / T_j and delta_k the k-th sub-routine
-error:
+Both families are sums over earlier steps of amplified errors, so the pass
+evaluates them as first-order linear recurrences in plain float64, where a
+bound too large to represent saturates to +inf instead of raising. With
+f_j = 3 + 2 lambda_j / T_j, delta_k the k-th sub-routine error, r_k the
+contraction ratio and G_k the step growth constant:
 
 * C_1 = 0, C_{k+1} = f_k C_k + lambda_k delta_k; the agnostic condition at k
   is C_k <= min_gap / 20 and the agnostic bound is 5 C_{k+1} / lambda_k;
 * P_0 = 0, P_k = 8 P_{k-1} + lambda_k (5 delta_k + 7 c0 / T_k
   (lambda_{k+1} / lambda_k)^t); the power-iteration bound is 3 P_k / lambda_k;
-* the step floor divides by a running min of log r_k (contraction ratio r_k);
-  the tail is R_K with R_1 = 0, R_{k+1} = 8 (R_k + lambda_k r_k^-t / T_k);
-  a floor over a zero log-gap (adjacent eigenvalues whose logarithms round
-  equal) is +inf, so its condition fails instead of raising;
-* the error budget divides by the suffix product of f_{k+1}..f_K.
+* the step floor is log(2 G_k) over a running min of log r_k; the decay
+  floor is the max over j = 1..d-1 of 1 / log(lambda_j / lambda_{j+1}) (one
+  O(d) scan); the tail is R_K with R_1 = 0,
+  R_{k+1} = 8 (R_k + lambda_k r_k^-t / T_k); a floor over a zero log-gap
+  (adjacent eigenvalues that tie or whose logarithms round equal) is +inf,
+  so its condition fails instead of raising;
+* the error budget is min(epsilon lambda_K, min_gap) / (20 K) over the
+  suffix product of f_{k+1}..f_K, filled backwards with the iteration budget
+  max(max(log max_j G_j, (K - k) + log(c0 K / (epsilon min_gap))) / log r_k,
+  1 / log(lambda_k / lambda_{k+1})), whose second term is 0 at lambda_{k+1} = 0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,17 +59,16 @@ __all__ = [
     "eigengaps",
     "eigvec_drift_bound",
     "geometric_tail_bound",
-    "power_iter_iteration_budget",
     "sum_recurrence_closed_form",
 ]
 
 
 @dataclass(frozen=True)
 class SpectrumGaps:
-    """Consecutive eigengaps of a strictly decreasing positive spectrum.
+    """Consecutive eigengaps of a non-increasing positive spectrum.
 
-    ``gaps[j-1]`` is lambda_j - lambda_{j+1} for j < d and lambda_d for j = d
-    (the distance to zero closes the list).
+    ``gaps[j-1]`` is lambda_j - lambda_{j+1} for j < d (0 at a tie) and
+    lambda_d for j = d (the distance to zero closes the list).
     """
 
     lambdas: np.ndarray
@@ -108,8 +112,8 @@ def eigengaps(lambdas) -> SpectrumGaps:
     lam = np.asarray(lambdas, dtype=float)
     if lam.ndim != 1 or lam.size == 0:
         raise ValueError("expected a nonempty 1-d eigenvalue list")
-    if lam[-1] <= 0 or np.any(np.diff(lam) >= 0):
-        raise InvalidSpectrumError("eigenvalues must be strictly decreasing and positive")
+    if lam[-1] <= 0 or np.any(np.diff(lam) > 0):
+        raise InvalidSpectrumError("eigenvalues must be non-increasing and positive")
     gaps = np.empty_like(lam)
     gaps[:-1] = lam[:-1] - lam[1:]
     gaps[-1] = lam[-1]
@@ -148,7 +152,6 @@ class BoundInputs:
     t: int
     K: int
     epsilon: float | None = None
-    growth_constant: float = field(init=False)
 
     def __post_init__(self):
         lam = np.asarray(self.lambdas, dtype=float)
@@ -165,83 +168,15 @@ class BoundInputs:
             raise ValueError("t must be non-negative")
         if self.epsilon is not None:
             _check_epsilon(self.epsilon)
-        object.__setattr__(self, "growth_constant", self._growth_constant())
-
-    def _growth_constant(self) -> float:
-        return max(self.step_growth_constant(k) for k in range(1, self.K + 1))
-
-    def step_growth_constant(self, k: int) -> float:
-        """1 + c0 * lambda_k lambda_{k+1} / (lambda_k - lambda_{k+1})."""
-        lam_k = float(self.lambdas[k - 1])
-        lam_n = _lam_next(self.lambdas, k)
-        if lam_n == 0.0:
-            return 1.0
-        return 1.0 + self.init_constant * lam_k * lam_n / (lam_k - lam_n)
 
 
-@dataclass(frozen=True)
-class _BoundPass:
-    """Per-step results of one pass over k = 1..K, indexed by k-1."""
-
-    cond_agnostic: list[bool]
-    agnostic: list[float | None]
-    cond_step_floor: list[bool]
-    cond_tail: bool
-    power_iter: list[float | None]
-    suffix_factors: list[float]  # prod over j in [k+1, K] of f_j
-
-
-def _bound_pass(inputs: BoundInputs, gaps: SpectrumGaps) -> _BoundPass:
-    """Run the recurrences of both families once, in float64 (see module
-    docstring); an overflowing product saturates to +inf."""
-    lam = inputs.lambdas
-    K, t, c0 = inputs.K, inputs.t, float(inputs.init_constant)
-    min_gap = gaps.min_gap(K)
-    decay_floor = 0.0
-    for j in range(1, lam.size):
-        decay_floor = max(
-            decay_floor, _over_log_gap(1.0, math.log(lam[j - 1]) - math.log(lam[j]))
-        )
-    global_floor_ok = t >= decay_floor
-    factors = [3.0 + 2.0 * float(lam[j - 1]) / gaps.gap(j) for j in range(1, K + 1)]
-
-    cond_agnostic, agnostic, cond_step, power_iter = [], [], [], []
-    c = p = tail = 0.0
-    admissible = True
-    min_log_ratio = math.inf  # over steps before k; makes the floor 0 at k = 1
-    for k in range(1, K + 1):
-        lam_k = float(lam[k - 1])
-        err = float(inputs.sub_error_norms[k - 1])
-        ok = c <= min_gap / 20.0
-        admissible = admissible and ok
-        c = factors[k - 1] * c + lam_k * err
-        cond_agnostic.append(ok)
-        agnostic.append(5.0 * c / lam_k if admissible else None)
-
-        floor = _over_log_gap(math.log(2.0 * inputs.step_growth_constant(k)), min_log_ratio)
-        cond_step.append(bool(t >= floor) and global_floor_ok)
-        leak = 7.0 * c0 / gaps.gap(k) * (_lam_next(lam, k) / lam_k) ** t
-        p = 8.0 * p + lam_k * (5.0 * err + leak)
-        power_iter.append(3.0 * p / lam_k)
-        if k < K:
-            ratio = _contraction_ratio(lam, k)
-            tail = 8.0 * (tail + lam_k / gaps.gap(k) * (1.0 / ratio) ** t)
-            min_log_ratio = min(min_log_ratio, math.log(ratio))
-
-    tail_ok = bool(tail <= min_gap / (140.0 * c0))
-    if not (tail_ok and all(cond_step)):
-        power_iter = [None] * K
-    suffix = [1.0] * K
-    for k in range(K - 1, 0, -1):
-        suffix[k - 1] = factors[k] * suffix[k]
-    return _BoundPass(cond_agnostic, agnostic, cond_step, tail_ok, power_iter, suffix)
-
-
-def _budget_head(inputs: BoundInputs, gaps: SpectrumGaps) -> float:
-    """Per-step error budget before the suffix product: the smaller of the
-    target accuracy at step K and the smallest gap, shared over K steps."""
-    K = inputs.K
-    return min(inputs.epsilon * float(inputs.lambdas[K - 1]), gaps.min_gap(K)) / (20.0 * K)
+def _step_growth(inputs: BoundInputs, k: int) -> float:
+    """Step growth constant G_k = 1 + c0 lambda_k lambda_{k+1} / (lambda_k - lambda_{k+1})."""
+    lam_k = float(inputs.lambdas[k - 1])
+    lam_n = _lam_next(inputs.lambdas, k)
+    if lam_n == 0.0:
+        return 1.0
+    return 1.0 + inputs.init_constant * lam_k * lam_n / (lam_k - lam_n)
 
 
 def _contraction_ratio(lam: np.ndarray, k: int) -> float:
@@ -250,25 +185,6 @@ def _contraction_ratio(lam: np.ndarray, k: int) -> float:
     lam_k = float(lam[k - 1])
     lam_n = _lam_next(lam, k)
     return (7.0 * lam_k + lam_n) / (7.0 * lam_n + lam_k)
-
-
-def power_iter_iteration_budget(inputs: BoundInputs, gaps: SpectrumGaps, k: int) -> float:
-    """Step count sufficient for the power-iteration family at step k;
-    leading constant fixed to 1, both admissibility floors folded in."""
-    if inputs.epsilon is None:
-        raise ValueError("a target accuracy is required")
-    lam = inputs.lambdas
-    K = inputs.K
-    c0 = inputs.init_constant
-    numerator = max(
-        math.log(inputs.growth_constant) if inputs.growth_constant > 1 else 0.0,
-        (K - k) + math.log(c0 * K / (inputs.epsilon * gaps.min_gap(K))),
-    )
-    main = _over_log_gap(numerator, math.log(_contraction_ratio(lam, k)))
-    lam_k = float(lam[k - 1])
-    lam_n = _lam_next(lam, k)
-    decay = 0.0 if lam_n == 0.0 else _over_log_gap(1.0, math.log(lam_k) - math.log(lam_n))
-    return max(main, decay)
 
 
 def directional_gap_bound(
@@ -285,7 +201,7 @@ def directional_gap_bound(
     lam_j = float(inputs.lambdas[j - 1])
     if lambda_k <= lam_j:
         raise InvalidSpectrumError("need the running top eigenvalue above lambda_j")
-    g_k = inputs.step_growth_constant(k)
+    g_k = _step_growth(inputs, k)
     decay = (lam_j / float(lambda_k)) ** (inputs.t - 1)
     total = 0.0  # sum over k' < k of g_k**(k-k'-1) * decay, saturating to +inf
     for _ in range(1, k):
@@ -435,29 +351,90 @@ class BoundRow:
 def build_bound_report(
     inputs: BoundInputs, gaps: SpectrumGaps, empirical_errors
 ) -> list[BoundRow]:
-    """Evaluate both bound families against measured per-step errors."""
+    """Evaluate both bound families, and given a target accuracy both
+    budgets, against measured per-step errors: a forward pass over k = 1..K
+    runs the recurrences in float64 (see module docstring), where an
+    overflowing product saturates to +inf, and a backward pass fills the
+    budgets and builds the rows.
+
+    Raises :class:`InvalidSpectrumError` unless lambda_1..lambda_{K+1}
+    decrease strictly (a tie past K+1 only makes the decay floor +inf).
+    """
     empirical = np.asarray(empirical_errors, dtype=float)
-    if empirical.size < inputs.K:
+    K, t, c0 = inputs.K, inputs.t, float(inputs.init_constant)
+    if empirical.size < K:
         raise ValueError("need an empirical error for every step up to K")
-    run = _bound_pass(inputs, gaps)
-    head = None if inputs.epsilon is None else _budget_head(inputs, gaps)
+    min_gap = gaps.min_gap(K)
+    if min_gap <= 0.0:
+        raise InvalidSpectrumError("lambda_1..lambda_{K+1} must be strictly decreasing")
+    lam = inputs.lambdas
+    # step_decay[j-1] = 1 / log(lambda_j / lambda_{j+1}); the decay floor is its max
+    step_decay = [
+        _over_log_gap(1.0, math.log(lam[j - 1]) - math.log(lam[j])) for j in range(1, lam.size)
+    ]
+    global_floor_ok = t >= max(step_decay, default=0.0)
+    factors = [3.0 + 2.0 * float(lam[j - 1]) / gaps.gap(j) for j in range(1, K + 1)]
+
+    cond_agnostic, agnostic, cond_step, power_iter = [], [], [], []
+    growth, log_ratios = [], []
+    c = p = tail = 0.0
+    admissible = True
+    min_log_ratio = math.inf  # over steps before k; makes the floor 0 at k = 1
+    for k in range(1, K + 1):
+        lam_k = float(lam[k - 1])
+        err = float(inputs.sub_error_norms[k - 1])
+        ok = c <= min_gap / 20.0
+        admissible = admissible and ok
+        c = factors[k - 1] * c + lam_k * err
+        cond_agnostic.append(ok)
+        agnostic.append(5.0 * c / lam_k if admissible else None)
+
+        g_k = _step_growth(inputs, k)
+        ratio = _contraction_ratio(lam, k)
+        growth.append(g_k)
+        log_ratios.append(math.log(ratio))
+        floor = _over_log_gap(math.log(2.0 * g_k), min_log_ratio)
+        cond_step.append(bool(t >= floor) and global_floor_ok)
+        leak = 7.0 * c0 / gaps.gap(k) * (_lam_next(lam, k) / lam_k) ** t
+        p = 8.0 * p + lam_k * (5.0 * err + leak)
+        power_iter.append(3.0 * p / lam_k)
+        if k < K:
+            tail = 8.0 * (tail + lam_k / gaps.gap(k) * (1.0 / ratio) ** t)
+            min_log_ratio = min(min_log_ratio, log_ratios[-1])
+
+    tail_ok = bool(tail <= min_gap / (140.0 * c0))
+    if not (tail_ok and all(cond_step)):
+        power_iter = [None] * K
+    epsilon = inputs.epsilon
+    if epsilon is not None:
+        # the error budget shares the smaller of the target accuracy at step
+        # K and the smallest gap over K steps, then divides by f_{k+1}..f_K;
+        # the iteration budget has its leading constant fixed to 1
+        head = min(epsilon * float(lam[K - 1]), min_gap) / (20.0 * K)
+        suffix = 1.0
+        g_max = max(growth)
+        log_growth = math.log(g_max) if g_max > 1 else 0.0
+        log_target = math.log(inputs.init_constant * K / (epsilon * min_gap))
+    budget = it_budget = None
     rows = []
-    for k in range(1, inputs.K + 1):
-        budget = it_budget = None
-        if head is not None:
-            budget = head / run.suffix_factors[k - 1]
-            it_budget = power_iter_iteration_budget(inputs, gaps, k)
+    for k in range(K, 0, -1):
+        if epsilon is not None:
+            budget = head / suffix
+            suffix = factors[k - 1] * suffix
+            main = _over_log_gap(max(log_growth, (K - k) + log_target), log_ratios[k - 1])
+            it_budget = max(main, step_decay[k - 1] if k < lam.size else 0.0)
         rows.append(
             BoundRow(
                 k=k,
-                agnostic=run.agnostic[k - 1],
-                power_iter=run.power_iter[k - 1],
+                agnostic=agnostic[k - 1],
+                power_iter=power_iter[k - 1],
                 empirical=float(empirical[k - 1]),
-                condition_agnostic=run.cond_agnostic[k - 1],
-                condition_step_floor=run.cond_step_floor[k - 1],
-                condition_tail=run.cond_tail,
+                condition_agnostic=cond_agnostic[k - 1],
+                condition_step_floor=cond_step[k - 1],
+                condition_tail=tail_ok,
                 error_budget=budget,
                 iteration_budget=it_budget,
             )
         )
+    rows.reverse()
     return rows

@@ -114,9 +114,11 @@ class DeflationRun:
       fixed against the ideal eigenvector (diagnostic; the algorithm itself
       never consults the oracle).
     * ``sub_errors[:, k-1]`` - v_k - u_k.
-    * ``top_eigenvalues[k-1]`` - top eigenvalue of sigma_k (oracle value
-      when available, otherwise the Rayleigh quotient of v_k).
+    * ``top_eigenvalues[k-1]`` - oracle top eigenvalue of sigma_k.
     * ``init_alignments[k-1]`` - |x_{0,k} . u_k|.
+
+    The oracle fields (``exact_tops`` to ``init_alignments``) are ``None``
+    for a run without the oracle.
     """
 
     d: int
@@ -126,7 +128,7 @@ class DeflationRun:
     sigma: SymMatrix
     spectrum: Spectrum | None
     components: np.ndarray
-    top_eigenvalues: np.ndarray
+    top_eigenvalues: np.ndarray | None
     exact_tops: np.ndarray | None
     sub_errors: np.ndarray | None
     init_alignments: np.ndarray | None
@@ -194,7 +196,7 @@ def run_inexact_deflation(
         _check_spectrum(spectrum, d, K)
 
     components = np.empty((d, K))
-    lambdas = np.empty(K)
+    lambdas = np.empty(K) if oracle else None
     exact_tops = np.empty((d, K)) if oracle else None
     sub_errors = np.empty((d, K)) if oracle else None
     alignments = np.empty(K) if oracle else None
@@ -202,8 +204,7 @@ def run_inexact_deflation(
     current = sigma
     for k in range(1, K + 1):
         x0 = sample_unit_sphere(d, rng.substream(k))
-        result = power_iterate(current, x0, t)
-        v = result.x_t
+        v = power_iterate(current, x0, t)
         if oracle:
             u, lam = aligned_top_eigenvector(current, spectrum.eigenvector(k - 1))
             if float(v @ u) < 0:
@@ -212,8 +213,6 @@ def run_inexact_deflation(
             sub_errors[:, k - 1] = v - u
             alignments[k - 1] = abs(float(x0 @ u))
             lambdas[k - 1] = lam
-        else:
-            lambdas[k - 1] = result.rayleigh
         components[:, k - 1] = v
         current = deflate_step(current, v)
 

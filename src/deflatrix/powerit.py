@@ -9,7 +9,6 @@ pure formula evaluations; property tests compare them against measured runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +16,6 @@ from .errors import DegenerateIterateError, DimensionMismatchError, InvalidSpect
 from .linalg import SymMatrix
 
 __all__ = [
-    "PowerIterResult",
     "pi_alignment_bound",
     "pi_error_bound",
     "power_iterate",
@@ -26,17 +24,9 @@ __all__ = [
 _UNIT_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class PowerIterResult:
-    """Outcome of a fixed-step power iteration: the final iterate and its
-    Rayleigh quotient."""
-
-    x_t: np.ndarray
-    rayleigh: float
-
-
-def power_iterate(m: SymMatrix, x0: np.ndarray, t: int) -> PowerIterResult:
-    """Run exactly ``t`` multiply-and-normalize steps from unit vector ``x0``."""
+def power_iterate(m: SymMatrix, x0: np.ndarray, t: int) -> np.ndarray:
+    """Run exactly ``t`` multiply-and-normalize steps from unit vector ``x0``
+    and return the final iterate x_t."""
     x0 = np.ascontiguousarray(x0, dtype=float)
     if x0.shape != (m.dim,):
         raise DimensionMismatchError(f"start vector shape {x0.shape} incompatible with dim {m.dim}")
@@ -48,7 +38,7 @@ def power_iterate(m: SymMatrix, x0: np.ndarray, t: int) -> PowerIterResult:
     x = x0
     # Step i writes its product into buffer i % 2 and normalizes it there,
     # so a step never writes the iterate it reads, the loop only reads x0,
-    # and the buffer returned as x_t belongs to this call alone.
+    # and for t >= 1 the buffer returned belongs to this call alone.
     # `a.dot(x, y)` releases the GIL around the BLAS call, like np.dot; the
     # 2-D x 1-D `a @ x` does not.
     buffers = (np.empty(m.dim), np.empty(m.dim))
@@ -63,9 +53,7 @@ def power_iterate(m: SymMatrix, x0: np.ndarray, t: int) -> PowerIterResult:
             raise DegenerateIterateError("iterate vanished: start vector lies in the kernel")
         divide(y, n, out=y)
         x = y
-    # np.dot releases the GIL around the BLAS call; `a @ x` does not
-    rayleigh = float(x @ np.dot(a, x))
-    return PowerIterResult(x_t=x, rayleigh=rayleigh)
+    return x
 
 
 def pi_error_bound(sigma1: float, sigma2: float, t: int) -> float:

@@ -266,7 +266,7 @@ def perturbed_alignment_trials(n: int, rng: RandomSource, d: int = 12, t: int = 
             continue
         c0 = 1.0 / alignment
         sigma1 = float(spec_m.eigenvalues[0])
-        x_t = power_iterate(m, x0, t).x_t
+        x_t = power_iterate(m, x0, t)
         ok = True
         for j in range(2, d + 1):
             sigma_j = float(spectrum.eigenvalues[j - 1])
@@ -323,7 +323,7 @@ def iterate_convergence_trials(
             tally.record(Verdict.SKIPPED)
             continue
         for t in t_values:
-            x_t = power_iterate(sigma, x0, t).x_t
+            x_t = power_iterate(sigma, x0, t)
             # direct difference norms: the 2 - 2|dot| form loses half the
             # digits to cancellation once the iterate has converged
             dist = min(

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from deflatrix.bounds import (
     BoundInputs,
+    _step_growth,
     affine_recurrence_closed_form,
     build_bound_report,
     directional_gap_bound,
     eigengaps,
     eigvec_drift_bound,
     geometric_tail_bound,
-    power_iter_iteration_budget,
     sum_recurrence_closed_form,
 )
 from deflatrix.errors import InvalidSpectrumError
@@ -79,6 +79,13 @@ def _ref_contraction_ratio(lam, k):
     return (7.0 * lam_k + lam_n) / (7.0 * lam_n + lam_k)
 
 
+def _ref_step_growth(inputs, k):
+    lam_k, lam_n = float(inputs.lambdas[k - 1]), _ref_lam_next(inputs.lambdas, k)
+    if lam_n == 0.0:
+        return 1.0
+    return 1.0 + inputs.init_constant * lam_k * lam_n / (lam_k - lam_n)
+
+
 def _ref_power_iter_conditions(inputs, gaps):
     lam, K, t = inputs.lambdas, inputs.K, inputs.t
     decay_floor = 0.0
@@ -86,7 +93,7 @@ def _ref_power_iter_conditions(inputs, gaps):
         decay_floor = max(decay_floor, 1.0 / (math.log(lam[j - 1]) - math.log(lam[j])))
     per_step = []
     for k in range(1, K + 1):
-        g_k = inputs.step_growth_constant(k)
+        g_k = _ref_step_growth(inputs, k)
         floor = 0.0
         for kp in range(1, k):
             floor = max(floor, math.log(2.0 * g_k) / math.log(_ref_contraction_ratio(lam, kp)))
@@ -121,6 +128,22 @@ def _ref_error_budget(epsilon, inputs, gaps, k):
     K = inputs.K
     head = min(epsilon * float(inputs.lambdas[K - 1]), gaps.min_gap(K)) / (20.0 * K)
     return head / _ref_accumulation(inputs, gaps, k + 1, K)
+
+
+def _ref_iteration_budget(inputs, gaps, k):
+    lam, K, c0 = inputs.lambdas, inputs.K, inputs.init_constant
+    growth = max(_ref_step_growth(inputs, kp) for kp in range(1, K + 1))
+    numerator = max(
+        math.log(growth) if growth > 1 else 0.0,
+        (K - k) + math.log(c0 * K / (inputs.epsilon * gaps.min_gap(K))),
+    )
+    log_ratio = math.log(_ref_contraction_ratio(lam, k))
+    main = math.inf if log_ratio == 0.0 else numerator / log_ratio
+    lam_k, lam_n = float(lam[k - 1]), _ref_lam_next(lam, k)
+    if lam_n == 0.0:
+        return max(main, 0.0)
+    log_gap = math.log(lam_k) - math.log(lam_n)
+    return max(main, math.inf if log_gap == 0.0 else 1.0 / log_gap)
 
 
 # Reference closed forms: every product built from 1.0 in ascending order for
@@ -213,10 +236,27 @@ class TestEigengaps:
         assert eigengaps([0.7]).davis_kahan_gap(1) == pytest.approx(0.7)
 
     def test_rejects_ties_and_nonpositive(self):
-        with pytest.raises(InvalidSpectrumError):
-            eigengaps([1.0, 0.5, 0.5])
-        with pytest.raises(InvalidSpectrumError):
-            eigengaps([1.0, 0.0])
+        # eigengaps reads a tie as a zero gap; the report rejects a tie among
+        # lambda_1..lambda_{K+1} (here lambda_4 = lambda_5 at K = 4)
+        lam = [1.0, 0.5, 0.25, 0.125, 0.125]
+        with pytest.raises(InvalidSpectrumError, match="strictly decreasing"):
+            report(proto_inputs(lam, np.zeros(5), t=200, K=4))
+        for bad in ([1.0, 0.5, 0.6], [1.0, 0.0], [1.0, -0.5]):
+            with pytest.raises(InvalidSpectrumError):
+                eigengaps(bad)
+
+    def test_tie_past_k_plus_one_fails_decay_floor(self):
+        # a tie is a zero gap; past lambda_{K+1} it only makes the decay floor
+        # infinite, so every step floor fails and the power-iteration bound is
+        # inadmissible
+        np.testing.assert_array_equal(eigengaps([1.0, 0.5, 0.5]).gaps, [0.5, 0.0, 0.5])
+        lam = [1.0, 0.5, 0.25, 0.125, 0.125]
+        rows = report(proto_inputs(lam, np.zeros(5), t=10**6, K=3, epsilon=1e-2))
+        assert [row.k for row in rows] == [1, 2, 3]
+        assert not any(row.condition_step_floor for row in rows)
+        assert all(row.power_iter is None for row in rows)
+        assert all(row.agnostic is not None for row in rows)
+        assert all(math.isfinite(row.iteration_budget) for row in rows)
 
 
 class TestAgnosticFamily:
@@ -288,7 +328,7 @@ class TestPowerIterFamily:
             lam = 1.0 / np.arange(1, 30)
             inputs = proto_inputs(lam, np.zeros(29), c0=c0, K=20)
             # power-law reciprocal differences are >= 1, so growth <= c0 + 1
-            assert inputs.growth_constant <= c0 + 1.0 + 1e-12
+            assert max(_step_growth(inputs, k) for k in range(1, 21)) <= c0 + 1.0 + 1e-12
 
     def test_tail_condition_passes_for_large_t(self):
         lam = np.array([1.0, 0.5, 0.25])
@@ -365,13 +405,13 @@ class TestPowerIterFamily:
         previous = None
         for eps in (1e-1, 1e-2, 1e-3):
             inputs = proto_inputs(lam, np.zeros(20), c0=2.0, K=10, epsilon=eps)
-            budget = power_iter_iteration_budget(inputs, gaps, 4)
+            budget = report(inputs)[3].iteration_budget
             if previous is not None:
                 assert budget >= previous
             previous = budget
         inputs = proto_inputs(lam, np.zeros(20), c0=2.0, K=10, epsilon=1e-2)
-        got = power_iter_iteration_budget(inputs, gaps, 4)
-        g = inputs.growth_constant
+        got = report(inputs)[3].iteration_budget
+        g = max(1.0 + 2.0 * lam[k - 1] * lam[k] / (lam[k - 1] - lam[k]) for k in range(1, 11))
         num = max(math.log(g), (10 - 4) + math.log(2.0 * 10 / (1e-2 * gaps.min_gap(10))))
         den = math.log((7 * lam[3] + lam[4]) / (7 * lam[4] + lam[3]))
         expected = max(num / den, 1.0 / (math.log(lam[3]) - math.log(lam[4])))
@@ -384,7 +424,7 @@ class TestPowerIterFamily:
         for K in (10, 20, 30):
             inputs = proto_inputs(lam, np.zeros(40), c0=1.0, K=K, epsilon=1e-2)
             k = 2
-            got = power_iter_iteration_budget(inputs, gaps, k)
+            got = report(inputs)[k - 1].iteration_budget
             den = math.log((7 * lam[k - 1] + lam[k]) / (7 * lam[k] + lam[k - 1]))
             scale = ((K - k) + math.log(K / (1e-2 * gaps.min_gap(K)))) / den
             assert 0.5 * scale <= got <= 2.0 * scale
@@ -410,7 +450,7 @@ class TestDirectionalGapBound:
         K = 400
         lam = 1.0 / np.arange(1, K + 1)
         inputs = proto_inputs(lam, np.zeros(K), c0=100.0, t=200, K=K)
-        assert inputs.step_growth_constant(300) == pytest.approx(101.0)
+        assert _step_growth(inputs, 300) == pytest.approx(101.0)
         assert directional_gap_bound(inputs, 300, 300, 1.01 * lam[299]) == math.inf
 
     def test_rejects_inverted_spectrum(self):
@@ -516,12 +556,6 @@ class TestBoundInputs:
         with pytest.raises(ValueError, match="epsilon"):
             proto_inputs([1.0, 0.5], [0.0, 0.0], epsilon=epsilon)
 
-    def test_growth_constant_is_max_over_steps(self):
-        lam = np.array([1.0, 0.5, 0.25])
-        inputs = proto_inputs(lam, np.zeros(3), c0=2.0, K=2)
-        per_step = [inputs.step_growth_constant(k) for k in (1, 2)]
-        assert inputs.growth_constant == max(per_step)
-
 
 class TestBoundReport:
     def test_report_shape_and_slacks(self):
@@ -574,3 +608,4 @@ class TestBoundReport:
             _assert_matches(row.power_iter, want)
             want = _ref_error_budget(inputs.epsilon, inputs, gaps, k)
             _assert_matches(row.error_budget, want)
+            _assert_matches(row.iteration_budget, _ref_iteration_budget(inputs, gaps, k))

@@ -5,7 +5,7 @@ import pytest
 
 from deflatrix.clustering import build_rnn_graph, normalized_laplacian, synthetic_blobs
 from deflatrix.deflate import aligned_top_eigenvector, deflate_step, run_inexact_deflation
-from deflatrix.diagnostics import _ideal_matrix
+from deflatrix.diagnostics import _ideal_matrix, bound_report, diagnose_run
 from deflatrix.errors import DegenerateGapError, DimensionMismatchError, InvalidSpectrumError
 from deflatrix.linalg import (
     ExplicitSpectrum,
@@ -128,7 +128,7 @@ class TestTrustedUpdate:
         target = SymMatrix(2.0 * np.eye(lap.dim) - lap.array)
         current = target
         for k in range(1, 4):
-            v = power_iterate(current, sample_unit_sphere(lap.dim, RandomSource(k)), 20).x_t
+            v = power_iterate(current, sample_unit_sphere(lap.dim, RandomSource(k)), 20)
             current = assert_same_update(current, v)
 
 
@@ -312,6 +312,7 @@ class TestRunInexactDeflation:
         run = run_inexact_deflation(sigma, 3, 60, RandomSource(4))
         assert run.spectrum is None
         assert run.exact_tops is None and run.sub_errors is None
+        assert run.top_eigenvalues is None
         mats = replay(run)
         for k in range(1, 4):
             oracle = jacobi_eigendecomposition(mats[k - 1])
@@ -334,6 +335,17 @@ class TestSpectrumPrecondition:
         assert run.spectrum is spec
         for k in range(1, 4):
             assert np.linalg.norm(run.component(k) - spec.eigenvector(k - 1)) <= 1e-8
+
+    def test_tie_past_k_plus_one_reports_bounds(self):
+        # the run, its diagnostics and its bound report all accept the tie;
+        # its infinite decay floor only makes the power-iteration bound
+        # inadmissible
+        sigma, spec = self.tail_tied()
+        run = run_inexact_deflation(sigma, 3, 200, RandomSource(1), spectrum=spec)
+        assert len(diagnose_run(run)) == 3
+        rows = bound_report(run, epsilon=1e-2)
+        assert [row.k for row in rows] == [1, 2, 3]
+        assert all(row.power_iter is None and row.agnostic is not None for row in rows)
 
     @pytest.mark.parametrize("K", [4, 5])
     def test_tie_within_k_plus_one_rejected(self, K):

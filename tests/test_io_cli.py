@@ -13,6 +13,7 @@ import pytest
 import deflatrix.bounds
 import deflatrix.cli
 import deflatrix.clustering
+import deflatrix.diagnostics
 import deflatrix.selftest
 from deflatrix import io as dio
 from deflatrix.cli import main, parse_spectrum
@@ -256,6 +257,25 @@ class TestDeflateCommand:
         assert code == 0
         header = (tmp_path / "bounds.csv").read_text().splitlines()[1]
         assert header.endswith(",delta_budget,t_budget")
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("--d", "40", "--K", "20", "--t", "800",
+              "--spectrum", "exponential:0.7", "--epsilon", "1e-2"),
+             "4267147014c433f76f94cee56bea4ca56c6b14c5f9f393f82cb0d96d3deff5ed"),
+            # K = d: the last step reads lambda_{K+1} = 0
+            (("--d", "60", "--K", "60", "--t", "20000",
+              "--spectrum", "power-law:2", "--epsilon", "1e-6"),
+             "91f1fdb0934e5857c33a43db2f7e4b311949940ffd8bddddef4fb6dce6d692ed"),
+        ],
+    )
+    def test_budget_columns_are_pinned(self, tmp_path, argv, digest):
+        # SHA-256 of bounds.csv, the delta_budget and t_budget columns included,
+        # the same under one BLAS thread and the default thread count
+        assert run_cli("bounds", *argv, "--out", str(tmp_path)) == 0
+        got = hashlib.sha256((tmp_path / "bounds.csv").read_bytes()).hexdigest()
+        assert got == digest, f"numpy {np.__version__}"
 
     def test_small_t_marks_gated_bounds(self, tmp_path):
         code = run_cli(
@@ -532,14 +552,18 @@ class TestSelftestCommand:
     def test_mutation_canary_detected(self, capsys, monkeypatch):
         # a leading constant of 4 in place of 5 in the agnostic bound must
         # surface as violations
-        real = deflatrix.bounds._bound_pass
+        real = deflatrix.bounds.build_bound_report
 
-        def misscaled(inputs, gaps):
-            p = real(inputs, gaps)
-            agnostic = [None if b is None else 0.8 * b for b in p.agnostic]
-            return dataclasses.replace(p, agnostic=agnostic)
+        def misscaled(inputs, gaps, empirical_errors):
+            return [
+                dataclasses.replace(
+                    row, agnostic=None if row.agnostic is None else 0.8 * row.agnostic
+                )
+                for row in real(inputs, gaps, empirical_errors)
+            ]
 
-        monkeypatch.setattr(deflatrix.bounds, "_bound_pass", misscaled)
+        for module in (deflatrix.diagnostics, deflatrix.selftest):
+            monkeypatch.setattr(module, "build_bound_report", misscaled)
         code = run_cli("selftest", "--seed", "0")
         assert code == 1
         assert "violation" in capsys.readouterr().err

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from deflatrix.deflate import run_inexact_deflation
 from deflatrix.errors import (
@@ -25,22 +23,22 @@ class TestPowerIterate:
     def test_zero_steps_returns_start(self):
         x0 = np.ones(2) / np.sqrt(2.0)
         res = power_iterate(SymMatrix(np.diag([2.0, 1.0])), x0, 0)
-        assert np.array_equal(res.x_t, x0)
+        assert np.array_equal(res, x0)
 
     def test_two_steps_hand_value(self):
         x0 = np.ones(2) / np.sqrt(2.0)
         res = power_iterate(SymMatrix(np.diag([2.0, 1.0])), x0, 2)
-        np.testing.assert_allclose(res.x_t, np.array([4.0, 1.0]) / np.sqrt(17.0), atol=1e-15)
+        np.testing.assert_allclose(res, np.array([4.0, 1.0]) / np.sqrt(17.0), atol=1e-15)
 
     def test_geometric_convergence(self):
         x0 = np.ones(2) / np.sqrt(2.0)
         res = power_iterate(SymMatrix(np.diag([2.0, 1.0])), x0, 60)
-        assert abs(res.x_t @ np.array([1.0, 0.0])) >= 1.0 - 1e-12
+        assert abs(res @ np.array([1.0, 0.0])) >= 1.0 - 1e-12
 
     def test_unit_output(self):
         m = SymMatrix((lambda g: (g + g.T) / 2)(RandomSource(1).normal(8, 8)))
         res = power_iterate(m, sample_unit_sphere(8, RandomSource(2)), 13)
-        assert abs(np.linalg.norm(res.x_t) - 1.0) <= 1e-14
+        assert abs(np.linalg.norm(res) - 1.0) <= 1e-14
 
     def test_kernel_start_fails(self):
         m = SymMatrix(np.diag([1.0, 0.0]))
@@ -55,23 +53,6 @@ class TestPowerIterate:
         with pytest.raises(ValueError):
             power_iterate(SymMatrix(np.eye(2)), np.array([1.0, 0.0]), -1)
 
-    @given(st.integers(0, 10_000), st.integers(0, 30))
-    @settings(max_examples=25, deadline=None)
-    def test_rayleigh_within_spectrum(self, seed, t):
-        g = RandomSource(seed).normal(6, 6)
-        m = SymMatrix((g + g.T) / 2.0)
-        x0 = sample_unit_sphere(6, RandomSource(seed + 1))
-        res = power_iterate(m, x0, t)
-        w = np.linalg.eigvalsh(m.array)
-        assert w[0] - 1e-10 <= res.rayleigh <= w[-1] + 1e-10
-
-    def test_rayleigh_monotone_for_psd(self):
-        basis = random_orthogonal_basis(8, RandomSource(4))
-        sigma, _ = build_test_sigma(8, PowerLawSpectrum(1.0), basis)
-        x0 = sample_unit_sphere(8, RandomSource(5))
-        values = [power_iterate(sigma, x0, t).rayleigh for t in range(12)]
-        assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
-
 
 def _reference_power_iterate(a, x0, t):
     # the loop as first written, with `@` products, np.linalg.norm and an
@@ -81,7 +62,7 @@ def _reference_power_iterate(a, x0, t):
         y = a @ x
         n = float(np.linalg.norm(y))
         x = y / n
-    return x, float(x @ (a @ x))
+    return x
 
 
 class TestPowerIterateMatchesReference:
@@ -89,9 +70,7 @@ class TestPowerIterateMatchesReference:
     def assert_matches_reference(m, x0, t):
         before = x0.copy()
         res = power_iterate(m, x0, t)
-        x_ref, rayleigh_ref = _reference_power_iterate(m.array, x0, t)
-        assert np.array_equal(res.x_t, x_ref)
-        assert res.rayleigh == rayleigh_ref
+        assert np.array_equal(res, _reference_power_iterate(m.array, x0, t))
         assert np.array_equal(x0, before)
 
     @pytest.mark.parametrize("d", [1, 2, 7, 32, 100, 500])
@@ -126,15 +105,15 @@ class TestIterateOwnership:
         g = RandomSource(11).normal(9, 9)
         x0 = sample_unit_sphere(9, RandomSource(12))
         res = power_iterate(SymMatrix((g + g.T) / 2.0), x0, t)
-        assert not np.shares_memory(res.x_t, x0)
+        assert not np.shares_memory(res, x0)
 
     @pytest.mark.parametrize("t", [1, 2, 3, 8])
     def test_consecutive_results_are_independent(self, t):
         g = RandomSource(13).normal(9, 9)
         m = SymMatrix((g + g.T) / 2.0)
-        first = power_iterate(m, sample_unit_sphere(9, RandomSource(14)), t).x_t
+        first = power_iterate(m, sample_unit_sphere(9, RandomSource(14)), t)
         kept = first.copy()
-        second = power_iterate(m, sample_unit_sphere(9, RandomSource(15)), t).x_t
+        second = power_iterate(m, sample_unit_sphere(9, RandomSource(15)), t)
         assert not np.shares_memory(first, second)
         assert np.array_equal(first, kept)
 
@@ -180,7 +159,7 @@ class TestErrorBound:
         if abs(x0 @ a1) < 1.0 / math.sqrt(2.0):
             pytest.skip("start vector missed the alignment gate")
         for t in (1, 5, 20, 100):
-            x_t = power_iterate(sigma, x0, t).x_t
+            x_t = power_iterate(sigma, x0, t)
             dist = min(np.linalg.norm(x_t - a1), np.linalg.norm(x_t + a1))
             assert dist <= pi_error_bound(1.0, 0.5, t) + 1e-10
 
@@ -210,7 +189,7 @@ class TestAlignmentBound:
         a1 = eigenvectors[:, -1]
         sigma1 = float(eigenvalues[-1])
         c0 = 1.0 / abs(float(x0 @ a1))
-        x_t = power_iterate(m, x0, t).x_t
+        x_t = power_iterate(m, x0, t)
         for j in range(2, spectrum.dim + 1):
             sigma_j = float(spectrum.eigenvalues[j - 1])
             if sigma1 <= sigma_j:
