@@ -16,7 +16,6 @@ from .bounds import (
 )
 from .clustering import (
     Dataset,
-    SimilarityGraph,
     build_rnn_graph,
     kmeans,
     mutual_information,
@@ -29,6 +28,7 @@ from .deflate import (
     DeflationRun,
     aligned_top_eigenvector,
     deflate_step,
+    reference_run,
     run_inexact_deflation,
 )
 from .diagnostics import (

@@ -22,21 +22,11 @@ from pathlib import Path
 from . import io as dio
 from .bounds import _check_epsilon
 from .clustering import run_clustering_experiment, synthetic_blobs
-from .deflate import run_inexact_deflation
+from .deflate import reference_run
 from .diagnostics import bound_report, diagnose_run
 from .errors import PreconditionError, SchemaError
-from .linalg import (
-    ExplicitSpectrum,
-    ExponentialSpectrum,
-    PowerLawSpectrum,
-    RandomSource,
-    build_test_sigma,
-    random_orthogonal_basis,
-)
+from .linalg import ExplicitSpectrum, ExponentialSpectrum, PowerLawSpectrum
 from .selftest import Tally, run_selftest
-
-_BASIS_STREAM = 0
-_RUN_STREAM = 1
 
 
 def parse_spectrum(text: str):
@@ -108,18 +98,19 @@ def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip()]
 
 
+def _spectrum_label(args) -> str:
+    return args.spectrum if args.spectrum is not None else "power-law:1"
+
+
 def _run_from_args(args):
     d = args.d if args.d is not None else 100
     K = args.k if args.k is not None else d
     t = args.t if args.t is not None else 200
     seed = args.seed if args.seed is not None else 0
-    kind = parse_spectrum(args.spectrum if args.spectrum is not None else "power-law:1")
+    kind = parse_spectrum(_spectrum_label(args))
     if not 1 <= K <= d:
         raise ValueError(f"--K must lie in [1, {d}]")
-    root = RandomSource(seed)
-    basis = random_orthogonal_basis(d, root.substream(_BASIS_STREAM))
-    sigma, spectrum = build_test_sigma(d, kind, basis)
-    return run_inexact_deflation(sigma, K, t, root.substream(_RUN_STREAM), spectrum=spectrum)
+    return reference_run(d, K, t, seed, kind)
 
 
 def _check_epsilon_flag(args) -> None:
@@ -141,11 +132,10 @@ def cmd_deflate(args) -> int:
         raise ValueError(f"--j-slice entries out of range: {bad}")
     diags = diagnose_run(run)
     report = bound_report(run, args.epsilon)
-    label = args.spectrum if args.spectrum is not None else "power-law:1"
     out = _resolve_out(args)
-    dio.write_run_dir(run, diags, out, spectrum_label=label)
+    dio.write_run_dir(run, diags, out, spectrum_label=_spectrum_label(args))
     dio.write_figure_csvs(diags, j_slice, out)
-    dio.write_bounds_csv(report, out / "bounds.csv", with_budgets=args.epsilon is not None)
+    dio.write_bounds_csv(report, out / "bounds.csv")
     print(f"wrote run, figure and bound CSVs to {out}")
     return 0
 
@@ -154,7 +144,7 @@ def cmd_bounds(args) -> int:
     _check_epsilon_flag(args)
     report = bound_report(_run_from_args(args), args.epsilon)
     out = _resolve_out(args)
-    dio.write_bounds_csv(report, out / "bounds.csv", with_budgets=args.epsilon is not None)
+    dio.write_bounds_csv(report, out / "bounds.csv")
     print(f"wrote {out / 'bounds.csv'}")
     return 0
 

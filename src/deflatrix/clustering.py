@@ -5,11 +5,12 @@ degree-normalized Laplacian, top-k eigenvector embedding extracted with the
 inexact deflation algorithm, k-means on the embedded rows, and a mutual
 information score against ground-truth labels.
 
-The embedding deliberately uses the *top* end of the Laplacian spectrum
-(``spectrum_end="top"``); a ``"bottom"`` switch embeds from the other end for
-comparison. Laplacians routinely carry (near-)repeated eigenvalues, so the
-deflation run gets no reference spectrum here: no oracle runs and no decay is
-required.
+The sweep deliberately embeds from the *top* end of the Laplacian spectrum
+(``spectrum_end="top"``); ``"bottom"`` embeds from the other end for
+comparison by deflating 2I - L instead. The matrix to deflate is built once
+per sweep and :func:`spectral_embed` takes it as given. Laplacians routinely
+carry (near-)repeated eigenvalues, so the deflation run gets no reference
+spectrum here: no oracle runs and no decay is required.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "ClusteringCell",
     "ClusteringSummary",
     "Dataset",
-    "SimilarityGraph",
     "build_rnn_graph",
     "entropy",
     "kmeans",
@@ -69,24 +69,14 @@ class Dataset:
         return self.features.shape[0]
 
 
-@dataclass(frozen=True)
-class SimilarityGraph:
-    """Symmetric RBF-weighted mutual-rNN graph with zero diagonal."""
-
-    weights: np.ndarray
-    r: int
-
-    @property
-    def n(self) -> int:
-        return self.weights.shape[0]
-
-
-def build_rnn_graph(data: Dataset, r: int) -> SimilarityGraph:
+def build_rnn_graph(data: Dataset, r: int) -> np.ndarray:
     """Connect points that appear in each other's r nearest neighbors.
 
-    Edge weight is exp(-||x_i - x_j||^2 / 2); two coincident points get
-    weight 1. Distance ties at the r-th neighbor break toward the lower
-    index, which keeps the graph a deterministic function of the data.
+    Returns the read-only (n, n) weight matrix: symmetric, zero on the
+    diagonal and zero between points that are not joined. Edge weight is
+    exp(-||x_i - x_j||^2 / 2); two coincident points get weight 1. Distance
+    ties at the r-th neighbor break toward the lower index, which keeps the
+    graph a deterministic function of the data.
     """
     n = data.n
     if not 1 <= r < n:
@@ -108,36 +98,25 @@ def build_rnn_graph(data: Dataset, r: int) -> SimilarityGraph:
     weights = np.where(adjacency, np.exp(-0.5 * np.where(adjacency, d2, 0.0)), 0.0)
     np.fill_diagonal(weights, 0.0)
     weights.setflags(write=False)
-    return SimilarityGraph(weights=weights, r=int(r))
+    return weights
 
 
-def normalized_laplacian(g: SimilarityGraph) -> SymMatrix:
+def normalized_laplacian(weights: np.ndarray) -> SymMatrix:
     """Degree-normalized Laplacian I - D^{-1/2} W D^{-1/2}; spectrum in [0, 2]."""
-    degrees = g.weights.sum(axis=1)
+    degrees = weights.sum(axis=1)
     dead = np.flatnonzero(degrees <= 0.0)
     if dead.size:
         raise IsolatedNodeError(int(dead[0]))
     inv_sqrt = 1.0 / np.sqrt(degrees)
-    lap = np.eye(g.n) - (g.weights * inv_sqrt[:, None]) * inv_sqrt[None, :]
+    lap = np.eye(weights.shape[0]) - (weights * inv_sqrt[:, None]) * inv_sqrt[None, :]
     return SymMatrix((lap + lap.T) / 2.0)
 
 
-def spectral_embed(
-    lap: SymMatrix,
-    k: int,
-    t: int,
-    rng: RandomSource,
-    *,
-    spectrum_end: str = "top",
-) -> np.ndarray:
-    """Embed each node as its row in the matrix of k deflation outputs.
-
-    ``spectrum_end="top"`` extracts eigenvectors from the top of the
-    Laplacian spectrum; ``"bottom"`` extracts from the bottom (by deflating
-    2I - L, which reverses the spectrum within its [0, 2] range).
-    """
-    target = _embedding_target(lap, spectrum_end)
-    _check_count("k", k, lap.dim)
+def spectral_embed(target: SymMatrix, k: int, t: int, rng: RandomSource) -> np.ndarray:
+    """Embed each node as its row in the matrix of k deflation outputs, the
+    approximate top eigenvectors of ``target`` (the Laplacian, or 2I - L to
+    embed from the Laplacian's bottom end)."""
+    _check_count("k", k, target.dim)
     run = run_inexact_deflation(target, k, t, rng.substream(_EMBED_STREAM))
     return run.components.copy()
 
@@ -148,31 +127,25 @@ def _check_count(name: str, value: int, n: int) -> None:
 
 
 def _embedding_target(lap: SymMatrix, spectrum_end: str) -> SymMatrix:
-    """The matrix whose top eigenvectors are ``lap``'s at ``spectrum_end``."""
-    if spectrum_end not in ("top", "bottom"):
-        raise ValueError("spectrum_end must be 'top' or 'bottom'")
+    """The matrix whose top eigenvectors are ``lap``'s at ``spectrum_end``;
+    2I - L reverses the spectrum within its [0, 2] range."""
     if spectrum_end == "bottom":
         return SymMatrix(2.0 * np.eye(lap.dim) - lap.array)
     return lap
 
 
-def kmeans(
-    points: np.ndarray,
-    k_clusters: int,
-    rng: RandomSource,
-    max_iters: int = 300,
-) -> np.ndarray:
+def kmeans(points: np.ndarray, k_clusters: int, rng: RandomSource) -> np.ndarray:
     """Lloyd's algorithm with distance-weighted seeding.
 
-    Runs until the assignment reaches a fixpoint or ``max_iters`` passes.
-    A cluster that empties is repaired by re-seeding it at the point of the
-    largest cluster farthest from that cluster's center.
+    Runs until the assignment reaches a fixpoint or 300 passes. A cluster
+    that empties is repaired by re-seeding it at the point of the largest
+    cluster farthest from that cluster's center.
     """
-    assignments, _ = _kmeans_with_history(points, k_clusters, rng, max_iters)
+    assignments, _ = _kmeans_with_history(points, k_clusters, rng)
     return assignments
 
 
-def _kmeans_with_history(points, k_clusters, rng, max_iters=300):
+def _kmeans_with_history(points, k_clusters, rng):
     x = np.asarray(points, dtype=float)
     if x.ndim != 2:
         raise DimensionMismatchError("points must be a 2-d array")
@@ -182,7 +155,7 @@ def _kmeans_with_history(points, k_clusters, rng, max_iters=300):
     centers = _seed_centers(x, k_clusters, gen)
     assignments = np.full(n, -1, dtype=np.int64)
     history: list[float] = []
-    for _ in range(max_iters):
+    for _ in range(300):
         d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_assign = d2.argmin(axis=1)
         history.append(float(d2[np.arange(n), new_assign].sum()))
@@ -332,6 +305,8 @@ def run_clustering_experiment(
         raise ValueError("need at least one seed")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
+    if spectrum_end not in ("top", "bottom"):
+        raise ValueError("spectrum_end must be 'top' or 'bottom'")
     for seed in seeds:
         RandomSource(seed)  # rejects a seed outside [0, 2**64)
     _check_count("k", k, data.n)
@@ -374,27 +349,21 @@ def run_clustering_experiment(
     return cells, summary
 
 
-def synthetic_blobs(
-    n: int = 500,
-    clusters: int = 10,
-    features: int = 4,
-    seed: int = 0,
-    center_scale: float = 2.2,
-    spread: float = 0.4,
-) -> Dataset:
-    """Deterministic Gaussian-blob fixture with contiguous labels.
+def synthetic_blobs(n: int = 500, clusters: int = 10, seed: int = 0) -> Dataset:
+    """Deterministic Gaussian-blob fixture with contiguous labels in 4
+    features.
 
-    Centers are drawn once from a scaled Gaussian; points split across
-    clusters as evenly as n allows. The default geometry keeps within-blob
-    distances O(1), which is where the unit-variance RBF weight is
-    informative.
+    Centers are drawn once from a Gaussian scaled by 2.2 and points spread
+    around them with standard deviation 0.4, split across clusters as evenly
+    as n allows. This geometry keeps within-blob distances O(1), which is
+    where the unit-variance RBF weight is informative.
     """
     if clusters < 1 or n < clusters:
         raise ValueError("need at least one point per cluster")
     gen = RandomSource(seed).generator
-    centers = gen.standard_normal((clusters, features)) * center_scale
+    centers = gen.standard_normal((clusters, 4)) * 2.2
     counts = np.full(clusters, n // clusters)
     counts[: n % clusters] += 1
     labels = np.repeat(np.arange(clusters), counts)
-    points = centers[labels] + gen.standard_normal((n, features)) * spread
+    points = centers[labels] + gen.standard_normal((n, 4)) * 0.4
     return Dataset(features=points, labels=labels)

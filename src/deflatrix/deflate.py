@@ -11,7 +11,9 @@ that spectrum, the oracle's exact top eigenpair of ``sigma_k`` and the
 sub-routine error vector. Every ``sigma_k`` can be replayed bitwise from the
 input and the outputs with :func:`deflate_step`, and every ideal matrix is a
 closed form of the spectrum, so memory stays O(d^2) however many steps are
-taken.
+taken. :func:`reference_run` is the seeded protocol behind the ``deflate`` and
+``bounds`` commands: a random basis, a test matrix of a given spectrum kind,
+and a run checked against that spectrum.
 """
 
 from __future__ import annotations
@@ -25,8 +27,11 @@ from .errors import DegenerateGapError, DimensionMismatchError, InvalidSpectrumE
 from .linalg import (
     RandomSource,
     Spectrum,
+    SpectrumKind,
     SymMatrix,
+    build_test_sigma,
     jacobi_eigendecomposition,
+    random_orthogonal_basis,
     sample_unit_sphere,
 )
 from .powerit import power_iterate
@@ -35,6 +40,7 @@ __all__ = [
     "DeflationRun",
     "aligned_top_eigenvector",
     "deflate_step",
+    "reference_run",
     "run_inexact_deflation",
 ]
 
@@ -229,3 +235,13 @@ def run_inexact_deflation(
         sub_errors=sub_errors,
         init_alignments=alignments,
     )
+
+
+def reference_run(d: int, K: int, t: int, seed: int, kind: SpectrumKind) -> DeflationRun:
+    """The reference protocol: a random basis drawn on substream 0 of
+    ``seed``, the test matrix with ``kind``'s eigenvalues in that basis, and a
+    K-step run with its spectrum on substream 1."""
+    root = RandomSource(seed)
+    basis = random_orthogonal_basis(d, root.substream(0))
+    sigma, spectrum = build_test_sigma(d, kind, basis)
+    return run_inexact_deflation(sigma, K, t, root.substream(1), spectrum=spectrum)

@@ -139,15 +139,18 @@ def write_figure_csvs(diags: list[StepDiagnostics], j_slice, out_dir) -> None:
     _write_lines(out / "fig4.csv", fig4)
 
 
-def write_bounds_csv(rows: list[BoundRow], path, *, with_budgets: bool = False) -> None:
+def write_bounds_csv(rows: list[BoundRow], path) -> None:
     """Side-by-side bound report.
 
     Columns ``thm1_*`` carry the sub-routine-agnostic family and ``thm2_*``
     the power-iteration family; ``cond7`` / ``cond12`` / ``cond13`` are their
     admissibility flags (sum condition, per-step floor, geometric tail).
+    Rows from a report with a target accuracy add the ``delta_budget`` and
+    ``t_budget`` columns.
     """
+    budgets = bool(rows) and rows[0].error_budget is not None
     header = "k,thm1_bound,thm2_bound,empirical_err,slack_thm1,slack_thm2,cond7,cond12,cond13"
-    if with_budgets:
+    if budgets:
         header += ",delta_budget,t_budget"
     lines = [_SCHEMA_LINE, header]
     for row in rows:
@@ -162,7 +165,7 @@ def write_bounds_csv(rows: list[BoundRow], path, *, with_budgets: bool = False) 
             _fmt(row.condition_step_floor),
             _fmt(row.condition_tail),
         ]
-        if with_budgets:
+        if budgets:
             cells += [_fmt(row.error_budget), _fmt(row.iteration_budget)]
         lines.append(",".join(cells))
     _write_lines(path, lines)

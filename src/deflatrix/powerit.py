@@ -37,8 +37,8 @@ def power_iterate(m: SymMatrix, x0: np.ndarray, t: int) -> np.ndarray:
     a = m.array
     x = x0
     # Step i writes its product into buffer i % 2 and normalizes it there,
-    # so a step never writes the iterate it reads, the loop only reads x0,
-    # and for t >= 1 the buffer returned belongs to this call alone.
+    # so a step never writes the iterate it reads and the loop only reads x0;
+    # the array returned belongs to this call alone, a copy of x0 at t = 0.
     # `a.dot(x, y)` releases the GIL around the BLAS call, like np.dot; the
     # 2-D x 1-D `a @ x` does not.
     buffers = (np.empty(m.dim), np.empty(m.dim))
@@ -53,7 +53,7 @@ def power_iterate(m: SymMatrix, x0: np.ndarray, t: int) -> np.ndarray:
             raise DegenerateIterateError("iterate vanished: start vector lies in the kernel")
         divide(y, n, out=y)
         x = y
-    return x
+    return x if t else x0.copy()
 
 
 def pi_error_bound(sigma1: float, sigma2: float, t: int) -> float:

@@ -5,8 +5,10 @@ suite: it generates randomized instances, runs the deflation pipeline, and
 tallies every inequality and identity the package claims, as a three-way
 count (holds / violated / skipped) per check. Checks marked skipped did not
 meet their precondition; they are never counted as passes. Each run carries
-its reference spectrum, so its diagnostics and bound report are read from
-the run alone.
+its reference spectrum, so its diagnostics, gaps and bound report are read
+from the run alone. The trial families fix their own dimensions and step
+counts; a caller sets only how many trials run and, where the selftest and
+the acceptance suite differ, their dimensions and targets.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ __all__ = [
     "agnostic_soundness_trials",
     "budget_e2e_trials",
     "build_run_corpus",
-    "figure_protocol",
     "inner_identity_trials",
     "iterate_convergence_trials",
     "make_instance",
@@ -99,21 +100,25 @@ def random_spectrum_kind(gen: np.random.Generator):
     return ExponentialSpectrum(rho=float(gen.uniform(0.5, 0.75)))
 
 
-def make_instance(d: int, rng: RandomSource, kind=None):
+def make_instance(d: int, rng: RandomSource) -> tuple[SymMatrix, Spectrum]:
     """Random test matrix with a known spectrum and basis."""
-    if kind is None:
-        kind = random_spectrum_kind(rng.generator)
+    kind = random_spectrum_kind(rng.generator)
     basis = random_orthogonal_basis(d, rng)
-    sigma, spectrum = build_test_sigma(d, kind, basis)
-    return sigma, spectrum, kind
+    return build_test_sigma(d, kind, basis)
+
+
+def _symmetric_perturbation(rng: RandomSource, d: int, norm: float) -> np.ndarray:
+    """Random symmetric d x d matrix scaled to spectral norm ``norm``."""
+    g = rng.normal(d, d)
+    h = (g + g.T) / 2.0
+    h *= norm / max(np.abs(np.linalg.eigvalsh(h)).max(), 1e-300)
+    return h
 
 
 @dataclass
 class RunBundle:
     run: DeflationRun
     diags: list[StepDiagnostics]
-    gaps: SpectrumGaps
-    inputs: BoundInputs
 
 
 def build_run_corpus(rng: RandomSource, dims, t_values, runs_per_cell: int = 1) -> list[RunBundle]:
@@ -125,18 +130,11 @@ def build_run_corpus(rng: RandomSource, dims, t_values, runs_per_cell: int = 1) 
             for _ in range(runs_per_cell):
                 idx += 1
                 sub = rng.substream(idx)
-                sigma, spectrum, _ = make_instance(d, sub.substream(0))
+                sigma, spectrum = make_instance(d, sub.substream(0))
                 k_hi = max(3, min(d - 2, 10))
                 K = int(sub.substream(1).generator.integers(3, k_hi + 1))
                 run = run_inexact_deflation(sigma, K, t, sub.substream(2), spectrum=spectrum)
-                corpus.append(
-                    RunBundle(
-                        run=run,
-                        diags=diagnose_run(run),
-                        gaps=eigengaps(spectrum.eigenvalues),
-                        inputs=inputs_from_run(run),
-                    )
-                )
+                corpus.append(RunBundle(run=run, diags=diagnose_run(run)))
     return corpus
 
 
@@ -175,8 +173,9 @@ def run_level_checks(corpus: list[RunBundle]) -> dict[str, Tally]:
     }
     for bundle in corpus:
         run, diags = bundle.run, bundle.diags
-        gaps, inputs = bundle.gaps, bundle.inputs
         lam = run.spectrum.eigenvalues
+        gaps = eigengaps(lam)
+        inputs = inputs_from_run(run)
         basis = run.spectrum.basis
         rows = build_bound_report(inputs, gaps, np.zeros(inputs.K))
         weighted = _directional_sums(run, basis)
@@ -245,18 +244,17 @@ def run_level_checks(corpus: list[RunBundle]) -> dict[str, Tally]:
     return tallies
 
 
-def perturbed_alignment_trials(n: int, rng: RandomSource, d: int = 12, t: int = 25) -> Tally:
+def perturbed_alignment_trials(n: int, rng: RandomSource) -> Tally:
     """Alignment of the iterate with every off-target ideal eigenvector under
-    a small symmetric perturbation of the iterated matrix."""
+    a small symmetric perturbation of the iterated matrix, at d = 12 after
+    t = 25 steps."""
+    d, t = 12, 25
     tally = Tally()
     for i in range(n):
         sub = rng.substream(i)
-        _, spectrum, _ = make_instance(d, sub.substream(0))
-        m_star = SymMatrix((spectrum.basis * spectrum.eigenvalues) @ spectrum.basis.T)
-        g = sub.substream(1).normal(d, d)
-        h = (g + g.T) / 2.0
+        m_star, spectrum = make_instance(d, sub.substream(0))
         gap1 = float(spectrum.eigenvalues[0] - spectrum.eigenvalues[1])
-        h *= 0.05 * gap1 / max(np.abs(np.linalg.eigvalsh(h)).max(), 1e-300)
+        h = _symmetric_perturbation(sub.substream(1), d, 0.05 * gap1)
         m = SymMatrix(m_star.array + h)
         spec_m = jacobi_eigendecomposition(m)
         x0 = sample_unit_sphere(d, sub.substream(2))
@@ -281,16 +279,15 @@ def perturbed_alignment_trials(n: int, rng: RandomSource, d: int = 12, t: int = 
     return tally
 
 
-def inner_identity_trials(n: int, rng: RandomSource, d: int = 10) -> Tally:
-    """Exact eigenvector inner-product identity on random perturbed pairs."""
+def inner_identity_trials(n: int, rng: RandomSource) -> Tally:
+    """Exact eigenvector inner-product identity on random perturbed pairs at
+    d = 10."""
+    d = 10
     tally = Tally()
     for i in range(n):
         sub = rng.substream(i)
-        sigma, spectrum, _ = make_instance(d, sub.substream(0))
-        g = sub.substream(1).normal(d, d)
-        h = (g + g.T) / 2.0
-        h *= 0.01 / max(np.abs(np.linalg.eigvalsh(h)).max(), 1e-300)
-        m = SymMatrix(sigma.array + h)
+        sigma, _ = make_instance(d, sub.substream(0))
+        m = SymMatrix(sigma.array + _symmetric_perturbation(sub.substream(1), d, 0.01))
         gen = sub.substream(2).generator
         i_idx = int(gen.integers(0, d))
         j_idx = int(gen.integers(0, d))
@@ -303,15 +300,15 @@ def inner_identity_trials(n: int, rng: RandomSource, d: int = 10) -> Tally:
     return tally
 
 
-def iterate_convergence_trials(
-    n: int, rng: RandomSource, d: int = 10, t_values=(1, 5, 20, 100)
-) -> Tally:
+def iterate_convergence_trials(n: int, rng: RandomSource) -> Tally:
     """Sign-minimized distance of the iterate to the top eigenvector against
-    its geometric guarantee, gated on initial alignment >= 1/sqrt(2)."""
+    its geometric guarantee at d = 10 after t = 1, 5, 20 and 100 steps, gated
+    on initial alignment >= 1/sqrt(2)."""
+    d = 10
     tally = Tally()
     for i in range(n):
         sub = rng.substream(i)
-        sigma, spectrum, _ = make_instance(d, sub.substream(0))
+        sigma, spectrum = make_instance(d, sub.substream(0))
         a1 = spectrum.eigenvector(0)
         sigma1 = float(spectrum.eigenvalues[0])
         sigma2 = float(spectrum.eigenvalues[1])
@@ -322,7 +319,7 @@ def iterate_convergence_trials(
         if abs(float(x0 @ a1)) < 1.0 / math.sqrt(2.0):
             tally.record(Verdict.SKIPPED)
             continue
-        for t in t_values:
+        for t in (1, 5, 20, 100):
             x_t = power_iterate(sigma, x0, t)
             # direct difference norms: the 2 - 2|dot| form loses half the
             # digits to cancellation once the iterate has converged
@@ -404,11 +401,9 @@ def _sum_condition_budgets(gaps: SpectrumGaps, lambdas, K: int) -> list[float]:
     return budgets
 
 
-def agnostic_soundness_trials(
-    n: int, dims, rng: RandomSource, *, t_cap: int = 4096
-) -> Tally:
+def agnostic_soundness_trials(n: int, dims, rng: RandomSource) -> Tally:
     """Measured output error against the agnostic bound, on runs calibrated so
-    the admissibility condition holds at every step."""
+    the admissibility condition holds at every step (t doubles up to 4096)."""
     tally = Tally()
     produced = 0
     attempt = 0
@@ -417,7 +412,7 @@ def agnostic_soundness_trials(
         attempt += 1
         sub = rng.substream(attempt)
         d = dims[attempt % len(dims)]
-        sigma, spectrum, _ = make_instance(d, sub.substream(0))
+        sigma, spectrum = make_instance(d, sub.substream(0))
         K = int(sub.substream(1).generator.integers(2, min(8, d // 2) + 1))
         gaps = eigengaps(spectrum.eigenvalues)
         budgets = _sum_condition_budgets(gaps, spectrum.eigenvalues, K)
@@ -425,7 +420,7 @@ def agnostic_soundness_trials(
             continue  # not satisfiable in float64; draw another instance
         t = _budget_predicted_t(spectrum.eigenvalues, budgets, 3.0 * math.sqrt(d))
         rows = None
-        while t <= t_cap:
+        while t <= 4096:
             run = run_inexact_deflation(sigma, K, t, sub.substream(2), spectrum=spectrum)
             candidate = bound_report(run)
             if all(row.condition_agnostic for row in candidate):
@@ -473,7 +468,7 @@ def power_iter_soundness_trials(n: int, dims, rng: RandomSource) -> Tally:
         attempt += 1
         sub = rng.substream(attempt)
         d = dims[attempt % len(dims)]
-        sigma, spectrum, _ = make_instance(d, sub.substream(0))
+        sigma, spectrum = make_instance(d, sub.substream(0))
         K = int(sub.substream(1).generator.integers(2, min(8, d // 2) + 1))
         gaps = eigengaps(spectrum.eigenvalues)
         c0 = 3.0 * math.sqrt(d)
@@ -502,15 +497,14 @@ def budget_e2e_trials(
     epsilons=(1e-2, 1e-3),
     d: int = 15,
     K: int = 4,
-    t_cap: int = 16384,
 ) -> Tally:
-    """End-to-end budget check: calibrate the step count until every measured
-    sub-routine error fits its per-step budget, then demand epsilon-accurate
-    output at every step."""
+    """End-to-end budget check: calibrate the step count (doubling up to
+    16384) until every measured sub-routine error fits its per-step budget,
+    then demand epsilon-accurate output at every step."""
     tally = Tally()
     for i in range(n):
         sub = rng.substream(i)
-        sigma, spectrum, _ = make_instance(d, sub.substream(0))
+        sigma, spectrum = make_instance(d, sub.substream(0))
         gaps = eigengaps(spectrum.eigenvalues)
         for eps in epsilons:
             proto = BoundInputs(
@@ -527,7 +521,7 @@ def budget_e2e_trials(
                 continue
             t = _budget_predicted_t(spectrum.eigenvalues, budgets, 3.0 * math.sqrt(d))
             run = None
-            while t <= t_cap:
+            while t <= 16384:
                 candidate = run_inexact_deflation(
                     sigma, K, t, sub.substream(1), spectrum=spectrum
                 )
@@ -546,18 +540,6 @@ def budget_e2e_trials(
             )
             tally.record_bool(ok)
     return tally
-
-
-def figure_protocol(
-    d: int = 100, t: int = 200, seed: int = 42, K: int | None = None
-) -> tuple[DeflationRun, Spectrum, list[StepDiagnostics]]:
-    """The reference trace: power-law spectrum, random basis, full sweep."""
-    K = d if K is None else K
-    root = RandomSource(seed)
-    basis = random_orthogonal_basis(d, root.substream(0))
-    sigma, spectrum = build_test_sigma(d, PowerLawSpectrum(1.0), basis)
-    run = run_inexact_deflation(sigma, K, t, root.substream(1), spectrum=spectrum)
-    return run, spectrum, diagnose_run(run)
 
 
 def _formula_oracle_checks() -> dict[str, Tally]:

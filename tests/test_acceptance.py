@@ -13,12 +13,13 @@ import pytest
 
 from deflatrix.cli import main
 from deflatrix.clustering import run_clustering_experiment, synthetic_blobs
-from deflatrix.linalg import RandomSource
+from deflatrix.deflate import reference_run
+from deflatrix.diagnostics import diagnose_run
+from deflatrix.linalg import PowerLawSpectrum, RandomSource
 from deflatrix.selftest import (
     agnostic_soundness_trials,
     budget_e2e_trials,
     build_run_corpus,
-    figure_protocol,
     inner_identity_trials,
     iterate_convergence_trials,
     perturbed_alignment_trials,
@@ -45,8 +46,9 @@ def figure_bundle():
     # the reference full-sweep protocol shared by both figure-shape criteria;
     # the pinned seed is one where the onset-window margins are widest
     start = time.perf_counter()
-    run, truth, diags = figure_protocol(d=100, t=200, seed=6)
-    return run, truth, diags, time.perf_counter() - start
+    run = reference_run(100, 100, 200, 6, PowerLawSpectrum(1.0))
+    diags = diagnose_run(run)
+    return run, run.spectrum, diags, time.perf_counter() - start
 
 
 def test_agnostic_bound_soundness():

@@ -56,40 +56,41 @@ class TestDataset:
 class TestRnnGraph:
     def test_coincident_points_full_weight(self):
         data = Dataset(features=np.zeros((2, 2)), labels=np.array([0, 0]))
-        g = build_rnn_graph(data, 1)
-        assert g.weights[0, 1] == 1.0
+        w = build_rnn_graph(data, 1)
+        assert w[0, 1] == 1.0
 
     def test_weight_formula(self):
         data = Dataset(features=np.array([[0.0, 0.0], [1.0, 1.0]]), labels=np.array([0, 0]))
-        g = build_rnn_graph(data, 1)
-        assert g.weights[0, 1] == pytest.approx(math.exp(-1.0), rel=1e-15)
+        w = build_rnn_graph(data, 1)
+        assert w[0, 1] == pytest.approx(math.exp(-1.0), rel=1e-15)
 
     def test_symmetric_zero_diagonal(self):
         data = synthetic_blobs(n=60, clusters=3, seed=1)
-        g = build_rnn_graph(data, 5)
-        assert np.array_equal(g.weights, g.weights.T)
-        assert np.all(np.diag(g.weights) == 0.0)
+        w = build_rnn_graph(data, 5)
+        assert np.array_equal(w, w.T)
+        assert np.all(np.diag(w) == 0.0)
+        assert not w.flags.writeable
 
     def test_mutual_or_condition(self):
         data = synthetic_blobs(n=40, clusters=2, seed=2)
-        g = build_rnn_graph(data, 3)
+        w = build_rnn_graph(data, 3)
         x = data.features
         d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
         np.fill_diagonal(d2, np.inf)
         order = np.argsort(d2, axis=1, kind="stable")[:, :3]
-        nn = np.zeros_like(g.weights, dtype=bool)
+        nn = np.zeros_like(w, dtype=bool)
         nn[np.repeat(np.arange(40), 3), order.ravel()] = True
-        assert np.array_equal(g.weights > 0, nn | nn.T)
+        assert np.array_equal(w > 0, nn | nn.T)
 
     def test_tie_breaks_toward_lower_index(self):
         # three collinear points; 1's two candidates at equal distance
         data = Dataset(
             features=np.array([[0.0], [1.0], [2.0]]), labels=np.array([0, 0, 0])
         )
-        g = build_rnn_graph(data, 1)
-        assert g.weights[1, 0] > 0
+        w = build_rnn_graph(data, 1)
+        assert w[1, 0] > 0
         # 2 is adjacent to 1 only because 1 is 2's nearest neighbor
-        assert g.weights[1, 2] > 0
+        assert w[1, 2] > 0
 
     def test_rejects_bad_r(self):
         data = two_cluster_points()
@@ -134,8 +135,8 @@ def _duplicated_points():
 class TestRnnGraphMatchesArgsortReference:
     @staticmethod
     def assert_matches_reference(data, r):
-        g = build_rnn_graph(data, r)
-        assert g.weights.tobytes() == _reference_rnn_weights(data, r).tobytes()
+        w = build_rnn_graph(data, r)
+        assert w.tobytes() == _reference_rnn_weights(data, r).tobytes()
 
     @pytest.mark.parametrize("seed", range(5))
     def test_blobs(self, seed):
@@ -212,17 +213,21 @@ class TestSpectralEmbed:
         # against the projection onto the whole bottom eigenspace
         data = synthetic_blobs(n=30, clusters=3, seed=9)
         lap = normalized_laplacian(build_rnn_graph(data, 3))
-        u = spectral_embed(lap, 1, 300, RandomSource(2), spectrum_end="bottom")
+        u = spectral_embed(clustering._embedding_target(lap, "bottom"), 1, 300, RandomSource(2))
         oracle = jacobi_eigendecomposition(lap)
         kernel = oracle.basis[:, np.abs(oracle.eigenvalues) <= 1e-9]
         assert kernel.shape[1] >= 1
         assert np.linalg.norm(kernel.T @ u[:, 0]) >= 1.0 - 1e-6
 
-    def test_rejects_unknown_end(self):
+    def test_rejects_unknown_end(self, monkeypatch):
         data = synthetic_blobs(n=20, clusters=2, seed=10)
-        lap = normalized_laplacian(build_rnn_graph(data, 3))
-        with pytest.raises(ValueError):
-            spectral_embed(lap, 1, 10, RandomSource(0), spectrum_end="middle")
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the graph was built before the end was checked")
+
+        monkeypatch.setattr(clustering, "build_rnn_graph", no_work)
+        with pytest.raises(ValueError, match="spectrum_end must be 'top' or 'bottom'"):
+            run_clustering_experiment(data, 3, 1, 2, [10], [0], spectrum_end="middle")
 
 
 class TestKmeans:

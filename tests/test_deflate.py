@@ -124,7 +124,7 @@ class TestTrustedUpdate:
     def test_matches_validated_update_on_blob_laplacian(self):
         lap = normalized_laplacian(build_rnn_graph(synthetic_blobs(), 10))
         assert lap.dim == 500
-        # the bottom-end target of spectral_embed
+        # the bottom-end embedding target of the clustering sweep
         target = SymMatrix(2.0 * np.eye(lap.dim) - lap.array)
         current = target
         for k in range(1, 4):

@@ -85,6 +85,15 @@ class TestRunDir:
             dio.write_run_dir(run, diags[:-1], tmp_path / "short")
 
 
+class TestBoundsCsv:
+    def test_empty_report_writes_only_the_header(self, tmp_path):
+        dio.write_bounds_csv([], tmp_path / "bounds.csv")
+        assert (tmp_path / "bounds.csv").read_text().splitlines() == [
+            "# schema=1",
+            "k,thm1_bound,thm2_bound,empirical_err,slack_thm1,slack_thm2,cond7,cond12,cond13",
+        ]
+
+
 class TestVectorsCsv:
     def test_rows_match_per_entry_formatting(self):
         values = [-0.0, 5e-324, 1e16, 1.0, 0.1, -1.5e-300, 1e300]
@@ -242,7 +251,7 @@ class TestDeflateCommand:
         def forbidden(*a, **kw):
             raise AssertionError("a bad --epsilon must be rejected before the deflation")
 
-        monkeypatch.setattr("deflatrix.cli.run_inexact_deflation", forbidden)
+        monkeypatch.setattr("deflatrix.cli.reference_run", forbidden)
         out = tmp_path / "out"
         code = run_cli(command, "--d", "5", "--epsilon", "nan", "--out", str(out))
         assert code == 1
@@ -410,6 +419,30 @@ class TestClusterCommand:
         assert multiprocessing.active_children() == []
         for name in ("mi_vs_t.csv", "mi_summary.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "extra, digests",
+        [
+            ((), ("058c7244613328eff00dfeb5dc2d8a3b3dbcee16f282ff13f7d812d955d33939",
+                  "38c33ba11be6ace9c03444951ca69a508b05b74752ebe8a6a9b3345a934301d2")),
+            (("--spectrum-end", "bottom", "--row-normalize"),
+             ("c7cd4a2213ccb0035b3c77445be0dc37da5115855e0449272d36fdf39096485a",
+              "bb87288a4a60299f271ed7c92080b34b8bf9e85f585d0cdeb2fd4d5a906ffb48")),
+        ],
+    )
+    def test_cluster_files_are_pinned(self, tmp_path, extra, digests):
+        # SHA-256 of mi_vs_t.csv and mi_summary.csv, the same for one and two
+        # jobs and under one BLAS thread and the default thread count
+        args = ["cluster", "--data", "blobs", "--r", "5", "--k", "3", "--clusters", "3",
+                "--t-values", "4,12", "--seeds", "0,1", *extra]
+        for jobs in ("1", "2"):
+            out = tmp_path / jobs
+            assert run_cli(*args, "--jobs", jobs, "--out", str(out)) == 0
+            got = tuple(
+                hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in ("mi_vs_t.csv", "mi_summary.csv")
+            )
+            assert got == digests, f"jobs={jobs}, numpy {np.__version__}"
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(),

@@ -117,6 +117,15 @@ class TestIterateOwnership:
         assert not np.shares_memory(first, second)
         assert np.array_equal(first, kept)
 
+    def test_zero_steps_return_a_copy_of_start(self):
+        x0 = sample_unit_sphere(4, RandomSource(19))
+        kept = x0.copy()
+        res = power_iterate(SymMatrix(np.eye(4)), x0, 0)
+        assert res is not x0 and not np.shares_memory(res, x0)
+        assert res.tobytes() == kept.tobytes()
+        res[:] = 0.0
+        assert np.array_equal(x0, kept)
+
     def test_run_components_survive_another_run(self):
         basis = random_orthogonal_basis(12, RandomSource(16))
         sigma, spectrum = build_test_sigma(12, PowerLawSpectrum(1.0), basis)
