@@ -131,11 +131,6 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
 
 
-def _lam_next(lam: np.ndarray, k: int) -> float:
-    """lambda_{k+1} with the convention that it is 0 past the end."""
-    return float(lam[k]) if k < lam.size else 0.0
-
-
 @dataclass(frozen=True)
 class BoundInputs:
     """Everything the bound formulas consume.
@@ -170,20 +165,16 @@ class BoundInputs:
             _check_epsilon(self.epsilon)
 
 
-def _step_growth(inputs: BoundInputs, k: int) -> float:
+def _step_growth(c0, lam_k: float, lam_n: float) -> float:
     """Step growth constant G_k = 1 + c0 lambda_k lambda_{k+1} / (lambda_k - lambda_{k+1})."""
-    lam_k = float(inputs.lambdas[k - 1])
-    lam_n = _lam_next(inputs.lambdas, k)
     if lam_n == 0.0:
         return 1.0
-    return 1.0 + inputs.init_constant * lam_k * lam_n / (lam_k - lam_n)
+    return 1.0 + c0 * lam_k * lam_n / (lam_k - lam_n)
 
 
-def _contraction_ratio(lam: np.ndarray, k: int) -> float:
+def _contraction_ratio(lam_k: float, lam_n: float) -> float:
     """(7 lambda_k + lambda_{k+1}) / (7 lambda_{k+1} + lambda_k): the
     guaranteed per-step shrink factor of the power-iteration family."""
-    lam_k = float(lam[k - 1])
-    lam_n = _lam_next(lam, k)
     return (7.0 * lam_k + lam_n) / (7.0 * lam_n + lam_k)
 
 
@@ -198,10 +189,12 @@ def directional_gap_bound(
     """
     if j < k:
         raise ValueError("the directional bound applies to j >= k")
-    lam_j = float(inputs.lambdas[j - 1])
+    lam = inputs.lambdas.tolist()
+    lam_j = lam[j - 1]
     if lambda_k <= lam_j:
         raise InvalidSpectrumError("need the running top eigenvalue above lambda_j")
-    g_k = _step_growth(inputs, k)
+    lam_n = lam[k] if k < len(lam) else 0.0  # lambda_{d+1} = 0
+    g_k = _step_growth(inputs.init_constant, lam[k - 1], lam_n)
     decay = (lam_j / float(lambda_k)) ** (inputs.t - 1)
     total = 0.0  # sum over k' < k of g_k**(k-k'-1) * decay, saturating to +inf
     for _ in range(1, k):
@@ -218,13 +211,12 @@ def eigvec_drift_bound(
     decaying alignment tail. Callers gate it on its admissibility conditions
     (small enough matrix gap, step count above the contraction floor).
     """
-    lam = inputs.lambdas
-    lam_k = float(lam[k - 1])
-    t = inputs.t
-    d = lam.size
+    lam = inputs.lambdas.tolist()
+    lam_k = lam[k - 1]
+    two_t = 2 * inputs.t
     tail = 0.0  # an explicit loop: builtin sum() of floats is compensated from 3.12 on
-    for j in range(k + 1, d + 1):
-        tail += (float(lam[j - 1]) / lam_k) ** (2 * t)
+    for lam_j in lam[k:]:
+        tail += (lam_j / lam_k) ** two_t
     value = (
         4.8 / lam_k * matrix_gap_spec**2
         + 11.0 * inputs.init_constant**2 / (2.0 * gaps.gap(k) ** 2) * tail
@@ -355,86 +347,81 @@ def build_bound_report(
     budgets, against measured per-step errors: a forward pass over k = 1..K
     runs the recurrences in float64 (see module docstring), where an
     overflowing product saturates to +inf, and a backward pass fills the
-    budgets and builds the rows.
+    budgets.
 
     Raises :class:`InvalidSpectrumError` unless lambda_1..lambda_{K+1}
     decrease strictly (a tie past K+1 only makes the decay floor +inf).
     """
-    empirical = np.asarray(empirical_errors, dtype=float)
+    # the scalar work runs on Python floats, read out of the arrays once
+    empirical = np.asarray(empirical_errors, dtype=float).tolist()
     K, t, c0 = inputs.K, inputs.t, float(inputs.init_constant)
-    if empirical.size < K:
+    if len(empirical) < K:
         raise ValueError("need an empirical error for every step up to K")
     min_gap = gaps.min_gap(K)
     if min_gap <= 0.0:
         raise InvalidSpectrumError("lambda_1..lambda_{K+1} must be strictly decreasing")
-    lam = inputs.lambdas
+    lam = inputs.lambdas.tolist()
+    gap = gaps.gaps.tolist()
+    errs = inputs.sub_error_norms.tolist()
+    lam_next = (lam + [0.0])[1:K + 1]  # lambda_{k+1}, 0 past the end
+    log_lam = [math.log(x) for x in lam]
     # step_decay[j-1] = 1 / log(lambda_j / lambda_{j+1}); the decay floor is its max
-    step_decay = [
-        _over_log_gap(1.0, math.log(lam[j - 1]) - math.log(lam[j])) for j in range(1, lam.size)
-    ]
+    step_decay = [_over_log_gap(1.0, a - b) for a, b in zip(log_lam, log_lam[1:])]
     global_floor_ok = t >= max(step_decay, default=0.0)
-    factors = [3.0 + 2.0 * float(lam[j - 1]) / gaps.gap(j) for j in range(1, K + 1)]
+    factors = [3.0 + 2.0 * lam_k / gap_k for lam_k, gap_k in zip(lam[:K], gap)]
 
     cond_agnostic, agnostic, cond_step, power_iter = [], [], [], []
     growth, log_ratios = [], []
     c = p = tail = 0.0
     admissible = True
     min_log_ratio = math.inf  # over steps before k; makes the floor 0 at k = 1
-    for k in range(1, K + 1):
-        lam_k = float(lam[k - 1])
-        err = float(inputs.sub_error_norms[k - 1])
+    for k, lam_k, lam_n, gap_k, err, f_k in zip(
+        range(1, K + 1), lam, lam_next, gap, errs, factors
+    ):
         ok = c <= min_gap / 20.0
         admissible = admissible and ok
-        c = factors[k - 1] * c + lam_k * err
+        c = f_k * c + lam_k * err
         cond_agnostic.append(ok)
         agnostic.append(5.0 * c / lam_k if admissible else None)
 
-        g_k = _step_growth(inputs, k)
-        ratio = _contraction_ratio(lam, k)
+        g_k = _step_growth(inputs.init_constant, lam_k, lam_n)
+        ratio = _contraction_ratio(lam_k, lam_n)
+        log_ratio = math.log(ratio)
         growth.append(g_k)
-        log_ratios.append(math.log(ratio))
+        log_ratios.append(log_ratio)
         floor = _over_log_gap(math.log(2.0 * g_k), min_log_ratio)
         cond_step.append(bool(t >= floor) and global_floor_ok)
-        leak = 7.0 * c0 / gaps.gap(k) * (_lam_next(lam, k) / lam_k) ** t
+        leak = 7.0 * c0 / gap_k * (lam_n / lam_k) ** t
         p = 8.0 * p + lam_k * (5.0 * err + leak)
         power_iter.append(3.0 * p / lam_k)
         if k < K:
-            tail = 8.0 * (tail + lam_k / gaps.gap(k) * (1.0 / ratio) ** t)
-            min_log_ratio = min(min_log_ratio, log_ratios[-1])
+            tail = 8.0 * (tail + lam_k / gap_k * (1.0 / ratio) ** t)
+            min_log_ratio = min(min_log_ratio, log_ratio)
 
     tail_ok = bool(tail <= min_gap / (140.0 * c0))
     if not (tail_ok and all(cond_step)):
         power_iter = [None] * K
     epsilon = inputs.epsilon
+    error_budget = iteration_budget = [None] * K
     if epsilon is not None:
         # the error budget shares the smaller of the target accuracy at step
         # K and the smallest gap over K steps, then divides by f_{k+1}..f_K;
         # the iteration budget has its leading constant fixed to 1
-        head = min(epsilon * float(lam[K - 1]), min_gap) / (20.0 * K)
+        head = min(epsilon * lam[K - 1], min_gap) / (20.0 * K)
         suffix = 1.0
         g_max = max(growth)
         log_growth = math.log(g_max) if g_max > 1 else 0.0
         log_target = math.log(inputs.init_constant * K / (epsilon * min_gap))
-    budget = it_budget = None
-    rows = []
-    for k in range(K, 0, -1):
-        if epsilon is not None:
-            budget = head / suffix
+        error_budget, iteration_budget = [], []
+        for k in range(K, 0, -1):
+            error_budget.append(head / suffix)
             suffix = factors[k - 1] * suffix
             main = _over_log_gap(max(log_growth, (K - k) + log_target), log_ratios[k - 1])
-            it_budget = max(main, step_decay[k - 1] if k < lam.size else 0.0)
-        rows.append(
-            BoundRow(
-                k=k,
-                agnostic=agnostic[k - 1],
-                power_iter=power_iter[k - 1],
-                empirical=float(empirical[k - 1]),
-                condition_agnostic=cond_agnostic[k - 1],
-                condition_step_floor=cond_step[k - 1],
-                condition_tail=tail_ok,
-                error_budget=budget,
-                iteration_budget=it_budget,
-            )
-        )
-    rows.reverse()
-    return rows
+            iteration_budget.append(max(main, step_decay[k - 1] if k < len(lam) else 0.0))
+        error_budget.reverse()
+        iteration_budget.reverse()
+    # positional, in BoundRow's field order: keywords make each row slower to build
+    return list(map(
+        BoundRow, range(1, K + 1), agnostic, power_iter, empirical, cond_agnostic,
+        cond_step, [tail_ok] * K, error_budget, iteration_budget,
+    ))

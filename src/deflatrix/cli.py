@@ -56,7 +56,9 @@ def _read_config_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise SchemaError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            # keys are spelled like the long flags, and --K stores to `k`
+            values["k" if key == "K" else key] = value.strip()
     return values
 
 

@@ -7,11 +7,11 @@ top eigenvector of the current matrix, then removes that direction:
 
 The run keeps vectors, not matrices: alongside each output ``v_k`` it keeps
 a reference to the input matrix and, when a reference spectrum is given,
-that spectrum, the oracle's exact top eigenpair of ``sigma_k`` and the
-sub-routine error vector. Every ``sigma_k`` can be replayed bitwise from the
-input and the outputs with :func:`deflate_step`, and every ideal matrix is a
-closed form of the spectrum, so memory stays O(d^2) however many steps are
-taken. :func:`reference_run` is the seeded protocol behind the ``deflate`` and
+that spectrum and the oracle's exact top eigenpair of ``sigma_k``. Every
+``sigma_k`` can be replayed bitwise from the input and the outputs with
+:func:`deflate_step`, and every ideal matrix is a closed form of the
+spectrum, so memory stays O(d^2) however many steps are taken.
+:func:`reference_run` is the seeded protocol behind the ``deflate`` and
 ``bounds`` commands: a random basis, a test matrix of a given spectrum kind,
 and a run checked against that spectrum.
 """
@@ -119,12 +119,12 @@ class DeflationRun:
     * ``exact_tops[:, k-1]`` - oracle top eigenvector u_k of sigma_k, sign
       fixed against the ideal eigenvector (diagnostic; the algorithm itself
       never consults the oracle).
-    * ``sub_errors[:, k-1]`` - v_k - u_k.
     * ``top_eigenvalues[k-1]`` - oracle top eigenvalue of sigma_k.
     * ``init_alignments[k-1]`` - |x_{0,k} . u_k|.
 
-    The oracle fields (``exact_tops`` to ``init_alignments``) are ``None``
-    for a run without the oracle.
+    The oracle fields (``top_eigenvalues``, ``exact_tops`` and
+    ``init_alignments``) are ``None`` for a run without the oracle. The
+    sub-routine error v_k - u_k is ``components - exact_tops``, column k-1.
     """
 
     d: int
@@ -136,12 +136,10 @@ class DeflationRun:
     components: np.ndarray
     top_eigenvalues: np.ndarray | None
     exact_tops: np.ndarray | None
-    sub_errors: np.ndarray | None
     init_alignments: np.ndarray | None
 
     def __post_init__(self):
-        for name in ("components", "top_eigenvalues", "exact_tops",
-                     "sub_errors", "init_alignments"):
+        for name in ("components", "top_eigenvalues", "exact_tops", "init_alignments"):
             arr = getattr(self, name)
             if arr is not None:
                 arr.setflags(write=False)
@@ -204,7 +202,6 @@ def run_inexact_deflation(
     components = np.empty((d, K))
     lambdas = np.empty(K) if oracle else None
     exact_tops = np.empty((d, K)) if oracle else None
-    sub_errors = np.empty((d, K)) if oracle else None
     alignments = np.empty(K) if oracle else None
 
     current = sigma
@@ -216,7 +213,6 @@ def run_inexact_deflation(
             if float(v @ u) < 0:
                 v = -v
             exact_tops[:, k - 1] = u
-            sub_errors[:, k - 1] = v - u
             alignments[k - 1] = abs(float(x0 @ u))
             lambdas[k - 1] = lam
         components[:, k - 1] = v
@@ -232,7 +228,6 @@ def run_inexact_deflation(
         components=components,
         top_eigenvalues=lambdas,
         exact_tops=exact_tops,
-        sub_errors=sub_errors,
         init_alignments=alignments,
     )
 

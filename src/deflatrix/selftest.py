@@ -525,7 +525,7 @@ def budget_e2e_trials(
                 candidate = run_inexact_deflation(
                     sigma, K, t, sub.substream(1), spectrum=spectrum
                 )
-                measured = np.linalg.norm(candidate.sub_errors, axis=0)
+                measured = np.linalg.norm(candidate.components - candidate.exact_tops, axis=0)
                 if all(measured[k - 1] <= budgets[k - 1] for k in range(1, K + 1)):
                     run = candidate
                     break

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -144,6 +146,30 @@ def _ref_iteration_budget(inputs, gaps, k):
         return max(main, 0.0)
     log_gap = math.log(lam_k) - math.log(lam_n)
     return max(main, math.inf if log_gap == 0.0 else 1.0 / log_gap)
+
+
+def _ref_directional_gap_bound(inputs, k, j, lambda_k):
+    lam_j = float(inputs.lambdas[j - 1])
+    g_k = _ref_step_growth(inputs, k)
+    decay = (lam_j / float(lambda_k)) ** (inputs.t - 1)
+    total = 0.0
+    for _ in range(1, k):
+        total = total * g_k + decay
+    return inputs.init_constant * total
+
+
+def _ref_eigvec_drift_bound(inputs, gaps, k, matrix_gap_spec):
+    lam = inputs.lambdas
+    lam_k = float(lam[k - 1])
+    t = inputs.t
+    tail = 0.0
+    for j in range(k + 1, lam.size + 1):
+        tail += (float(lam[j - 1]) / lam_k) ** (2 * t)
+    value = (
+        4.8 / lam_k * matrix_gap_spec**2
+        + 11.0 * inputs.init_constant**2 / (2.0 * gaps.gap(k) ** 2) * tail
+    )
+    return math.sqrt(value)
 
 
 # Reference closed forms: every product built from 1.0 in ascending order for
@@ -326,9 +352,9 @@ class TestPowerIterFamily:
     def test_growth_constant_power_law(self):
         for c0 in (1.0, 2.0, 7.5):
             lam = 1.0 / np.arange(1, 30)
-            inputs = proto_inputs(lam, np.zeros(29), c0=c0, K=20)
             # power-law reciprocal differences are >= 1, so growth <= c0 + 1
-            assert max(_step_growth(inputs, k) for k in range(1, 21)) <= c0 + 1.0 + 1e-12
+            growth = max(_step_growth(c0, lam[k - 1], lam[k]) for k in range(1, 21))
+            assert growth <= c0 + 1.0 + 1e-12
 
     def test_tail_condition_passes_for_large_t(self):
         lam = np.array([1.0, 0.5, 0.25])
@@ -450,7 +476,7 @@ class TestDirectionalGapBound:
         K = 400
         lam = 1.0 / np.arange(1, K + 1)
         inputs = proto_inputs(lam, np.zeros(K), c0=100.0, t=200, K=K)
-        assert _step_growth(inputs, 300) == pytest.approx(101.0)
+        assert _step_growth(100.0, lam[299], lam[300]) == pytest.approx(101.0)
         assert directional_gap_bound(inputs, 300, 300, 1.01 * lam[299]) == math.inf
 
     def test_rejects_inverted_spectrum(self):
@@ -487,6 +513,35 @@ class TestDriftBound:
         lam = np.array([1.0, 0.5, 0.25])
         inputs = proto_inputs(lam, np.zeros(3), c0=2.0, t=5000, K=2)
         assert eigvec_drift_bound(inputs, eigengaps(lam), 2, 0.0) <= 1e-100
+
+
+class TestFormulaBits:
+    # the literal loops above are the reference; repr equality pins every
+    # bit and the result's type
+    @given(
+        st.integers(0, 10_000),
+        st.integers(1, 12),
+        st.sampled_from(["wide", "narrow", "mixed"]),
+        st.booleans(),
+    )
+    @example(1, 12, "narrow", True)
+    @settings(max_examples=60, deadline=None)
+    def test_match_literal_loops(self, seed, K, shape, numpy_scalars):
+        inputs = _engine_case(seed, K, shape)
+        if numpy_scalars:  # init_constant is used as given, a numpy scalar too
+            inputs = dataclasses.replace(inputs, init_constant=np.float64(inputs.init_constant))
+        gaps = eigengaps(inputs.lambdas)
+        lam = inputs.lambdas
+        gen = np.random.Generator(np.random.Philox(seed))
+        for k in range(1, K + 1):
+            spec = 10.0 ** gen.uniform(-16.0, -1.0)
+            spec = np.float64(spec) if numpy_scalars else float(spec)
+            got = eigvec_drift_bound(inputs, gaps, k, spec)
+            assert repr(got) == repr(_ref_eigvec_drift_bound(inputs, gaps, k, spec))
+            lambda_k = float(lam[k - 1] * (1.0 + 10.0 ** gen.uniform(-6.0, 0.0)))
+            for j in range(k, lam.size + 1):
+                got = directional_gap_bound(inputs, k, j, lambda_k)
+                assert repr(got) == repr(_ref_directional_gap_bound(inputs, k, j, lambda_k))
 
 
 class TestRecurrences:
@@ -609,3 +664,83 @@ class TestBoundReport:
             want = _ref_error_budget(inputs.epsilon, inputs, gaps, k)
             _assert_matches(row.error_budget, want)
             _assert_matches(row.iteration_budget, _ref_iteration_budget(inputs, gaps, k))
+
+
+def _bench_shape(seed, epsilon=1e-2):
+    """The bound-report benchmark's inputs: the 1/j spectrum at K = d = 110
+    (so lambda_{K+1} = 0), t = 20000, errors at the float64 floor and c0 from
+    K random alignments."""
+    K = 110
+    gen = np.random.Generator(np.random.Philox(seed))
+    errs = 10.0 ** gen.uniform(-15.0, -13.0, K)
+    alignments = np.abs(gen.standard_normal(K)) / np.sqrt(K)
+    c0 = max(1.0, 1.0 / float(alignments.min()))
+    empirical = errs * 10.0 ** gen.uniform(0.0, 1.0, K)
+    lam = np.arange(1, K + 1, dtype=float) ** -1.0
+    return proto_inputs(lam, errs, c0=c0, t=20000, K=K, epsilon=epsilon), empirical
+
+
+def _exponential_case(K, t=800, err=1e-12):
+    lam = 0.7 ** np.arange(30)
+    inputs = proto_inputs(lam, np.full(30, err), c0=3.0, t=t, K=K, epsilon=1e-3)
+    return inputs, np.full(K, 2.0 * err)
+
+
+def _tie_case():
+    # lambda_4 = lambda_5 past K + 1 = 4: the decay floor is inf
+    lam = [1.0, 0.5, 0.25, 0.125, 0.125]
+    return proto_inputs(lam, [1e-9] * 5, c0=2.0, t=10**6, K=3, epsilon=1e-2), [2e-9] * 3
+
+
+def _saturating_case():
+    # relative gaps of 1e-13 and c0 = 1e300 make every G_k overflow to inf
+    lam = [(1.0 - 1e-13) ** j for j in range(5)]
+    return proto_inputs(lam, [1e-15] * 5, c0=1e300, t=100, K=4, epsilon=1e-2), [1e-15] * 4
+
+
+_DIGEST_CASES = {
+    "bench-seed-1": (lambda: _bench_shape(1),
+                     "df820b3ba577ca36c82fe179c7c7313e635b77448084bd18105e4dfdfe2e7145"),
+    "bench-seed-2": (lambda: _bench_shape(2),
+                     "fa33a00337f900223af58aff8b2c621472aeb791574edc2b4e35cbb0cf0a91f0"),
+    "bench-seed-3": (lambda: _bench_shape(3),
+                     "f11dca970cbb8e994cd23a32fb35b28bda37eaacc3216089e81a614d791ba800"),
+    "no-epsilon": (lambda: _bench_shape(1, epsilon=None),
+                   "7e9e79628ba830fd8483f3601fdb8f73347c77c31ea9a7c6b7e5e15062d8944f"),
+    "k-equals-d": (lambda: _exponential_case(30),
+                   "7648d2cf139b544dc0192bbab9f74219cefe4eca4c121647490fd87ce7b1f559"),
+    "k-below-d": (lambda: _exponential_case(12),
+                  "928c947a30730c0f3e2890ebb70146a1d782194d579b660fd36d5b3d73ff4384"),
+    # the power-iteration bound is admissible and its leak term 7 c0 / T_k
+    # (lambda_{k+1} / lambda_k)^t is as large as 5 delta_k
+    "leak-dominated": (lambda: _exponential_case(12, t=200, err=1e-30),
+                       "df7cd9d5920559cbb84d7a0c6264644ed8e9de349059873529ae7d429f10b84d"),
+    "tie-past-k-plus-one": (_tie_case,
+                            "f6282569f2da1bc0c9e39a13bd40ce66de66160d61764f0e52d5ce39ace841d8"),
+    "growth-saturates": (_saturating_case,
+                         "e50667ab38a8bad24d0c3c5b5791bb7196fb9bb02a0347cb0b114a7942955d7b"),
+}
+
+
+def _digest_rows(name):
+    inputs, empirical = _DIGEST_CASES[name][0]()
+    return build_bound_report(inputs, eigengaps(inputs.lambdas), empirical)
+
+
+class TestEngineDigest:
+    # SHA-256 of repr([vars(row) for row in rows]): pins every bit of every
+    # row, and every value's type (a numpy scalar has another repr)
+    @pytest.mark.parametrize("name", list(_DIGEST_CASES))
+    def test_rows_are_pinned(self, name):
+        text = repr([vars(row) for row in _digest_rows(name)])
+        assert hashlib.sha256(text.encode()).hexdigest() == _DIGEST_CASES[name][1]
+
+    def test_cases_reach_their_branches(self):
+        rows = _digest_rows("bench-seed-1")
+        assert all(row.power_iter is not None for row in rows)
+        assert rows[0].agnostic is not None and rows[-1].agnostic is None
+        assert all(row.error_budget is None for row in _digest_rows("no-epsilon"))
+        assert all(row.power_iter is not None for row in _digest_rows("k-equals-d"))
+        assert all(row.power_iter is not None for row in _digest_rows("leak-dominated"))
+        assert not any(row.condition_step_floor for row in _digest_rows("tie-past-k-plus-one"))
+        assert all(row.iteration_budget == math.inf for row in _digest_rows("growth-saturates"))

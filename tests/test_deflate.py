@@ -311,7 +311,7 @@ class TestRunInexactDeflation:
         sigma, _ = make_instance(8, 17)
         run = run_inexact_deflation(sigma, 3, 60, RandomSource(4))
         assert run.spectrum is None
-        assert run.exact_tops is None and run.sub_errors is None
+        assert run.exact_tops is None and run.init_alignments is None
         assert run.top_eigenvalues is None
         mats = replay(run)
         for k in range(1, 4):

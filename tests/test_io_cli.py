@@ -312,6 +312,17 @@ class TestDeflateCommand:
         assert meta["K"] == 2  # flag beats config
         assert meta["d"] == 10
 
+    @pytest.mark.parametrize("key", ["K", "k"])
+    def test_config_spells_k_like_the_flag(self, tmp_path, key):
+        # `--K` is the flag, so `K=` is its config key; `k=` still works
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"d=10\n{key}=4\nt=30\nseed=9\n")
+        for argv, rows in (((), 4), (("--K", "2"), 2)):  # a flag beats the config
+            out = tmp_path / f"o{rows}"
+            assert run_cli("bounds", "--config", str(cfg), *argv, "--out", str(out)) == 0
+            steps = [line.split(",")[0] for line in (out / "bounds.csv").read_text().splitlines()]
+            assert steps[2:] == [str(k) for k in range(1, rows + 1)]
+
     def test_config_rejects_unknown_keys(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("dd=10\n")
