@@ -83,12 +83,21 @@ _CONFIG_KEYS = {
 
 
 def _apply_config(args: argparse.Namespace, path: str) -> None:
-    # config fills only values the flags left at None
+    # config fills only values the flags left at None; a key of another
+    # command is skipped with a warning, a misspelled one is an error
+    unused = []
     for key, raw in _read_config_file(path).items():
         if key not in _CONFIG_KEYS:
             raise SchemaError(f"{path}: unknown config key {key!r}")
-        if getattr(args, key, None) is None:
+        if not hasattr(args, key):
+            unused.append(key.replace("_", "-"))
+        elif getattr(args, key) is None:
             setattr(args, key, _CONFIG_KEYS[key](raw))
+    if unused:
+        print(
+            f"warning: ignoring config keys {args.command} does not use: {', '.join(unused)}",
+            file=sys.stderr,
+        )
 
 
 def _resolve_out(args) -> Path:

@@ -83,8 +83,16 @@ def build_rnn_graph(data: Dataset, r: int) -> np.ndarray:
         raise ValueError(f"r must lie in [1, {n - 1}]")
     x = data.features
     sq = (x * x).sum(axis=1)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
-    d2 = (d2 + d2.T) / 2.0
+    # max(sq_i + sq_j - 2 x_i.x_j, 0), then averaged with its transpose, in
+    # two n x n buffers; each entry sees the same operations in the same order
+    gram = x @ x.T
+    gram *= 2.0
+    raw = np.add(sq[:, None], sq[None, :])
+    raw -= gram
+    np.maximum(raw, 0.0, out=raw)
+    d2 = np.add(raw, raw.T, out=gram)
+    del raw
+    d2 /= 2.0
     np.fill_diagonal(d2, np.inf)
     # The first r columns of a stable argsort of each row: every entry below
     # the row's r-th smallest distance, then the lowest-index entries equal
@@ -95,7 +103,11 @@ def build_rnn_graph(data: Dataset, r: int) -> np.ndarray:
     room = r - np.count_nonzero(neighbor, axis=1)
     neighbor |= tie & (np.cumsum(tie, axis=1, dtype=np.int32) <= room[:, None])
     adjacency = neighbor | neighbor.T
-    weights = np.where(adjacency, np.exp(-0.5 * np.where(adjacency, d2, 0.0)), 0.0)
+    # the weights overwrite the distances; exp of a pair that is not joined
+    # is computed and then discarded
+    d2 *= -0.5
+    weights = np.exp(d2, out=d2)
+    np.copyto(weights, 0.0, where=~adjacency)
     np.fill_diagonal(weights, 0.0)
     weights.setflags(write=False)
     return weights
@@ -108,8 +120,21 @@ def normalized_laplacian(weights: np.ndarray) -> SymMatrix:
     if dead.size:
         raise IsolatedNodeError(int(dead[0]))
     inv_sqrt = 1.0 / np.sqrt(degrees)
-    lap = np.eye(weights.shape[0]) - (weights * inv_sqrt[:, None]) * inv_sqrt[None, :]
-    return SymMatrix((lap + lap.T) / 2.0)
+    lap = weights * inv_sqrt[:, None]
+    lap *= inv_sqrt[None, :]
+    _identity_minus(1.0, lap, out=lap)
+    sym = np.add(lap, lap.T)
+    del lap
+    sym /= 2.0
+    return SymMatrix(sym)
+
+
+def _identity_minus(c: float, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """c I - m with the bits of ``c * np.eye(n) - m``, without the identity:
+    0.0 - m_ij off the diagonal and (0.0 - m_ii) + c on it."""
+    out = np.subtract(0.0, m, out=out)
+    out.flat[:: out.shape[0] + 1] += c
+    return out
 
 
 def spectral_embed(target: SymMatrix, k: int, t: int, rng: RandomSource) -> np.ndarray:
@@ -130,7 +155,7 @@ def _embedding_target(lap: SymMatrix, spectrum_end: str) -> SymMatrix:
     """The matrix whose top eigenvectors are ``lap``'s at ``spectrum_end``;
     2I - L reverses the spectrum within its [0, 2] range."""
     if spectrum_end == "bottom":
-        return SymMatrix(2.0 * np.eye(lap.dim) - lap.array)
+        return SymMatrix(_identity_minus(2.0, lap.array))
     return lap
 
 

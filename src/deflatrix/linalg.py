@@ -7,6 +7,7 @@ The oracle is measuring equipment, not the algorithm under study.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -35,24 +36,33 @@ class SymMatrix:
     The upper triangle is the source of truth: construction mirrors it onto
     the lower one, so ``array[i, j] == array[j, i]`` holds bitwise. Inputs
     that are asymmetric beyond roundoff are rejected rather than silently
-    symmetrized. The stored array is read-only.
+    symmetrized. The stored array is a read-only copy, built in one n x n
+    buffer next to the input.
     """
 
     __slots__ = ("array",)
 
     def __init__(self, array) -> None:
-        a = np.array(array, dtype=float)
+        a = np.asarray(array, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
             raise DimensionMismatchError(f"expected a nonempty square matrix, got shape {a.shape}")
-        if not np.isfinite(a).all():
+        # a NaN or an infinity anywhere reaches one of the two extremes
+        hi = float(a.max())
+        lo = float(a.min())
+        if not (math.isfinite(hi) and math.isfinite(lo)):
             raise ValueError("matrix entries must be finite")
-        scale = max(1.0, float(np.abs(a).max()))
-        skew = float(np.abs(a - a.T).max())
+        scale = max(1.0, hi, -lo)
+        out = np.subtract(a, a.T)
+        skew = float(np.abs(out, out=out).max())
         if skew > 1e-8 * scale:
             raise ValueError(f"matrix is not symmetric (max asymmetry {skew:.3e})")
-        a = np.triu(a) + np.triu(a, 1).T
-        a.setflags(write=False)
-        self.array = a
+        # the bits of np.triu(a) + np.triu(a, 1).T: each entry is its upper
+        # triangle value plus 0.0, which turns -0.0 into +0.0
+        np.copyto(out, a)
+        np.copyto(out, a.T, where=np.tri(a.shape[0], k=-1, dtype=bool))
+        out += 0.0
+        out.setflags(write=False)
+        self.array = out
 
     @classmethod
     def _trusted(cls, a: np.ndarray) -> "SymMatrix":

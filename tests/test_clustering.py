@@ -1,9 +1,11 @@
 import concurrent.futures
+import hashlib
 import math
 import multiprocessing
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -181,6 +183,42 @@ class TestNormalizedLaplacian:
         with pytest.raises(IsolatedNodeError) as err:
             normalized_laplacian(build_rnn_graph(data, 1))
         assert err.value.node == 0
+
+
+class TestSetUpBits:
+    # SHA-256 of .tobytes() for the blob fixture's graph at r=10, its
+    # Laplacian and the bottom-end target 2I - L, as first computed with
+    # np.where, np.eye and np.triu over temporary n x n arrays
+    DIGESTS = {
+        "weights": "a6df64e60240443830377f4db632d43f80285e0fbfbca1a8feb4974843446917",
+        "laplacian": "3139036a7026c63e7f516f879aec3de1916e3dde5cfee865a706a13018feb96f",
+        "bottom": "05bd9234779eb5417c56f67531230d4209676cf9f179bcce7ad8cef4aa25a75d",
+    }
+
+    def test_pinned_digests(self):
+        weights = build_rnn_graph(synthetic_blobs(seed=0), 10)
+        lap = normalized_laplacian(weights)
+        bottom = clustering._embedding_target(lap, "bottom")
+        got = {
+            name: hashlib.sha256(a.tobytes()).hexdigest()
+            for name, a in (("weights", weights), ("laplacian", lap.array),
+                            ("bottom", bottom.array))
+        }
+        assert got == self.DIGESTS, f"numpy {np.__version__}"
+
+    def test_set_up_peak_memory(self):
+        # the graph and the Laplacian hold about three n x n arrays of
+        # doubles at their peak: the weights, the symmetrized Laplacian and
+        # the validated copy
+        n = 400
+        data = synthetic_blobs(n=n, seed=0)
+        tracemalloc.start()
+        try:
+            normalized_laplacian(build_rnn_graph(data, 10))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * n * n * 8
 
 
 class TestSpectralEmbed:

@@ -328,6 +328,21 @@ class TestDeflateCommand:
         cfg.write_text("dd=10\n")
         assert run_cli("deflate", "--config", str(cfg)) == 1
 
+    def test_config_warns_about_keys_of_other_commands(self, tmp_path, capsys):
+        # t-values and jobs belong to `cluster`; `bounds` runs without them
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("d=10\nK=3\nt-values=5,20\njobs=x\n")
+        out = tmp_path / "o"
+        assert run_cli("bounds", "--config", str(cfg), "--out", str(out)) == 0
+        err = capsys.readouterr().err
+        assert err == "warning: ignoring config keys bounds does not use: t-values, jobs\n"
+        steps = [line.split(",")[0] for line in (out / "bounds.csv").read_text().splitlines()]
+        assert steps[2:] == ["1", "2", "3"]
+        # a misspelled key is still an error
+        cfg.write_text("d=10\nt-value=5\n")
+        assert run_cli("bounds", "--config", str(cfg), "--out", str(out)) == 1
+        assert "unknown config key 't_value'" in capsys.readouterr().err
+
 
 class TestDecayPrecondition:
     # decay is checked over lambda_1..lambda_{K+1} only, so a fast-decaying

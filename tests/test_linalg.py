@@ -51,6 +51,35 @@ class TestSymMatrix:
         with pytest.raises(ValueError):
             m.array[0, 0] = 5.0
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_rejects_infinities(self, bad):
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            SymMatrix([[1.0, 0.0], [0.0, bad]])
+
+    def test_rejects_empty(self):
+        with pytest.raises(DimensionMismatchError, match=r"nonempty square matrix, got shape \(0, 0\)"):
+            SymMatrix(np.zeros((0, 0)))
+
+    def test_stores_its_own_copy(self):
+        a = np.array([[1.0, 2.0], [2.0, 3.0]])
+        m = SymMatrix(a)
+        a[0, 1] = a[1, 0] = 7.0
+        assert m.array.tolist() == [[1.0, 2.0], [2.0, 3.0]]
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_mirror_bits_match_triu_sum(self, seed):
+        gen = np.random.Generator(np.random.Philox(seed))
+        d = int(gen.integers(1, 9))
+        g = gen.standard_normal((d, d))
+        # roundoff asymmetry, and signed zeros on both sides of the diagonal
+        a = g + g.T + gen.standard_normal((d, d)) * 1e-12
+        zero = gen.random((d, d)) < 0.3
+        zero |= zero.T
+        a[zero] = np.where(gen.random((d, d)) < 0.5, -0.0, 0.0)[zero]
+        expect = np.triu(a) + np.triu(a, 1).T
+        assert SymMatrix(a).array.tobytes() == expect.tobytes()
+
 
 class TestNorms:
     def test_identity(self):
