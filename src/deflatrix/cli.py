@@ -4,9 +4,10 @@ Subcommands: ``deflate`` (run + diagnostics + figure traces + bound report),
 ``bounds`` (bound report only), ``cluster`` (spectral-clustering sweep), and
 ``selftest`` (reduced-scale verification table).
 
-Configuration precedence is flags > config file > defaults; the config file
-is flat ``key=value`` lines with ``#`` comments, keys spelled like the long
-flags. The ``DEFLATRIX_OUT`` environment variable overrides the default
+Configuration precedence is flags > config file > defaults; every default
+lives in ``build_parser``. The config file is flat ``key=value`` lines with
+``#`` comments, keys spelled like the long flags, each value parsed by its
+flag's ``type``. The ``DEFLATRIX_OUT`` environment variable overrides the default
 output directory. Exit codes: 0 success, 1 usage or I/O error, 2 math
 precondition abort.
 """
@@ -62,89 +63,40 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-_CONFIG_KEYS = {
-    "d": int,
-    "k": int,
-    "t": int,
-    "seed": int,
-    "spectrum": str,
-    "out": str,
-    "j_slice": str,
-    "epsilon": float,
-    "data": str,
-    "r": int,
-    "clusters": int,
-    "t_values": str,
-    "seeds": str,
-    "spectrum_end": str,
-    "row_normalize": lambda s: s.lower() in ("1", "true", "yes"),
-    "jobs": int,
-}
-
-
-def _apply_config(args: argparse.Namespace, path: str) -> None:
-    # config fills only values the flags left at None; a key of another
-    # command is skipped with a warning, a misspelled one is an error
-    unused = []
-    for key, raw in _read_config_file(path).items():
-        if key not in _CONFIG_KEYS:
-            raise SchemaError(f"{path}: unknown config key {key!r}")
-        if not hasattr(args, key):
-            unused.append(key.replace("_", "-"))
-        elif getattr(args, key) is None:
-            setattr(args, key, _CONFIG_KEYS[key](raw))
-    if unused:
-        print(
-            f"warning: ignoring config keys {args.command} does not use: {', '.join(unused)}",
-            file=sys.stderr,
-        )
-
-
-def _resolve_out(args) -> Path:
-    out = getattr(args, "out", None) or os.environ.get("DEFLATRIX_OUT") or "out"
-    return Path(out)
-
-
 def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
-
-
-def _spectrum_label(args) -> str:
-    return args.spectrum if args.spectrum is not None else "power-law:1"
+    try:
+        values = [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected a comma list of integers, got {text!r}")
+    return values
 
 
 def _run_from_args(args):
-    d = args.d if args.d is not None else 100
-    K = args.k if args.k is not None else d
-    t = args.t if args.t is not None else 200
-    seed = args.seed if args.seed is not None else 0
-    kind = parse_spectrum(_spectrum_label(args))
-    if not 1 <= K <= d:
-        raise ValueError(f"--K must lie in [1, {d}]")
-    return reference_run(d, K, t, seed, kind)
-
-
-def _check_epsilon_flag(args) -> None:
     # reject a bad --epsilon before the run, not after it
     if args.epsilon is not None:
         _check_epsilon(args.epsilon)
+    K = args.k if args.k is not None else args.d
+    return reference_run(args.d, K, args.t, args.seed, parse_spectrum(args.spectrum))
+
+
+def _resolve_out(args) -> Path:
+    # read per call: the parser, and so any default it holds, is shared
+    return Path(args.out or os.environ.get("DEFLATRIX_OUT") or "out")
 
 
 def cmd_deflate(args) -> int:
-    _check_epsilon_flag(args)
     run = _run_from_args(args)
     d = run.d
-    if args.j_slice is not None:
-        j_slice = _int_list(args.j_slice)
-    else:
-        j_slice = sorted({max(1, (d * q) // 4) for q in (1, 2, 3, 4)})
+    j_slice = args.j_slice or sorted({max(1, (d * q) // 4) for q in (1, 2, 3, 4)})
     bad = [j for j in j_slice if not 1 <= j <= d]
     if bad:
         raise ValueError(f"--j-slice entries out of range: {bad}")
     diags = diagnose_run(run)
     report = bound_report(run, args.epsilon)
     out = _resolve_out(args)
-    dio.write_run_dir(run, diags, out, spectrum_label=_spectrum_label(args))
+    dio.write_run_dir(run, diags, out, spectrum_label=args.spectrum)
     dio.write_figure_csvs(diags, j_slice, out)
     dio.write_bounds_csv(report, out / "bounds.csv")
     print(f"wrote run, figure and bound CSVs to {out}")
@@ -152,7 +104,6 @@ def cmd_deflate(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    _check_epsilon_flag(args)
     report = bound_report(_run_from_args(args), args.epsilon)
     out = _resolve_out(args)
     dio.write_bounds_csv(report, out / "bounds.csv")
@@ -161,26 +112,21 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    data_arg = args.data if args.data is not None else "blobs"
-    if data_arg == "blobs":
-        data = synthetic_blobs(seed=args.seed if args.seed is not None else 0)
+    if args.data == "blobs":
+        data = synthetic_blobs(seed=args.seed)
     else:
-        data = dio.read_dataset_csv(data_arg)
-    r = args.r if args.r is not None else 10
+        data = dio.read_dataset_csv(args.data)
     clusters = args.clusters if args.clusters is not None else int(data.labels.max()) + 1
-    k = args.k if args.k is not None else clusters
-    t_values = _int_list(args.t_values) if args.t_values is not None else [5, 20, 100]
-    seeds = _int_list(args.seeds) if args.seeds is not None else [0, 1, 2, 3, 4]
     cells, summary = run_clustering_experiment(
         data,
-        r,
-        k,
+        args.r,
+        args.k if args.k is not None else clusters,
         clusters,
-        t_values,
-        seeds,
-        spectrum_end=args.spectrum_end if args.spectrum_end is not None else "top",
-        row_normalize=bool(args.row_normalize),
-        jobs=args.jobs if args.jobs is not None else 1,
+        args.t_values,
+        args.seeds,
+        spectrum_end=args.spectrum_end,
+        row_normalize=args.row_normalize,
+        jobs=args.jobs,
     )
     out = _resolve_out(args)
     dio.write_mi_csvs(cells, summary, out)
@@ -194,7 +140,7 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    report = run_selftest(seed=args.seed if args.seed is not None else 0)
+    report = run_selftest(seed=args.seed)
     width = max(len(name) for name in report)
     print(f"{'check'.ljust(width)}  holds  violated  skipped")
     bad = 0
@@ -215,51 +161,55 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--out", help="output directory (default $DEFLATRIX_OUT or ./out)")
-        p.add_argument("--seed", type=int, help="random seed (default 0)")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="flat key=value config file")
+    common.add_argument("--out", help="output directory (default $DEFLATRIX_OUT or ./out)")
+    common.add_argument("--seed", type=int, default=0, help="random seed (default %(default)s)")
 
-    p = sub.add_parser("deflate", help="run deflation, write run/figure/bound CSVs")
-    common(p)
-    p.add_argument("--d", type=int, help="matrix dimension (default 100)")
-    p.add_argument("--K", dest="k", type=int, help="number of components (default d)")
-    p.add_argument("--t", type=int, help="power-iteration steps per component (default 200)")
-    p.add_argument("--spectrum", help="power-law:G | exponential:R | explicit:v1,v2,...")
-    p.add_argument("--j-slice", dest="j_slice", help="comma list of directions for figure CSVs")
-    p.add_argument("--epsilon", type=float, help="target accuracy; adds budget columns")
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--d", type=int, default=100, help="matrix dimension (default %(default)s)")
+    run.add_argument("--K", dest="k", type=int, help="number of components (default d)")
+    run.add_argument("--t", type=int, default=200,
+                     help="power-iteration steps per component (default %(default)s)")
+    run.add_argument("--spectrum", default="power-law:1",
+                     help="power-law:G | exponential:R | explicit:v1,v2,... (default %(default)s)")
+    run.add_argument("--epsilon", type=float, help="target accuracy; adds budget columns")
+
+    p = sub.add_parser("deflate", parents=[common, run],
+                       help="run deflation, write run/figure/bound CSVs")
+    p.add_argument("--j-slice", dest="j_slice", type=_int_list,
+                   help="comma list of directions for figure CSVs (default: the quartiles of d)")
     p.set_defaults(func=cmd_deflate)
 
-    p = sub.add_parser("bounds", help="run deflation, write only the bound report")
-    common(p)
-    p.add_argument("--d", type=int)
-    p.add_argument("--K", dest="k", type=int)
-    p.add_argument("--t", type=int)
-    p.add_argument("--spectrum", help="power-law:G | exponential:R | explicit:v1,v2,...")
-    p.add_argument("--epsilon", type=float, help="target accuracy; adds budget columns")
+    p = sub.add_parser("bounds", parents=[common, run],
+                       help="run deflation, write only the bound report")
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("cluster", help="spectral clustering sweep over t and seeds")
-    common(p)
-    p.add_argument("--data", help="dataset CSV with a 'label' column, or 'blobs'")
-    p.add_argument("--r", type=int, help="nearest-neighbor count (default 10)")
+    p = sub.add_parser("cluster", parents=[common],
+                       help="spectral clustering sweep over t and seeds")
+    p.add_argument("--data", default="blobs",
+                   help="dataset CSV with a 'label' column, or 'blobs' (default %(default)s)")
+    p.add_argument("--r", type=int, default=10, help="nearest-neighbor count (default %(default)s)")
     p.add_argument("--k", type=int, help="embedding eigenvectors (default: cluster count)")
     p.add_argument("--clusters", type=int, help="cluster count (default: label count)")
-    p.add_argument("--t-values", dest="t_values", help="comma list (default 5,20,100)")
-    p.add_argument("--seeds", help="comma list of seeds (default 0,1,2,3,4)")
+    p.add_argument("--t-values", dest="t_values", type=_int_list, default="5,20,100",
+                   help="comma list (default %(default)s)")
+    p.add_argument("--seeds", type=_int_list, default="0,1,2,3,4",
+                   help="comma list of seeds (default %(default)s)")
     p.add_argument(
         "--spectrum-end",
         dest="spectrum_end",
         choices=("top", "bottom"),
-        help="which end of the Laplacian spectrum to embed from (default top)",
+        default="top",
+        help="which end of the Laplacian spectrum to embed from (default %(default)s)",
     )
-    p.add_argument("--row-normalize", dest="row_normalize", action="store_const", const=True,
+    p.add_argument("--row-normalize", dest="row_normalize", action="store_true",
                    help="normalize embedding rows before k-means")
-    p.add_argument("--jobs", type=int, help="worker processes for the (t, seed) cells (default 1)")
-    p.set_defaults(func=cmd_cluster, row_normalize=None)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for the (t, seed) cells (default %(default)s)")
+    p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("selftest", help="reduced-scale verification table")
-    common(p)
+    p = sub.add_parser("selftest", parents=[common], help="reduced-scale verification table")
     p.set_defaults(func=cmd_selftest)
     return parser
 
@@ -269,15 +219,46 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
+def _parse(argv) -> argparse.Namespace:
+    """Parse ``argv``; a ``--config`` file's values become the command's
+    defaults on a parser of this call's own, so each is parsed by its flag's
+    ``type`` and a flag still wins over it."""
+    args = _parser().parse_args(argv)
+    if not args.config:
+        return args
+    parser = build_parser()
+    (sub,) = parser._subparsers._group_actions
+    commands = sub.choices
+    # a key of another command is skipped with a warning, a misspelled one
+    # is an error
+    known = {a.dest for p in commands.values() for a in p._actions} - {"help", "config"}
+    actions = {a.dest: a for a in commands[args.command]._actions}
+    defaults, unused = {}, []
+    for key, raw in _read_config_file(args.config).items():
+        if key not in known:
+            raise SchemaError(f"{args.config}: unknown config key {key!r}")
+        if key not in actions:
+            unused.append(key.replace("_", "-"))
+        elif actions[key].nargs == 0:  # a store_true flag has no type to parse with
+            defaults[key] = raw.lower() in ("1", "true", "yes")
+        else:
+            defaults[key] = raw
+    if unused:
+        print(
+            f"warning: ignoring config keys {args.command} does not use: {', '.join(unused)}",
+            file=sys.stderr,
+        )
+    commands[args.command].set_defaults(**defaults)
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on a usage error; 2 is the precondition-abort code
-        return 1 if exc.code == 2 else exc.code
-    try:
-        if getattr(args, "config", None):
-            _apply_config(args, args.config)
+        try:
+            args = _parse(argv)
+        except SystemExit as exc:
+            # argparse exits 2 on a usage error; 2 is the precondition-abort code
+            return 1 if exc.code == 2 else exc.code
         return args.func(args)
     except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)

@@ -144,10 +144,6 @@ class DeflationRun:
             if arr is not None:
                 arr.setflags(write=False)
 
-    def component(self, k: int) -> np.ndarray:
-        """Output vector at step ``k`` (1-based)."""
-        return self.components[:, k - 1]
-
 
 def _check_spectrum(spectrum: Spectrum, d: int, K: int) -> None:
     """The run's precondition on its reference spectrum.

@@ -240,7 +240,7 @@ def spectrum_eigenvalues(kind: SpectrumKind, d: int) -> np.ndarray:
     if d < 1:
         raise ValueError("d must be >= 1")
     if isinstance(kind, PowerLawSpectrum):
-        if kind.gamma <= 0:
+        if not kind.gamma > 0:  # NaN fails this test too
             raise InvalidSpectrumError("power-law exponent must be positive")
         lam = np.arange(1, d + 1, dtype=float) ** (-kind.gamma)
     elif isinstance(kind, ExponentialSpectrum):
@@ -253,6 +253,8 @@ def spectrum_eigenvalues(kind: SpectrumKind, d: int) -> np.ndarray:
             raise DimensionMismatchError(f"expected {d} eigenvalues, got {lam.shape}")
     else:
         raise TypeError(f"unknown spectrum kind: {kind!r}")
+    if not np.isfinite(lam).all():
+        raise InvalidSpectrumError("eigenvalues must be finite")
     if lam[-1] <= 0 or np.any(np.diff(lam) >= 0):
         raise InvalidSpectrumError("eigenvalues must be strictly decreasing and positive")
     if abs(lam[0] - 1.0) > 1e-12:

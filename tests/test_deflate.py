@@ -32,7 +32,7 @@ def replay(run):
     """sigma_1 .. sigma_{K+1} of a run, rebuilt from its input and outputs."""
     mats = [run.sigma]
     for k in range(1, run.K + 1):
-        mats.append(deflate_step(mats[-1], run.component(k)))
+        mats.append(deflate_step(mats[-1], run.components[:, k - 1]))
     return mats
 
 
@@ -224,7 +224,7 @@ class TestRunInexactDeflation:
         for k in range(1, 3):
             e_k = np.zeros(3)
             e_k[k - 1] = 1.0
-            assert np.linalg.norm(run.component(k) - e_k) <= 1e-10
+            assert np.linalg.norm(run.components[:, k - 1] - e_k) <= 1e-10
 
     def test_full_sweep_recovers_orthogonal_set(self):
         d = 8
@@ -256,9 +256,9 @@ class TestRunInexactDeflation:
         sigma, spec = make_instance(10, 12)
         run = run_inexact_deflation(sigma, 6, 30, RandomSource(2), spectrum=spec)
         for k in range(1, 7):
-            assert abs(np.linalg.norm(run.component(k)) - 1.0) <= 1e-12
+            assert abs(np.linalg.norm(run.components[:, k - 1]) - 1.0) <= 1e-12
             assert run.exact_tops[:, k - 1] @ spec.eigenvector(k - 1) >= 0
-            assert run.component(k) @ run.exact_tops[:, k - 1] >= 0
+            assert run.components[:, k - 1] @ run.exact_tops[:, k - 1] >= 0
 
     def test_weyl_consistency(self):
         sigma, spec = make_instance(10, 13)
@@ -316,7 +316,7 @@ class TestRunInexactDeflation:
         mats = replay(run)
         for k in range(1, 4):
             oracle = jacobi_eigendecomposition(mats[k - 1])
-            assert abs(run.component(k) @ oracle.eigenvector(0)) >= 1.0 - 1e-8
+            assert abs(run.components[:, k - 1] @ oracle.eigenvector(0)) >= 1.0 - 1e-8
 
 
 class TestSpectrumPrecondition:
@@ -334,7 +334,7 @@ class TestSpectrumPrecondition:
         run = run_inexact_deflation(sigma, 3, 200, RandomSource(1), spectrum=spec)
         assert run.spectrum is spec
         for k in range(1, 4):
-            assert np.linalg.norm(run.component(k) - spec.eigenvector(k - 1)) <= 1e-8
+            assert np.linalg.norm(run.components[:, k - 1] - spec.eigenvector(k - 1)) <= 1e-8
 
     def test_tie_past_k_plus_one_reports_bounds(self):
         # the run, its diagnostics and its bound report all accept the tie;

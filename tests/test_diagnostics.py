@@ -158,7 +158,9 @@ class TestBoundReport:
             K=run.K,
             epsilon=epsilon,
         )
-        errors = [np.linalg.norm(run.component(k) - spec.eigenvector(k - 1)) for k in range(1, 7)]
+        errors = [
+            np.linalg.norm(run.components[:, k - 1] - spec.eigenvector(k - 1)) for k in range(1, 7)
+        ]
         want = build_bound_report(inputs, eigengaps(spec.eigenvalues), errors)
         assert bound_report(run, epsilon) == want
 

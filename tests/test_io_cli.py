@@ -173,6 +173,47 @@ class TestDeflateCommand:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(("--d", "0"), "d must be >= 1"), (("--d", "3", "--K", "5"), "K must lie in [1, 3]")],
+    )
+    @pytest.mark.parametrize("command", ["bounds", "deflate"])
+    def test_run_size_errors_carry_the_library_message(
+        self, tmp_path, capsys, command, argv, message
+    ):
+        out = tmp_path / "out"
+        assert run_cli(command, *argv, "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "spectrum",
+        ["power-law:nan", "explicit:1,nan,0.1", "explicit:inf,1,0.5", "exponential:nan"],
+    )
+    def test_non_finite_spectrum_is_a_precondition_abort(self, tmp_path, capsys, spectrum):
+        out = tmp_path / "out"
+        code = run_cli("deflate", "--d", "3", "--t", "5", "--spectrum", spectrum, "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("precondition failed: ")
+        assert not out.exists()
+
+    def test_j_slice_selects_the_figure_directions(self, tmp_path):
+        code = run_cli("deflate", "--d", "6", "--t", "30", "--j-slice", "2,5",
+                       "--out", str(tmp_path))
+        assert code == 0
+        for name in ("fig2.csv", "fig3.csv", "fig4.csv"):
+            rows = (tmp_path / name).read_text().splitlines()[2:]
+            pairs = [tuple(int(x) for x in row.split(",")[:2]) for row in rows]
+            assert pairs == [(k, j) for k in range(1, 7) for j in (2, 5)], name
+
+    @pytest.mark.parametrize("j_slice", ["0", "7", ",", ""])
+    def test_bad_j_slice_exits_one(self, tmp_path, capsys, j_slice):
+        out = tmp_path / "out"
+        code = run_cli("deflate", "--d", "6", "--t", "30", "--j-slice", j_slice, "--out", str(out))
+        assert code == 1
+        assert "j-slice" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_precondition_abort_on_tied_spectrum(self, tmp_path, capsys):
         code = run_cli(
             "deflate", "--d", "3", "--K", "2", "--t", "5",
@@ -665,3 +706,87 @@ class TestParserReuse:
         assert "invalid int value: 'many'" in reused[2][2]
         assert "delta_budget" not in reused[1][3]["bounds.csv"].decode()
         assert reused == fresh
+
+
+class TestConfigFile:
+    # a config value is the command's default for one call, parsed by its
+    # flag's own type, so a config file and the same flags run alike
+    CASES = {
+        "deflate": {
+            "d": "8", "K": "4", "t": "40", "seed": "3", "spectrum": "exponential:0.7",
+            "j-slice": "2,7", "epsilon": "0.01",
+        },
+        "bounds": {
+            "d": "8", "K": "5", "t": "60", "seed": "2",
+            "spectrum": "explicit:1,0.6,0.4,0.3,0.2,0.15,0.1,0.05", "epsilon": "1e-3",
+        },
+        "cluster": {
+            "data": "blobs", "seed": "1", "r": "5", "k": "3", "clusters": "3",
+            "t-values": "4,12", "seeds": "0,1", "spectrum-end": "bottom",
+            "row-normalize": "true", "jobs": "1",
+        },
+        "selftest": {"seed": "1"},
+    }
+
+    @staticmethod
+    def outcome(argv, out, capsys):
+        code = main([*argv, "--out", str(out)])
+        captured = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+        return code, captured.out.replace(str(out), "OUT"), captured.err, files
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_config_matches_flags(self, tmp_path, capsys, command):
+        values = self.CASES[command]
+        flags = []
+        for key, value in values.items():
+            if key == "row-normalize":
+                flags.append("--row-normalize")
+            else:
+                flags += [f"--{key}", value]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key}={value}\n" for key, value in values.items()))
+        by_flags = self.outcome([command, *flags], tmp_path / "flags", capsys)
+        by_config = self.outcome([command, "--config", str(cfg)], tmp_path / "config", capsys)
+        assert by_config == by_flags
+        assert by_flags[0] == 0
+
+    def test_row_normalize_false_keeps_the_default(self, tmp_path, capsys):
+        argv = ["cluster", "--r", "5", "--k", "3", "--clusters", "3", "--t-values", "4",
+                "--seeds", "0"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("row-normalize=false\n")
+        plain = self.outcome(argv, tmp_path / "plain", capsys)
+        assert self.outcome([*argv, "--config", str(cfg)], tmp_path / "config", capsys) == plain
+
+    def test_config_does_not_carry_over_to_the_next_call(self, tmp_path):
+        deflatrix.cli._parser.cache_clear()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("K=3\nt=30\nseed=9\nspectrum=exponential:0.7\nepsilon=0.01\n")
+        assert run_cli("bounds", "--config", str(cfg), "--d", "10",
+                       "--out", str(tmp_path / "a")) == 0
+        assert run_cli("bounds", "--d", "10", "--out", str(tmp_path / "b")) == 0
+        assert deflatrix.cli._parser.cache_info().misses == 1
+        explicit = ("--d", "10", "--K", "10", "--t", "200", "--seed", "0",
+                    "--spectrum", "power-law:1")
+        assert run_cli("bounds", *explicit, "--out", str(tmp_path / "c")) == 0
+        plain = (tmp_path / "b" / "bounds.csv").read_bytes()
+        assert plain == (tmp_path / "c" / "bounds.csv").read_bytes()
+        assert len((tmp_path / "a" / "bounds.csv").read_text().splitlines()) == 2 + 3
+
+    @pytest.mark.parametrize("line", ["d=abc", "epsilon=small", "seeds=0,x", "j-slice=,"])
+    def test_bad_config_value_exits_one(self, tmp_path, capsys, line):
+        command = "cluster" if line.startswith("seeds") else "deflate"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 1
+        assert "error: argument --" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["func", "help", "config", "command"])
+    def test_parser_internals_are_unknown_keys(self, tmp_path, capsys, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}=x\n")
+        assert run_cli("bounds", "--config", str(cfg)) == 1
+        assert f"unknown config key {key!r}" in capsys.readouterr().err

@@ -232,6 +232,19 @@ class TestSpectrumKinds:
         with pytest.raises(InvalidSpectrumError):
             spectrum_eigenvalues(ExplicitSpectrum((1.0, 0.5, 0.0)), 3)
 
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            PowerLawSpectrum(float("nan")),
+            ExponentialSpectrum(float("nan")),
+            ExplicitSpectrum((1.0, float("nan"), 0.1)),
+            ExplicitSpectrum((float("inf"), 1.0, 0.5)),
+        ],
+    )
+    def test_rejects_non_finite(self, kind):
+        with pytest.raises(InvalidSpectrumError):
+            spectrum_eigenvalues(kind, 3)
+
     def test_explicit_warns_off_scale(self):
         with pytest.warns(UserWarning, match="leading eigenvalue"):
             spectrum_eigenvalues(ExplicitSpectrum((2.0, 1.0)), 2)
