@@ -7,9 +7,10 @@ Two bound families are evaluated side by side:
 * the *power-iteration* family, which additionally exploits the direction of
   that error (its component along later eigenvectors decays geometrically).
 
-:func:`build_bound_report` is the engine's one entry point: a forward pass
-over k = 1..K evaluates both families and their admissibility flags, and a
-backward pass adds both budgets when a target accuracy is given, one
+:func:`build_bound_report` is the engine's one entry point: the per-step
+terms that do not depend on the recurrences are computed first, a forward
+pass over k = 1..K runs both families' recurrences and admissibility flags,
+and a backward pass adds both budgets when a target accuracy is given, one
 :class:`BoundRow` per step. A bound whose admissibility conditions fail
 reads ``None``, so callers can distinguish a vacuous bound from a violated
 one. The other functions here are pure formulas, the bounds and closed forms
@@ -112,7 +113,8 @@ def eigengaps(lambdas) -> SpectrumGaps:
     lam = np.asarray(lambdas, dtype=float)
     if lam.ndim != 1 or lam.size == 0:
         raise ValueError("expected a nonempty 1-d eigenvalue list")
-    if lam[-1] <= 0 or np.any(np.diff(lam) > 0):
+    # written so that a nan fails both tests
+    if not lam[-1] > 0 or not np.all(np.diff(lam) <= 0):
         raise InvalidSpectrumError("eigenvalues must be non-increasing and positive")
     gaps = np.empty_like(lam)
     gaps[:-1] = lam[:-1] - lam[1:]
@@ -170,12 +172,6 @@ def _step_growth(c0, lam_k: float, lam_n: float) -> float:
     if lam_n == 0.0:
         return 1.0
     return 1.0 + c0 * lam_k * lam_n / (lam_k - lam_n)
-
-
-def _contraction_ratio(lam_k: float, lam_n: float) -> float:
-    """(7 lambda_k + lambda_{k+1}) / (7 lambda_{k+1} + lambda_k): the
-    guaranteed per-step shrink factor of the power-iteration family."""
-    return (7.0 * lam_k + lam_n) / (7.0 * lam_n + lam_k)
 
 
 def directional_gap_bound(
@@ -331,6 +327,23 @@ class BoundRow:
     error_budget: float | None = None
     iteration_budget: float | None = None
 
+    @classmethod
+    def _trusted(
+        cls, k, agnostic, power_iter, empirical, condition_agnostic,
+        condition_step_floor, condition_tail, error_budget, iteration_budget,
+    ) -> "BoundRow":
+        """A row from values the engine computed, without the generated
+        ``__init__``: the frozen row's ``__dict__`` is filled directly, in
+        field order, as ``__init__`` would fill it."""
+        row = object.__new__(cls)
+        row.__dict__.update(
+            k=k, agnostic=agnostic, power_iter=power_iter, empirical=empirical,
+            condition_agnostic=condition_agnostic,
+            condition_step_floor=condition_step_floor, condition_tail=condition_tail,
+            error_budget=error_budget, iteration_budget=iteration_budget,
+        )
+        return row
+
     @property
     def slack_agnostic(self) -> float | None:
         return None if self.agnostic is None else self.agnostic / max(self.empirical, 1e-300)
@@ -344,10 +357,10 @@ def build_bound_report(
     inputs: BoundInputs, gaps: SpectrumGaps, empirical_errors
 ) -> list[BoundRow]:
     """Evaluate both bound families, and given a target accuracy both
-    budgets, against measured per-step errors: a forward pass over k = 1..K
-    runs the recurrences in float64 (see module docstring), where an
-    overflowing product saturates to +inf, and a backward pass fills the
-    budgets.
+    budgets, against measured per-step errors: the per-step terms come first,
+    a forward pass over k = 1..K runs the recurrences in float64 (see module
+    docstring), where an overflowing product saturates to +inf, and a
+    backward pass fills the budgets.
 
     Raises :class:`InvalidSpectrumError` unless lambda_1..lambda_{K+1}
     decrease strictly (a tie past K+1 only makes the decay floor +inf).
@@ -357,46 +370,61 @@ def build_bound_report(
     K, t, c0 = inputs.K, inputs.t, float(inputs.init_constant)
     if len(empirical) < K:
         raise ValueError("need an empirical error for every step up to K")
-    min_gap = gaps.min_gap(K)
-    if min_gap <= 0.0:
-        raise InvalidSpectrumError("lambda_1..lambda_{K+1} must be strictly decreasing")
     lam = inputs.lambdas.tolist()
     gap = gaps.gaps.tolist()
     errs = inputs.sub_error_norms.tolist()
-    lam_next = (lam + [0.0])[1:K + 1]  # lambda_{k+1}, 0 past the end
-    log_lam = [math.log(x) for x in lam]
+    if K > len(gap):
+        raise ValueError(f"K must lie in [1, {len(gap)}]")
+    min_gap = min(gap[:K])  # what gaps.min_gap(K) returns, without a numpy reduction
+    if min_gap <= 0.0:
+        raise InvalidSpectrumError("lambda_1..lambda_{K+1} must be strictly decreasing")
+    log_lam = list(map(math.log, lam))
     # step_decay[j-1] = 1 / log(lambda_j / lambda_{j+1}); the decay floor is its max
     step_decay = [_over_log_gap(1.0, a - b) for a, b in zip(log_lam, log_lam[1:])]
     global_floor_ok = t >= max(step_decay, default=0.0)
-    factors = [3.0 + 2.0 * lam_k / gap_k for lam_k, gap_k in zip(lam[:K], gap)]
 
+    # Per-step terms that do not depend on the recurrences, one list each
+    # over k = 1..K: lambda_{k+1} is 0 past the end, G_k uses the raw c0.
+    raw_c0 = inputs.init_constant
+    tops = lam[:K]
+    nexts = (lam + [0.0])[1:K + 1]
+    factors = [3.0 + 2.0 * lam_k / gap_k for lam_k, gap_k in zip(tops, gap)]
+    growth = [
+        1.0 if lam_n == 0.0 else 1.0 + raw_c0 * lam_k * lam_n / (lam_k - lam_n)
+        for lam_k, lam_n in zip(tops, nexts)
+    ]
+    ratios = [(7.0 * lam_k + lam_n) / (7.0 * lam_n + lam_k) for lam_k, lam_n in zip(tops, nexts)]
+    log_ratios = list(map(math.log, ratios))
+    log_2g = [math.log(2.0 * g_k) for g_k in growth]
+    c_terms = [lam_k * err for lam_k, err in zip(tops, errs)]
+    p_terms = [
+        lam_k * (5.0 * err + 7.0 * c0 / gap_k * (lam_n / lam_k) ** t)
+        for lam_k, lam_n, gap_k, err in zip(tops, nexts, gap, errs)
+    ]
+
+    # C_k, P_k, the agnostic admissibility and the running min of log r_k
+    # over steps before k (inf at k = 1, which makes the step floor 0)
+    c_limit = min_gap / 20.0
     cond_agnostic, agnostic, cond_step, power_iter = [], [], [], []
-    growth, log_ratios = [], []
-    c = p = tail = 0.0
+    c = p = 0.0
     admissible = True
-    min_log_ratio = math.inf  # over steps before k; makes the floor 0 at k = 1
-    for k, lam_k, lam_n, gap_k, err, f_k in zip(
-        range(1, K + 1), lam, lam_next, gap, errs, factors
+    min_log_ratio = math.inf
+    for lam_k, f_k, c_term, p_term, log_2g_k, log_ratio in zip(
+        tops, factors, c_terms, p_terms, log_2g, log_ratios
     ):
-        ok = c <= min_gap / 20.0
+        ok = c <= c_limit
         admissible = admissible and ok
-        c = f_k * c + lam_k * err
+        c = f_k * c + c_term
         cond_agnostic.append(ok)
         agnostic.append(5.0 * c / lam_k if admissible else None)
-
-        g_k = _step_growth(inputs.init_constant, lam_k, lam_n)
-        ratio = _contraction_ratio(lam_k, lam_n)
-        log_ratio = math.log(ratio)
-        growth.append(g_k)
-        log_ratios.append(log_ratio)
-        floor = _over_log_gap(math.log(2.0 * g_k), min_log_ratio)
+        floor = math.inf if min_log_ratio == 0.0 else log_2g_k / min_log_ratio
         cond_step.append(bool(t >= floor) and global_floor_ok)
-        leak = 7.0 * c0 / gap_k * (lam_n / lam_k) ** t
-        p = 8.0 * p + lam_k * (5.0 * err + leak)
+        p = 8.0 * p + p_term
         power_iter.append(3.0 * p / lam_k)
-        if k < K:
-            tail = 8.0 * (tail + lam_k / gap_k * (1.0 / ratio) ** t)
-            min_log_ratio = min(min_log_ratio, log_ratio)
+        min_log_ratio = min(min_log_ratio, log_ratio)
+    tail = 0.0  # R_K, from R_1 = 0 over k = 1..K-1
+    for lam_k, gap_k, ratio in zip(tops[:K - 1], gap, ratios):
+        tail = 8.0 * (tail + lam_k / gap_k * (1.0 / ratio) ** t)
 
     tail_ok = bool(tail <= min_gap / (140.0 * c0))
     if not (tail_ok and all(cond_step)):
@@ -411,17 +439,20 @@ def build_bound_report(
         suffix = 1.0
         g_max = max(growth)
         log_growth = math.log(g_max) if g_max > 1 else 0.0
-        log_target = math.log(inputs.init_constant * K / (epsilon * min_gap))
+        log_target = math.log(raw_c0 * K / (epsilon * min_gap))
+        decay = step_decay[:K] + [0.0] * (K - len(step_decay))  # 0 at lambda_{k+1} = 0
         error_budget, iteration_budget = [], []
-        for k in range(K, 0, -1):
+        for k, f_k, log_ratio, decay_k in zip(
+            range(K, 0, -1), reversed(factors), reversed(log_ratios), reversed(decay)
+        ):
             error_budget.append(head / suffix)
-            suffix = factors[k - 1] * suffix
-            main = _over_log_gap(max(log_growth, (K - k) + log_target), log_ratios[k - 1])
-            iteration_budget.append(max(main, step_decay[k - 1] if k < len(lam) else 0.0))
+            suffix = f_k * suffix
+            numerator = max(log_growth, (K - k) + log_target)
+            main = math.inf if log_ratio == 0.0 else numerator / log_ratio
+            iteration_budget.append(max(main, decay_k))
         error_budget.reverse()
         iteration_budget.reverse()
-    # positional, in BoundRow's field order: keywords make each row slower to build
     return list(map(
-        BoundRow, range(1, K + 1), agnostic, power_iter, empirical, cond_agnostic,
+        BoundRow._trusted, range(1, K + 1), agnostic, power_iter, empirical, cond_agnostic,
         cond_step, [tail_ok] * K, error_budget, iteration_budget,
     ))

@@ -87,12 +87,15 @@ def _resolve_out(args) -> Path:
 
 
 def cmd_deflate(args) -> int:
+    d = args.d
+    # an explicit slice is checked before the run; below d = 1 the run's own
+    # "d must be >= 1" is the message, and the default slice is always in range
+    if args.j_slice and d >= 1:
+        bad = [j for j in args.j_slice if not 1 <= j <= d]
+        if bad:
+            raise ValueError(f"--j-slice entries out of range: {bad}")
     run = _run_from_args(args)
-    d = run.d
     j_slice = args.j_slice or sorted({max(1, (d * q) // 4) for q in (1, 2, 3, 4)})
-    bad = [j for j in j_slice if not 1 <= j <= d]
-    if bad:
-        raise ValueError(f"--j-slice entries out of range: {bad}")
     diags = diagnose_run(run)
     report = bound_report(run, args.epsilon)
     out = _resolve_out(args)

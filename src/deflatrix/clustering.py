@@ -96,12 +96,18 @@ def build_rnn_graph(data: Dataset, r: int) -> np.ndarray:
     np.fill_diagonal(d2, np.inf)
     # The first r columns of a stable argsort of each row: every entry below
     # the row's r-th smallest distance, then the lowest-index entries equal
-    # to it until r are chosen.
+    # to it until r are chosen. Only a row with more ties than room needs the
+    # running count; every other row takes all of its ties.
     kth = np.partition(d2, r - 1, axis=1)[:, [r - 1]]
     neighbor = d2 < kth
     tie = d2 == kth
     room = r - np.count_nonzero(neighbor, axis=1)
-    neighbor |= tie & (np.cumsum(tie, axis=1, dtype=np.int32) <= room[:, None])
+    crowded = np.flatnonzero(np.count_nonzero(tie, axis=1) > room)
+    if crowded.size:
+        ties = tie[crowded]
+        ties &= np.cumsum(ties, axis=1, dtype=np.int32) <= room[crowded, None]
+        tie[crowded] = ties
+    neighbor |= tie
     adjacency = neighbor | neighbor.T
     # the weights overwrite the distances; exp of a pair that is not joined
     # is computed and then discarded

@@ -123,17 +123,25 @@ def write_figure_csvs(diags: list[StepDiagnostics], j_slice, out_dir) -> None:
     product next to the directional gap.
     """
     out = Path(out_dir)
-    j_slice = [int(j) for j in j_slice]
+    # a repeated direction is written once, where it first appears
+    j_slice = list(dict.fromkeys(int(j) for j in j_slice))
+    cols = [j - 1 for j in j_slice]
     fig2 = [_SCHEMA_LINE, "k,j,directional_gap"]
     fig3 = [_SCHEMA_LINE, "k,j,v_align,u_align"]
     fig4 = [_SCHEMA_LINE, "k,j,inner_gap,directional_gap"]
     for d in diags:
-        for j in j_slice:
-            fig2.append(f"{d.k},{j},{_fmt(d.directional_gaps[j - 1])}")
-            fig3.append(
-                f"{d.k},{j},{_fmt(d.output_alignments[j - 1])},{_fmt(d.top_alignments[j - 1])}"
-            )
-            fig4.append(f"{d.k},{j},{_fmt(d.inner_gap)},{_fmt(d.directional_gaps[j - 1])}")
+        # values read once per step; tolist() yields Python floats, whose
+        # repr is what _fmt writes for a float
+        inner = _fmt(d.inner_gap)
+        for j, gap, v_align, u_align in zip(
+            j_slice,
+            d.directional_gaps[cols].tolist(),
+            d.output_alignments[cols].tolist(),
+            d.top_alignments[cols].tolist(),
+        ):
+            fig2.append(f"{d.k},{j},{gap!r}")
+            fig3.append(f"{d.k},{j},{v_align!r},{u_align!r}")
+            fig4.append(f"{d.k},{j},{inner},{gap!r}")
     _write_lines(out / "fig2.csv", fig2)
     _write_lines(out / "fig3.csv", fig3)
     _write_lines(out / "fig4.csv", fig4)

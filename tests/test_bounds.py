@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from deflatrix.bounds import (
     BoundInputs,
+    BoundRow,
     _step_growth,
     affine_recurrence_closed_form,
     build_bound_report,
@@ -267,7 +268,10 @@ class TestEigengaps:
         lam = [1.0, 0.5, 0.25, 0.125, 0.125]
         with pytest.raises(InvalidSpectrumError, match="strictly decreasing"):
             report(proto_inputs(lam, np.zeros(5), t=200, K=4))
-        for bad in ([1.0, 0.5, 0.6], [1.0, 0.0], [1.0, -0.5]):
+        # a nan is rejected too: the report takes its smallest gap with the
+        # builtin min, which can skip one
+        nans = ([math.nan, 0.5], [1.0, math.nan, 0.25], [1.0, math.nan])
+        for bad in ([1.0, 0.5, 0.6], [1.0, 0.0], [1.0, -0.5], *nans):
             with pytest.raises(InvalidSpectrumError):
                 eigengaps(bad)
 
@@ -744,3 +748,29 @@ class TestEngineDigest:
         assert all(row.power_iter is not None for row in _digest_rows("leak-dominated"))
         assert not any(row.condition_step_floor for row in _digest_rows("tie-past-k-plus-one"))
         assert all(row.iteration_budget == math.inf for row in _digest_rows("growth-saturates"))
+
+
+class TestTrustedRows:
+    # the engine builds its rows without BoundRow's generated __init__; a
+    # row built that way must be indistinguishable from a public one
+    @pytest.mark.parametrize("name", list(_DIGEST_CASES))
+    def test_trusted_rows_equal_public_rows(self, name):
+        for row in _digest_rows(name):
+            public = BoundRow(**vars(row))
+            assert row == public and hash(row) == hash(public)
+            assert repr(row) == repr(public)
+            assert list(vars(row)) == list(vars(public))
+            assert list(vars(row)) == [f.name for f in dataclasses.fields(BoundRow)]
+
+    @pytest.mark.parametrize("name", list(_DIGEST_CASES))
+    def test_values_are_builtin_scalars(self, name):
+        for row in _digest_rows(name):
+            for value in vars(row).values():
+                assert value is None or type(value) in (int, float, bool), (name, value)
+
+    def test_trusted_rows_are_frozen(self):
+        row = _digest_rows("k-below-d")[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            row.agnostic = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            row.extra = 0.0

@@ -153,6 +153,30 @@ class TestRnnGraphMatchesArgsortReference:
         self.assert_matches_reference(_duplicated_points(), r)
 
 
+class TestTieMask:
+    # the running tie count is built only for the rows with more ties at
+    # their r-th distance than free slots
+    @staticmethod
+    def masked_rows(monkeypatch, data, r):
+        rows, cumsum = [], np.cumsum
+
+        def counting(a, *args, **kwargs):
+            rows.append(len(a))
+            return cumsum(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "cumsum", counting)
+        build_rnn_graph(data, r)
+        return rows
+
+    def test_blobs_need_no_mask(self, monkeypatch):
+        assert self.masked_rows(monkeypatch, synthetic_blobs(seed=0), 10) == []
+
+    def test_grid_masks_its_crowded_rows_only(self, monkeypatch):
+        # at r = 4 an interior point takes its four unit neighbors; the 76
+        # points on the border have more ties at their 4th distance than room
+        assert self.masked_rows(monkeypatch, _grid_points(), 4) == [76]
+
+
 class TestNormalizedLaplacian:
     def test_two_node_hand_value(self):
         data = Dataset(features=np.zeros((2, 1)), labels=np.array([0, 0]))

@@ -214,6 +214,35 @@ class TestDeflateCommand:
         assert "j-slice" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_out_of_range_j_slice_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
+        def no_run(*args):
+            raise AssertionError("the deflation ran before --j-slice was checked")
+
+        monkeypatch.setattr(deflatrix.cli, "reference_run", no_run)
+        out = tmp_path / "out"
+        code = run_cli("deflate", "--d", "150", "--j-slice", "151", "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: --j-slice entries out of range: [151]")
+        assert not out.exists()
+
+    def test_j_slice_at_d_zero_reports_the_size_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("deflate", "--d", "0", "--j-slice", "1", "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("error: d must be >= 1")
+        assert not out.exists()
+
+    def test_repeated_j_slice_directions_are_written_once(self, tmp_path):
+        once, twice = tmp_path / "once", tmp_path / "twice"
+        assert run_cli("deflate", "--d", "6", "--t", "30", "--j-slice", "5,2",
+                       "--out", str(once)) == 0
+        assert run_cli("deflate", "--d", "6", "--t", "30", "--j-slice", "5,2,5,2,2",
+                       "--out", str(twice)) == 0
+        for name in ("fig2.csv", "fig3.csv", "fig4.csv"):
+            assert (twice / name).read_bytes() == (once / name).read_bytes(), name
+            rows = (once / name).read_text().splitlines()[2:]
+            pairs = [tuple(int(x) for x in row.split(",")[:2]) for row in rows]
+            assert pairs == [(k, j) for k in range(1, 7) for j in (5, 2)], name
+
     def test_precondition_abort_on_tied_spectrum(self, tmp_path, capsys):
         code = run_cli(
             "deflate", "--d", "3", "--K", "2", "--t", "5",
