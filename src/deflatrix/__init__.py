@@ -5,7 +5,6 @@ matching theoretical bounds."""
 from .bounds import (
     BoundInputs,
     BoundRow,
-    SpectrumGaps,
     affine_recurrence_closed_form,
     build_bound_report,
     directional_gap_bound,

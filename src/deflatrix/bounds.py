@@ -48,12 +48,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpectrumError
+from .errors import DimensionMismatchError, InvalidSpectrumError
 
 __all__ = [
     "BoundInputs",
     "BoundRow",
-    "SpectrumGaps",
     "affine_recurrence_closed_form",
     "build_bound_report",
     "directional_gap_bound",
@@ -64,52 +63,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SpectrumGaps:
-    """Consecutive eigengaps of a non-increasing positive spectrum.
-
-    ``gaps[j-1]`` is lambda_j - lambda_{j+1} for j < d (0 at a tie) and
-    lambda_d for j = d (the distance to zero closes the list).
-    """
-
-    lambdas: np.ndarray
-    gaps: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.lambdas.size
-
-    def gap(self, j: int) -> float:
-        """Consecutive gap T_j (1-based)."""
-        return float(self.gaps[j - 1])
-
-    def min_gap(self, K: int) -> float:
-        """Smallest consecutive gap among the first K."""
-        if not 1 <= K <= self.dim:
-            raise ValueError(f"K must lie in [1, {self.dim}]")
-        return float(self.gaps[:K].min())
-
-    def davis_kahan_gap(self, k: int) -> float:
-        """min over j != k of |lambda_k - lambda_j| (the two-sided gap).
-
-        A one-dimensional spectrum has no neighbor, so the distance to zero
-        stands in, mirroring the tail convention of ``gaps``.
-        """
-        d = self.dim
-        if not 1 <= k <= d:
-            raise ValueError(f"k must lie in [1, {d}]")
-        lam = self.lambdas
-        candidates = []
-        if k > 1:
-            candidates.append(lam[k - 2] - lam[k - 1])
-        if k < d:
-            candidates.append(lam[k - 1] - lam[k])
-        if not candidates:
-            return float(lam[0])
-        return float(min(candidates))
-
-
-def eigengaps(lambdas) -> SpectrumGaps:
+def eigengaps(lambdas) -> np.ndarray:
+    """Read-only consecutive eigengaps of a non-increasing positive spectrum:
+    ``gaps[j-1]`` is T_j = lambda_j - lambda_{j+1} (0 at a tie), and
+    ``gaps[-1]`` is lambda_d, the distance to zero."""
     lam = np.asarray(lambdas, dtype=float)
     if lam.ndim != 1 or lam.size == 0:
         raise ValueError("expected a nonempty 1-d eigenvalue list")
@@ -119,12 +76,8 @@ def eigengaps(lambdas) -> SpectrumGaps:
     gaps = np.empty_like(lam)
     gaps[:-1] = lam[:-1] - lam[1:]
     gaps[-1] = lam[-1]
-    return SpectrumGaps(lambdas=lam.copy(), gaps=gaps)
-
-
-def _over_log_gap(x: float, log_gap: float) -> float:
-    """``x / log_gap``; a zero log-gap makes the step-count floor +inf."""
-    return math.inf if log_gap == 0.0 else x / log_gap
+    gaps.setflags(write=False)
+    return gaps
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -198,9 +151,7 @@ def directional_gap_bound(
     return inputs.init_constant * total
 
 
-def eigvec_drift_bound(
-    inputs: BoundInputs, gaps: SpectrumGaps, k: int, matrix_gap_spec: float
-) -> float:
+def eigvec_drift_bound(inputs: BoundInputs, k: int, matrix_gap_spec: float) -> float:
     """Bound on the drift between the running and ideal top eigenvectors.
 
     Pure formula: sqrt of (4.8/lambda_k) * gap^2 plus the geometrically
@@ -209,13 +160,14 @@ def eigvec_drift_bound(
     """
     lam = inputs.lambdas.tolist()
     lam_k = lam[k - 1]
+    gap_k = lam_k - lam[k] if k < len(lam) else lam_k  # T_k, as eigengaps computes it
     two_t = 2 * inputs.t
     tail = 0.0  # an explicit loop: builtin sum() of floats is compensated from 3.12 on
     for lam_j in lam[k:]:
         tail += (lam_j / lam_k) ** two_t
     value = (
         4.8 / lam_k * matrix_gap_spec**2
-        + 11.0 * inputs.init_constant**2 / (2.0 * gaps.gap(k) ** 2) * tail
+        + 11.0 * inputs.init_constant**2 / (2.0 * gap_k**2) * tail
     )
     return math.sqrt(value)
 
@@ -353,17 +305,17 @@ class BoundRow:
         return None if self.power_iter is None else self.power_iter / max(self.empirical, 1e-300)
 
 
-def build_bound_report(
-    inputs: BoundInputs, gaps: SpectrumGaps, empirical_errors
-) -> list[BoundRow]:
+def build_bound_report(inputs: BoundInputs, gaps, empirical_errors) -> list[BoundRow]:
     """Evaluate both bound families, and given a target accuracy both
     budgets, against measured per-step errors: the per-step terms come first,
     a forward pass over k = 1..K runs the recurrences in float64 (see module
     docstring), where an overflowing product saturates to +inf, and a
     backward pass fills the budgets.
 
-    Raises :class:`InvalidSpectrumError` unless lambda_1..lambda_{K+1}
-    decrease strictly (a tie past K+1 only makes the decay floor +inf).
+    ``gaps`` is :func:`eigengaps` of ``inputs.lambdas``; a gap list of
+    another length raises :class:`DimensionMismatchError`. Raises
+    :class:`InvalidSpectrumError` unless lambda_1..lambda_{K+1} decrease
+    strictly (a tie past K+1 only makes the decay floor +inf).
     """
     # the scalar work runs on Python floats, read out of the arrays once
     empirical = np.asarray(empirical_errors, dtype=float).tolist()
@@ -371,16 +323,17 @@ def build_bound_report(
     if len(empirical) < K:
         raise ValueError("need an empirical error for every step up to K")
     lam = inputs.lambdas.tolist()
-    gap = gaps.gaps.tolist()
+    gap = np.asarray(gaps, dtype=float).tolist()
     errs = inputs.sub_error_norms.tolist()
-    if K > len(gap):
-        raise ValueError(f"K must lie in [1, {len(gap)}]")
-    min_gap = min(gap[:K])  # what gaps.min_gap(K) returns, without a numpy reduction
+    if len(gap) != len(lam):
+        raise DimensionMismatchError(f"expected {len(lam)} eigengaps, got {len(gap)}")
+    min_gap = min(gap[:K])
     if min_gap <= 0.0:
         raise InvalidSpectrumError("lambda_1..lambda_{K+1} must be strictly decreasing")
     log_lam = list(map(math.log, lam))
-    # step_decay[j-1] = 1 / log(lambda_j / lambda_{j+1}); the decay floor is its max
-    step_decay = [_over_log_gap(1.0, a - b) for a, b in zip(log_lam, log_lam[1:])]
+    # step_decay[j-1] = 1 / log(lambda_j / lambda_{j+1}), +inf at a zero
+    # log-gap; the decay floor is its max
+    step_decay = [math.inf if a == b else 1.0 / (a - b) for a, b in zip(log_lam, log_lam[1:])]
     global_floor_ok = t >= max(step_decay, default=0.0)
 
     # Per-step terms that do not depend on the recurrences, one list each

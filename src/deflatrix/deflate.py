@@ -148,9 +148,9 @@ class DeflationRun:
 def _check_spectrum(spectrum: Spectrum, d: int, K: int) -> None:
     """The run's precondition on its reference spectrum.
 
-    Theorems 1-2, ``min_gap(K)`` and the oracle's per-step gap read only
-    lambda_1..lambda_{K+1}, so only those must decrease strictly; every
-    eigenvalue must be positive.
+    Theorems 1-2, the smallest of the first K gaps and the oracle's per-step
+    gap read only lambda_1..lambda_{K+1}, so only those must decrease
+    strictly; every eigenvalue must be positive.
     """
     if spectrum.dim != d:
         raise DimensionMismatchError("spectrum dimension does not match the matrix")

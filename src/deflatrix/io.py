@@ -207,28 +207,35 @@ def read_dataset_csv(path) -> Dataset:
     if not os.path.exists(path):
         raise FileNotFoundError(path)
     with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
+        # (line number in the file, text) of every non-blank line
+        lines = [(n, line.rstrip("\n")) for n, line in enumerate(fh, 1) if line.strip()]
     if not lines:
         raise SchemaError(f"{path}: empty dataset")
-    if lines[0].startswith("# schema="):
-        _check_schema(lines[0], path)
+    if lines[0][1].startswith("# schema="):
+        _check_schema(lines[0][1], path)
         lines = lines[1:]
     if not lines:
         raise SchemaError(f"{path}: missing header")
-    header = [c.strip() for c in lines[0].split(",")]
+    header = [c.strip() for c in lines[0][1].split(",")]
     if "label" not in header:
         raise SchemaError(f"{path}: no 'label' column in header {header}")
     label_idx = header.index("label")
-    feat_idx = [i for i in range(len(header)) if i != label_idx]
     feats = []
     labels = []
-    for line in lines[1:]:
+    for lineno, line in lines[1:]:
+        where = f"{path}:{lineno}"
         cells = line.split(",")
         if len(cells) != len(header):
-            raise SchemaError(f"{path}: row has {len(cells)} cells, header has {len(header)}")
-        feats.append([float(cells[i]) for i in feat_idx])
-        label = float(cells[label_idx])
+            raise SchemaError(f"{where}: row has {len(cells)} cells, header has {len(header)}")
+        row = []
+        for name, cell in zip(header, cells):
+            try:
+                row.append(float(cell))
+            except ValueError:
+                raise SchemaError(f"{where}: {name} {cell.strip()!r} is not a number") from None
+        label = row.pop(label_idx)
         if not label.is_integer():
-            raise SchemaError(f"{path}: label {cells[label_idx].strip()!r} is not an integer")
+            raise SchemaError(f"{where}: label {cells[label_idx].strip()!r} is not an integer")
+        feats.append(row)
         labels.append(int(label))
     return Dataset(features=np.array(feats), labels=np.array(labels))

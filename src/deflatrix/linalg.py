@@ -227,7 +227,7 @@ class ExponentialSpectrum:
 
 @dataclass(frozen=True)
 class ExplicitSpectrum:
-    """A caller-supplied strictly decreasing positive eigenvalue list."""
+    """A caller-supplied eigenvalue list, largest first."""
 
     values: tuple[float, ...]
 
@@ -236,7 +236,8 @@ SpectrumKind = PowerLawSpectrum | ExponentialSpectrum | ExplicitSpectrum
 
 
 def spectrum_eigenvalues(kind: SpectrumKind, d: int) -> np.ndarray:
-    """Materialize a spectrum kind as a strictly decreasing positive array."""
+    """Materialize a spectrum kind as d finite eigenvalues; their decay and
+    positivity are the run's precondition (``run_inexact_deflation``)."""
     if d < 1:
         raise ValueError("d must be >= 1")
     if isinstance(kind, PowerLawSpectrum):
@@ -255,8 +256,6 @@ def spectrum_eigenvalues(kind: SpectrumKind, d: int) -> np.ndarray:
         raise TypeError(f"unknown spectrum kind: {kind!r}")
     if not np.isfinite(lam).all():
         raise InvalidSpectrumError("eigenvalues must be finite")
-    if lam[-1] <= 0 or np.any(np.diff(lam) >= 0):
-        raise InvalidSpectrumError("eigenvalues must be strictly decreasing and positive")
     if abs(lam[0] - 1.0) > 1e-12:
         warnings.warn(
             "leading eigenvalue is not 1; proceeding without rescaling",

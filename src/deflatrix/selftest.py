@@ -20,7 +20,6 @@ import numpy as np
 
 from .bounds import (
     BoundInputs,
-    SpectrumGaps,
     affine_recurrence_closed_form,
     build_bound_report,
     directional_gap_bound,
@@ -174,10 +173,10 @@ def run_level_checks(corpus: list[RunBundle]) -> dict[str, Tally]:
     for bundle in corpus:
         run, diags = bundle.run, bundle.diags
         lam = run.spectrum.eigenvalues
-        gaps = eigengaps(lam)
+        gap = eigengaps(lam).tolist()
         inputs = inputs_from_run(run)
         basis = run.spectrum.basis
-        rows = build_bound_report(inputs, gaps, np.zeros(inputs.K))
+        rows = build_bound_report(inputs, gap, np.zeros(inputs.K))
         weighted = _directional_sums(run, basis)
 
         for check in matrix_gap_recurrence_check(diags, lam):
@@ -191,7 +190,8 @@ def run_level_checks(corpus: list[RunBundle]) -> dict[str, Tally]:
                 dg.matrix_gap_spec + CHECK_SLACK - shift,
             )
 
-            dk_gap = gaps.davis_kahan_gap(k)
+            # the two-sided gap min_{j != k} |lambda_k - lambda_j|; every run has k < d
+            dk_gap = min(gap[k - 2], gap[k - 1]) if k > 1 else gap[0]
             if dg.matrix_gap_fro <= dk_gap / 4.0:
                 bound = 2.0 / dk_gap * dg.matrix_gap_fro
                 tallies["eigvec_sensitivity"].record_bool(
@@ -220,11 +220,10 @@ def run_level_checks(corpus: list[RunBundle]) -> dict[str, Tally]:
                 None if check.lhs is None else check.lhs - check.rhs + CHECK_SLACK,
             )
 
-            fro_ok = all(
-                diags[kp - 1].matrix_gap_fro <= gaps.min_gap(k) / 8.0 for kp in range(1, k)
-            )
+            fro_limit = min(gap[:k]) / 8.0
+            fro_ok = all(diags[kp - 1].matrix_gap_fro <= fro_limit for kp in range(1, k))
             if fro_ok and rows[k - 1].condition_step_floor:
-                bound = eigvec_drift_bound(inputs, gaps, k, dg.matrix_gap_spec)
+                bound = eigvec_drift_bound(inputs, k, dg.matrix_gap_spec)
                 tallies["drift_bound"].record_bool(
                     dg.drift <= bound + CHECK_SLACK, bound + CHECK_SLACK - dg.drift
                 )
@@ -389,14 +388,14 @@ def _budget_predicted_t(lambdas, budgets, c0_guess: float) -> int:
     return t
 
 
-def _sum_condition_budgets(gaps: SpectrumGaps, lambdas, K: int) -> list[float]:
+def _sum_condition_budgets(gaps: np.ndarray, lambdas, K: int) -> list[float]:
     # per-step error sizes sufficient for the agnostic admissibility condition
-    head = gaps.min_gap(K) / (20.0 * K)
+    head = float(gaps[:K].min()) / (20.0 * K)
     budgets = []
     for k in range(1, K + 1):
         prod = 1.0
         for j in range(k + 1, K):
-            prod *= 3.0 + 2.0 * float(lambdas[j - 1]) / gaps.gap(j)
+            prod *= 3.0 + 2.0 * float(lambdas[j - 1]) / float(gaps[j - 1])
         budgets.append(head / prod)
     return budgets
 
@@ -436,7 +435,7 @@ def agnostic_soundness_trials(n: int, dims, rng: RandomSource) -> Tally:
     return tally
 
 
-def _min_t_power_iter(gaps: SpectrumGaps, lambdas, K: int, c0: float) -> int:
+def _min_t_power_iter(gaps: np.ndarray, lambdas, K: int, c0: float) -> int:
     def conditions_at(t: int) -> bool:
         inputs = BoundInputs(
             lambdas=lambdas,

@@ -19,7 +19,7 @@ from deflatrix.bounds import (
     geometric_tail_bound,
     sum_recurrence_closed_form,
 )
-from deflatrix.errors import InvalidSpectrumError
+from deflatrix.errors import DimensionMismatchError, InvalidSpectrumError
 
 
 def proto_inputs(lambdas, errs, c0=1.0, t=10, K=None, epsilon=None):
@@ -45,7 +45,7 @@ def report(inputs):
 def _ref_accumulation(inputs, gaps, lo, hi):
     out = 1.0
     for j in range(lo, hi + 1):
-        out *= 3.0 + 2.0 * float(inputs.lambdas[j - 1]) / gaps.gap(j)
+        out *= 3.0 + 2.0 * float(inputs.lambdas[j - 1]) / float(gaps[j - 1])
     return out
 
 
@@ -57,7 +57,7 @@ def _ref_agnostic_condition(inputs, gaps, k):
             * float(inputs.sub_error_norms[kp - 1])
             * _ref_accumulation(inputs, gaps, kp + 1, k - 1)
         )
-    return lhs <= gaps.min_gap(inputs.K) / 20.0
+    return lhs <= float(gaps[:inputs.K].min()) / 20.0
 
 
 def _ref_agnostic_value(inputs, gaps, k):
@@ -106,10 +106,10 @@ def _ref_power_iter_conditions(inputs, gaps):
         tail += (
             8.0 ** (K - kp)
             * float(lam[kp - 1])
-            / gaps.gap(kp)
+            / float(gaps[kp - 1])
             * (1.0 / _ref_contraction_ratio(lam, kp)) ** t
         )
-    return per_step, bool(tail <= gaps.min_gap(K) / (140.0 * inputs.init_constant))
+    return per_step, bool(tail <= float(gaps[:K].min()) / (140.0 * inputs.init_constant))
 
 
 def _ref_power_iter_value(inputs, gaps, k):
@@ -122,14 +122,17 @@ def _ref_power_iter_value(inputs, gaps, k):
             8.0 ** (k - kp)
             * lam_kp
             / float(lam[k - 1])
-            * (5.0 * float(inputs.sub_error_norms[kp - 1]) + 7.0 * c0 / gaps.gap(kp) * ratio**t)
+            * (
+                5.0 * float(inputs.sub_error_norms[kp - 1])
+                + 7.0 * c0 / float(gaps[kp - 1]) * ratio**t
+            )
         )
     return 3.0 * total
 
 
 def _ref_error_budget(epsilon, inputs, gaps, k):
     K = inputs.K
-    head = min(epsilon * float(inputs.lambdas[K - 1]), gaps.min_gap(K)) / (20.0 * K)
+    head = min(epsilon * float(inputs.lambdas[K - 1]), float(gaps[:K].min())) / (20.0 * K)
     return head / _ref_accumulation(inputs, gaps, k + 1, K)
 
 
@@ -138,7 +141,7 @@ def _ref_iteration_budget(inputs, gaps, k):
     growth = max(_ref_step_growth(inputs, kp) for kp in range(1, K + 1))
     numerator = max(
         math.log(growth) if growth > 1 else 0.0,
-        (K - k) + math.log(c0 * K / (inputs.epsilon * gaps.min_gap(K))),
+        (K - k) + math.log(c0 * K / (inputs.epsilon * float(gaps[:K].min()))),
     )
     log_ratio = math.log(_ref_contraction_ratio(lam, k))
     main = math.inf if log_ratio == 0.0 else numerator / log_ratio
@@ -168,7 +171,7 @@ def _ref_eigvec_drift_bound(inputs, gaps, k, matrix_gap_spec):
         tail += (float(lam[j - 1]) / lam_k) ** (2 * t)
     value = (
         4.8 / lam_k * matrix_gap_spec**2
-        + 11.0 * inputs.init_constant**2 / (2.0 * gaps.gap(k) ** 2) * tail
+        + 11.0 * inputs.init_constant**2 / (2.0 * float(gaps[k - 1]) ** 2) * tail
     )
     return math.sqrt(value)
 
@@ -239,28 +242,26 @@ def _assert_matches(got, want):
 class TestEigengaps:
     def test_hand_values(self):
         gaps = eigengaps([1.0, 0.5, 1.0 / 3.0])
-        np.testing.assert_allclose(gaps.gaps, [0.5, 1.0 / 6.0, 1.0 / 3.0], atol=1e-16)
-        assert gaps.min_gap(2) == pytest.approx(1.0 / 6.0)
+        np.testing.assert_allclose(gaps, [0.5, 1.0 / 6.0, 1.0 / 3.0], atol=1e-16)
+        assert float(gaps[:2].min()) == pytest.approx(1.0 / 6.0)
 
     def test_two_values(self):
         gaps = eigengaps([1.0, 0.5])
-        np.testing.assert_allclose(gaps.gaps, [0.5, 0.5], atol=0)
+        np.testing.assert_allclose(gaps, [0.5, 0.5], atol=0)
 
     def test_power_law_closed_form(self):
         d = 12
         lam = 1.0 / np.arange(1, d + 1)
         gaps = eigengaps(lam)
         for j in range(1, d):
-            assert gaps.gap(j) == pytest.approx(1.0 / (j * (j + 1)), rel=1e-12)
+            assert float(gaps[j - 1]) == pytest.approx(1.0 / (j * (j + 1)), rel=1e-12)
 
-    def test_two_sided_gap(self):
-        gaps = eigengaps([1.0, 0.6, 0.5])
-        assert gaps.davis_kahan_gap(1) == pytest.approx(0.4)
-        assert gaps.davis_kahan_gap(2) == pytest.approx(0.1)
-        assert gaps.davis_kahan_gap(3) == pytest.approx(0.1)
-
-    def test_two_sided_gap_single_eigenvalue(self):
-        assert eigengaps([0.7]).davis_kahan_gap(1) == pytest.approx(0.7)
+    def test_returns_a_read_only_array(self):
+        # the report reads the gaps it is given, so a caller cannot alter them
+        gaps = eigengaps([1.0, 0.5, 0.25])
+        assert isinstance(gaps, np.ndarray) and not gaps.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            gaps[0] = 1.0
 
     def test_rejects_ties_and_nonpositive(self):
         # eigengaps reads a tie as a zero gap; the report rejects a tie among
@@ -279,7 +280,7 @@ class TestEigengaps:
         # a tie is a zero gap; past lambda_{K+1} it only makes the decay floor
         # infinite, so every step floor fails and the power-iteration bound is
         # inadmissible
-        np.testing.assert_array_equal(eigengaps([1.0, 0.5, 0.5]).gaps, [0.5, 0.0, 0.5])
+        np.testing.assert_array_equal(eigengaps([1.0, 0.5, 0.5]), [0.5, 0.0, 0.5])
         lam = [1.0, 0.5, 0.25, 0.125, 0.125]
         rows = report(proto_inputs(lam, np.zeros(5), t=10**6, K=3, epsilon=1e-2))
         assert [row.k for row in rows] == [1, 2, 3]
@@ -442,7 +443,7 @@ class TestPowerIterFamily:
         inputs = proto_inputs(lam, np.zeros(20), c0=2.0, K=10, epsilon=1e-2)
         got = report(inputs)[3].iteration_budget
         g = max(1.0 + 2.0 * lam[k - 1] * lam[k] / (lam[k - 1] - lam[k]) for k in range(1, 11))
-        num = max(math.log(g), (10 - 4) + math.log(2.0 * 10 / (1e-2 * gaps.min_gap(10))))
+        num = max(math.log(g), (10 - 4) + math.log(2.0 * 10 / (1e-2 * float(gaps[:10].min()))))
         den = math.log((7 * lam[3] + lam[4]) / (7 * lam[4] + lam[3]))
         expected = max(num / den, 1.0 / (math.log(lam[3]) - math.log(lam[4])))
         assert got == pytest.approx(expected, rel=1e-14)
@@ -456,7 +457,7 @@ class TestPowerIterFamily:
             k = 2
             got = report(inputs)[k - 1].iteration_budget
             den = math.log((7 * lam[k - 1] + lam[k]) / (7 * lam[k] + lam[k - 1]))
-            scale = ((K - k) + math.log(K / (1e-2 * gaps.min_gap(K)))) / den
+            scale = ((K - k) + math.log(K / (1e-2 * float(gaps[:K].min())))) / den
             assert 0.5 * scale <= got <= 2.0 * scale
 
 
@@ -494,8 +495,7 @@ class TestDriftBound:
     def test_formula_reevaluation(self):
         lam = np.array([1.0, 0.5, 0.25])
         inputs = proto_inputs(lam, np.zeros(3), c0=2.0, t=9, K=2)
-        gaps = eigengaps(lam)
-        got = eigvec_drift_bound(inputs, gaps, 2, 0.003)
+        got = eigvec_drift_bound(inputs, 2, 0.003)
         tail = (0.25 / 0.5) ** 18
         expected = math.sqrt(4.8 / 0.5 * 0.003**2 + 11.0 * 4.0 / (2.0 * 0.25**2) * tail)
         assert got == pytest.approx(expected, rel=1e-14)
@@ -511,12 +511,12 @@ class TestDriftBound:
         for j in range(2, 61):
             tail += (float(lam[j - 1]) / 1.0) ** 2
         expected = math.sqrt(11.0 * 1.0**2 / (2.0 * 0.5**2) * tail)
-        assert eigvec_drift_bound(inputs, eigengaps(lam), 1, 0.0) == expected
+        assert eigvec_drift_bound(inputs, 1, 0.0) == expected
 
     def test_vanishes_at_exact_match_and_large_t(self):
         lam = np.array([1.0, 0.5, 0.25])
         inputs = proto_inputs(lam, np.zeros(3), c0=2.0, t=5000, K=2)
-        assert eigvec_drift_bound(inputs, eigengaps(lam), 2, 0.0) <= 1e-100
+        assert eigvec_drift_bound(inputs, 2, 0.0) <= 1e-100
 
 
 class TestFormulaBits:
@@ -540,7 +540,7 @@ class TestFormulaBits:
         for k in range(1, K + 1):
             spec = 10.0 ** gen.uniform(-16.0, -1.0)
             spec = np.float64(spec) if numpy_scalars else float(spec)
-            got = eigvec_drift_bound(inputs, gaps, k, spec)
+            got = eigvec_drift_bound(inputs, k, spec)
             assert repr(got) == repr(_ref_eigvec_drift_bound(inputs, gaps, k, spec))
             lambda_k = float(lam[k - 1] * (1.0 + 10.0 ** gen.uniform(-6.0, 0.0)))
             for j in range(k, lam.size + 1):
@@ -641,6 +641,16 @@ class TestBoundReport:
         assert all(row.agnostic is not None for row in rows[: first_fail - 1])
         assert all(row.agnostic is None for row in rows[first_fail - 1 :])
         assert all(math.isfinite(row.error_budget) and row.error_budget >= 0 for row in rows)
+
+    def test_rejects_the_gaps_of_another_spectrum(self):
+        # the gaps of a longer spectrum would otherwise be read as this one's
+        lam = 1.0 / np.arange(1, 6)
+        inputs = proto_inputs(lam, np.full(5, 1e-10), c0=2.0, t=200, K=4)
+        other = eigengaps(0.5 ** np.arange(8))
+        with pytest.raises(DimensionMismatchError, match="expected 5 eigengaps, got 8"):
+            build_bound_report(inputs, other, np.zeros(4))
+        with pytest.raises(DimensionMismatchError):
+            build_bound_report(inputs, eigengaps(lam)[:4], np.zeros(4))
 
     def test_overflowing_budget_product_saturates_to_zero(self):
         inputs = _engine_case(1, 25, "narrow")

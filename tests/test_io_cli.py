@@ -71,6 +71,21 @@ class TestDatasetCsv:
         with pytest.raises(SchemaError, match="not an integer"):
             dio.read_dataset_csv(path)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [("0.0,1.0,x", "label 'x' is not a number"),
+         ("0.0,oops,1", "y 'oops' is not a number"),
+         ("0.0,1.0", "row has 2 cells, header has 3"),
+         ("0.0,1.0,2.5", "label '2.5' is not an integer")],
+    )
+    def test_row_errors_name_path_line_and_cell(self, tmp_path, row, message):
+        # line 4 of the file: the schema line, the header and a blank line come first
+        path = tmp_path / "data.csv"
+        path.write_text(f"# schema=1\nx,y,label\n\n{row}\n0.0,0.0,0\n")
+        with pytest.raises(SchemaError) as info:
+            dio.read_dataset_csv(path)
+        assert str(info.value) == f"{path}:4: {message}"
+
 
 class TestRunDir:
     def test_needs_one_diagnostic_row_per_step(self, tmp_path):
@@ -433,6 +448,37 @@ class TestDecayPrecondition:
         lines = (tmp_path / "bounds.csv").read_text().splitlines()
         assert len(lines) == 2 + int(argv[4])
 
+    @pytest.mark.parametrize("command", ["deflate", "bounds"])
+    def test_tie_past_k_plus_one_runs(self, tmp_path, command):
+        # lambda_3 = lambda_4 lies past lambda_{K+1}; the tie only makes the
+        # decay floor infinite, so the power-iteration bound is inadmissible
+        code = run_cli(command, "--d", "4", "--K", "1", "--t", "50",
+                       "--spectrum", "explicit:1,0.5,0.25,0.25", "--out", str(tmp_path))
+        assert code == 0
+        lines = (tmp_path / "bounds.csv").read_text().splitlines()
+        header = lines[1].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[2:]]
+        assert len(rows) == 1
+        assert all(row["thm2_bound"] == "precondition-failed" for row in rows)
+
+    @pytest.mark.parametrize(
+        "spectrum", ["explicit:1,0.5,0", "explicit:1,0.5,-0.25", "explicit:1,0.25,0.5"]
+    )
+    def test_nonpositive_or_unsorted_spectrum_aborts(self, tmp_path, capsys, spectrum):
+        out = tmp_path / "out"
+        code = run_cli("deflate", "--d", "3", "--K", "1", "--t", "20",
+                       "--spectrum", spectrum, "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("precondition failed: ")
+        assert not out.exists()
+
+    def test_underflowing_tail_aborts(self, tmp_path, capsys):
+        # 0.01**399 underflows to 0, which the run rejects as non-positive
+        code = run_cli("bounds", "--d", "400", "--K", "2", "--t", "5",
+                       "--spectrum", "exponential:0.01", "--out", str(tmp_path))
+        assert code == 2
+        assert "positive" in capsys.readouterr().err
+
     @pytest.mark.parametrize("K, code", [("1", 0), ("2", 2)])
     def test_gap_within_k_plus_one_aborts(self, tmp_path, capsys, K, code):
         # lambda_2 - lambda_3 = 1e-13 matters only once the run reaches step 2
@@ -491,6 +537,16 @@ class TestClusterCommand:
                        "--seeds", "0", "--out", str(out))
         assert code == 1
         assert "not an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unreadable_cell_exits_one_with_its_location(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        rows = [f"{i % 2}.0,{i // 2}.0,{i % 2}" for i in range(8)] + ["0.5,0.5,x"]
+        data.write_text("x,y,label\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        code = run_cli("cluster", "--data", str(data), "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {data}:10: label 'x' is not a number")
         assert not out.exists()
 
     def test_missing_dataset_file(self, tmp_path):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deflatrix.deflate import run_inexact_deflation
 from deflatrix.errors import (
     DimensionMismatchError,
     InvalidSpectrumError,
@@ -224,13 +225,27 @@ class TestSpectrumKinds:
         with pytest.raises(InvalidSpectrumError):
             spectrum_eigenvalues(ExponentialSpectrum(1.0), 3)
 
+    @staticmethod
+    def _run(values, K):
+        sigma, spec = build_test_sigma(len(values), ExplicitSpectrum(values), np.eye(len(values)))
+        return run_inexact_deflation(sigma, K, 20, RandomSource(0), spectrum=spec)
+
     def test_explicit_rejects_ties(self):
-        with pytest.raises(InvalidSpectrumError):
-            spectrum_eigenvalues(ExplicitSpectrum((1.0, 0.9, 0.9)), 3)
+        # the values come back as given; the run owns the decay check, which
+        # reads lambda_1..lambda_{K+1}
+        values = (1.0, 0.9, 0.9)
+        np.testing.assert_array_equal(spectrum_eigenvalues(ExplicitSpectrum(values), 3), values)
+        with pytest.raises(InvalidSpectrumError, match="strictly decreasing"):
+            self._run(values, K=2)
+        assert self._run(values, K=1).K == 1  # the tie lies past lambda_{K+1}
 
     def test_explicit_rejects_nonpositive(self):
-        with pytest.raises(InvalidSpectrumError):
-            spectrum_eigenvalues(ExplicitSpectrum((1.0, 0.5, 0.0)), 3)
+        # zero or negative past lambda_{K+1} too: every eigenvalue must be positive
+        for values in ((1.0, 0.5, 0.0), (1.0, 0.5, -0.25)):
+            lam = spectrum_eigenvalues(ExplicitSpectrum(values), 3)
+            np.testing.assert_array_equal(lam, values)
+            with pytest.raises(InvalidSpectrumError, match="positive"):
+                self._run(values, K=1)
 
     @pytest.mark.parametrize(
         "kind",
