@@ -324,12 +324,13 @@ def run_clustering_experiment(
     ``jobs > 1`` the cells run in N = min(jobs, cells) worker processes,
     which receive the shared inputs once when they start (forked where the
     platform can fork, so the inputs are inherited rather than pickled).
-    A cell's argument errors are raised here before any work starts. Cells
-    are submitted longest (largest t) first; results come back sorted by
-    (t, seed) and are byte-identical for every ``jobs``.
+    A cell's argument errors are raised here before any work starts. A
+    repeated t value or seed is run once. Cells are submitted longest
+    (largest t) first; results come back sorted by (t, seed) and are
+    byte-identical for every ``jobs``.
     """
-    t_values = [int(t) for t in t_values]
-    seeds = [int(s) for s in seeds]
+    t_values = list(dict.fromkeys(int(t) for t in t_values))
+    seeds = list(dict.fromkeys(int(s) for s in seeds))
     if not t_values:
         raise ValueError("need at least one t value")
     if not seeds:
@@ -340,10 +341,11 @@ def run_clustering_experiment(
         raise ValueError("spectrum_end must be 'top' or 'bottom'")
     for seed in seeds:
         RandomSource(seed)  # rejects a seed outside [0, 2**64)
+    # k defaults to the cluster count, so the cluster count is checked first
+    _check_count("k_clusters", k_clusters, data.n)
     _check_count("k", k, data.n)
     if min(t_values) < 1:
         raise ValueError("t must be >= 1")
-    _check_count("k_clusters", k_clusters, data.n)
     lap = normalized_laplacian(build_rnn_graph(data, r))
     inputs = (_embedding_target(lap, spectrum_end), data.labels, k, k_clusters, row_normalize)
 

@@ -5,12 +5,11 @@ top eigenvector of the current matrix, then removes that direction:
 
     sigma_{k+1} = sigma_k - (v_k . sigma_k v_k) v_k v_k^T.
 
-The run keeps vectors, not matrices: alongside each output ``v_k`` it keeps
-a reference to the input matrix and, when a reference spectrum is given,
-that spectrum and the oracle's exact top eigenpair of ``sigma_k``. Every
-``sigma_k`` can be replayed bitwise from the input and the outputs with
-:func:`deflate_step`, and every ideal matrix is a closed form of the
-spectrum, so memory stays O(d^2) however many steps are taken.
+The run keeps vectors, not matrices: its outputs ``v_k`` and, when a
+reference spectrum is given, that spectrum and the oracle's exact top
+eigenpair of ``sigma_k``, so memory stays O(d^2) however many steps are
+taken. Diagnostics replay the update in the spectrum's eigenbasis, where
+the input is diagonal (:mod:`deflatrix.diagnostics`).
 :func:`reference_run` is the seeded protocol behind the ``deflate`` and
 ``bounds`` commands: a random basis, a test matrix of a given spectrum kind,
 and a run checked against that spectrum.
@@ -105,11 +104,11 @@ def aligned_top_eigenvector(sigma_k: SymMatrix, u_star_k: np.ndarray) -> tuple[n
 class DeflationRun:
     """Vector trace of an inexact deflation run.
 
-    ``sigma`` is the input matrix and ``spectrum`` the reference spectrum the
-    run was checked and measured against (``None`` for a run without the
-    oracle). The run stores no deflated matrix:
-    sigma_{k+1} = deflate_step(sigma_k, components[:, k-1]) replays them
-    bitwise.
+    ``spectrum`` is the reference spectrum the run was checked and measured
+    against (``None`` for a run without the oracle). The run stores no
+    matrix: from the input sigma_1,
+    sigma_{k+1} = deflate_step(sigma_k, components[:, k-1]) replays the
+    deflated ones bitwise.
 
     Per step k (columns of the (d, K) arrays, 1-based step index):
 
@@ -131,7 +130,6 @@ class DeflationRun:
     K: int
     t: int
     seed: int
-    sigma: SymMatrix
     spectrum: Spectrum | None
     components: np.ndarray
     top_eigenvalues: np.ndarray | None
@@ -219,7 +217,6 @@ def run_inexact_deflation(
         K=K,
         t=t,
         seed=rng.seed,
-        sigma=sigma,
         spectrum=spectrum,
         components=components,
         top_eigenvalues=lambdas,

@@ -2,13 +2,12 @@
 checks.
 
 Everything here is read-only analysis of a finished run against the
-reference spectrum it carries. The run stores vectors only;
-:func:`diagnose_run` replays its deflated matrices one step at a time from
-the input matrix and the output vectors, and builds each ideal matrix from
-its closed form. :func:`bound_report` feeds the run's measurements to the
-bound engine. Alignment profiles are always taken against the *original*
-eigenbasis (the ideal directions), not per-step oracles, because that is
-what the figure traces plot.
+reference spectrum (lambda, U) it carries. :func:`diagnose_run` works in
+the eigenbasis U, where the exact deflation sequence is diagonal, so no
+ideal matrix is ever built. :func:`bound_report` feeds the run's
+measurements to the bound engine. Alignment profiles are always taken
+against the *original* eigenbasis (the ideal directions), not per-step
+oracles, because that is what the figure traces plot.
 
 Inequality checks return a three-valued verdict (holds / violated / skipped)
 so property tests never silently count vacuous cases as passes. Comparisons
@@ -87,34 +86,32 @@ class StepDiagnostics:
     inner_gap: float
 
 
-def _ideal_matrix(spectrum: Spectrum, k: int) -> SymMatrix:
-    """Ideal deflated matrix at step ``k`` (1-based): the original matrix with
-    its first k-1 eigencomponents dropped."""
-    basis = spectrum.basis
-    tail = basis[:, k - 1:] * spectrum.eigenvalues[k - 1:]
-    return SymMatrix(tail @ basis[:, k - 1:].T)
-
-
 def diagnose_run(run: DeflationRun) -> list[StepDiagnostics]:
     """Compute the full per-step diagnostic table for a run with a spectrum.
 
-    sigma_k is replayed from ``run.sigma`` with the run's own update at the
-    end of every step, so it equals the matrix the run deflated bitwise. Its
-    gap to the (mirrored) ideal matrix is a difference of two bitwise
-    symmetric matrices, hence bitwise symmetric, and is wrapped unvalidated.
+    In the reference eigenbasis U the input is M_1 = diag(lambda) and the
+    ideal sigma*_k is diag(0, ..., 0, lambda_k, ..., lambda_d); the run's own
+    update M_{k+1} = deflate_step(M_k, U^T v_k) replays sigma_k there. The
+    columns of G_k = M_k - sigma*_k are the directional gaps, and G_k keeps
+    M_k's mirrored triangles, so it is wrapped unvalidated.
     """
     spectrum = run.spectrum
     if spectrum is None:
         raise ValueError("diagnostics need a run recorded with a reference spectrum")
     basis = spectrum.basis
+    lam = spectrum.eigenvalues
     sub_errors = run.components - run.exact_tops
     out = []
-    sigma_k = run.sigma
+    m_k = SymMatrix._trusted(np.diag(lam))
     for k in range(1, run.K + 1):
-        gap = SymMatrix._trusted(sigma_k.array - _ideal_matrix(spectrum, k).array)
         v = run.components[:, k - 1]
         u = run.exact_tops[:, k - 1]
         u_star = spectrum.eigenvector(k - 1)
+        w = basis.T @ v
+        a = basis.T @ u
+        gap = m_k.array.copy()
+        # einsum returns a writeable view of the copy's diagonal
+        np.einsum("ii->i", gap)[k - 1:] -= lam[k - 1:]
         sub_err = float(np.linalg.norm(sub_errors[:, k - 1]))
         output_err = float(np.linalg.norm(v - u_star))
         drift = float(np.linalg.norm(u - u_star))
@@ -124,17 +121,17 @@ def diagnose_run(run: DeflationRun) -> list[StepDiagnostics]:
             StepDiagnostics(
                 k=k,
                 sub_err=sub_err,
-                matrix_gap_fro=float(np.linalg.norm(gap.array)),
-                matrix_gap_spec=spectral_norm(gap),
+                matrix_gap_fro=float(np.linalg.norm(gap)),
+                matrix_gap_spec=spectral_norm(SymMatrix._trusted(gap)),
                 output_err=output_err,
                 drift=drift,
-                directional_gaps=np.linalg.norm(gap.array @ basis, axis=0),
-                output_alignments=np.abs(basis.T @ v),
-                top_alignments=np.abs(basis.T @ u),
-                inner_gap=float(abs(u @ (gap.array @ u_star))),
+                directional_gaps=np.linalg.norm(gap, axis=0),
+                output_alignments=np.abs(w),
+                top_alignments=np.abs(a),
+                inner_gap=float(abs(a @ gap[:, k - 1])),
             )
         )
-        sigma_k = deflate_step(sigma_k, v)
+        m_k = deflate_step(m_k, w)
     return out
 
 

@@ -202,11 +202,12 @@ def read_dataset_csv(path) -> Dataset:
     """Read a feature CSV whose label column is named ``label``.
 
     The header may or may not be preceded by a schema comment; plain
-    user-supplied CSVs are accepted as long as the label column exists.
+    user-supplied CSVs are accepted as long as the label column exists. A
+    leading UTF-8 byte-order mark, as spreadsheet exports write, is dropped.
     """
     if not os.path.exists(path):
         raise FileNotFoundError(path)
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         # (line number in the file, text) of every non-blank line
         lines = [(n, line.rstrip("\n")) for n, line in enumerate(fh, 1) if line.strip()]
     if not lines:

@@ -51,6 +51,7 @@ from .linalg import (
     jacobi_eigendecomposition,
     random_orthogonal_basis,
     sample_unit_sphere,
+    spectral_norm,
 )
 from .powerit import pi_alignment_bound, pi_error_bound, power_iterate
 
@@ -109,8 +110,8 @@ def make_instance(d: int, rng: RandomSource) -> tuple[SymMatrix, Spectrum]:
 def _symmetric_perturbation(rng: RandomSource, d: int, norm: float) -> np.ndarray:
     """Random symmetric d x d matrix scaled to spectral norm ``norm``."""
     g = rng.normal(d, d)
-    h = (g + g.T) / 2.0
-    h *= norm / max(np.abs(np.linalg.eigvalsh(h)).max(), 1e-300)
+    h = (g + g.T) / 2.0  # bitwise symmetric, so SymMatrix keeps its bits
+    h *= norm / max(spectral_norm(SymMatrix(h)), 1e-300)
     return h
 
 

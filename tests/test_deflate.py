@@ -5,7 +5,7 @@ import pytest
 
 from deflatrix.clustering import build_rnn_graph, normalized_laplacian, synthetic_blobs
 from deflatrix.deflate import aligned_top_eigenvector, deflate_step, run_inexact_deflation
-from deflatrix.diagnostics import _ideal_matrix, bound_report, diagnose_run
+from deflatrix.diagnostics import bound_report, diagnose_run
 from deflatrix.errors import DegenerateGapError, DimensionMismatchError, InvalidSpectrumError
 from deflatrix.linalg import (
     ExplicitSpectrum,
@@ -28,9 +28,16 @@ def make_instance(d, seed, kind=None):
     return build_test_sigma(d, kind or PowerLawSpectrum(1.0), basis)
 
 
-def replay(run):
+def ideal_matrix(spec, k):
+    """The exact deflation sigma*_k (1-based): the matrix of ``spec`` with its
+    first k-1 eigencomponents dropped, in closed form."""
+    tail = spec.basis[:, k - 1:] * spec.eigenvalues[k - 1:]
+    return SymMatrix(tail @ spec.basis[:, k - 1:].T)
+
+
+def replay(sigma, run):
     """sigma_1 .. sigma_{K+1} of a run, rebuilt from its input and outputs."""
-    mats = [run.sigma]
+    mats = [sigma]
     for k in range(1, run.K + 1):
         mats.append(deflate_step(mats[-1], run.components[:, k - 1]))
     return mats
@@ -136,11 +143,11 @@ class TestIdealDeflation:
     @pytest.mark.filterwarnings("ignore:leading eigenvalue")
     def test_diagonal_example(self):
         _, spec = build_test_sigma(3, ExplicitSpectrum((3.0, 2.0, 1.0)), np.eye(3))
-        np.testing.assert_allclose(_ideal_matrix(spec, 2).array, np.diag([0.0, 2.0, 1.0]), atol=1e-12)
+        np.testing.assert_allclose(ideal_matrix(spec, 2).array, np.diag([0.0, 2.0, 1.0]), atol=1e-12)
 
     def test_full_deflation_reaches_zero(self):
         _, spec = make_instance(5, 3)
-        assert np.abs(_ideal_matrix(spec, 6).array).max() <= 1e-12
+        assert np.abs(ideal_matrix(spec, 6).array).max() <= 1e-12
 
     @pytest.mark.parametrize("seed", range(10))
     def test_recursion_matches_closed_form(self, seed):
@@ -148,7 +155,7 @@ class TestIdealDeflation:
         sigma, spec = make_instance(20, seed, ExponentialSpectrum(0.8))
         current = sigma
         for k in range(1, 14):
-            gap = np.linalg.norm(current.array - _ideal_matrix(spec, k).array)
+            gap = np.linalg.norm(current.array - ideal_matrix(spec, k).array)
             assert gap <= 1e-10
             if k <= 12:
                 current = deflate_step(current, spec.eigenvector(k - 1))
@@ -165,7 +172,7 @@ class TestIdealDeflation:
     def test_annihilates_processed_directions(self):
         _, spec = make_instance(8, 4)
         for k in range(1, 7):
-            m = _ideal_matrix(spec, k).array
+            m = ideal_matrix(spec, k).array
             for j in range(1, spec.dim + 1):
                 image = m @ spec.eigenvector(j - 1)
                 if j < k:
@@ -177,7 +184,7 @@ class TestIdealDeflation:
     def test_ideal_matrices_are_psd(self):
         _, spec = make_instance(10, 6)
         for k in range(1, 11):
-            w = jacobi_eigendecomposition(_ideal_matrix(spec, k)).eigenvalues
+            w = jacobi_eigendecomposition(ideal_matrix(spec, k)).eigenvalues
             assert w.min() >= -1e-10
 
 
@@ -238,8 +245,7 @@ class TestRunInexactDeflation:
         # the replayed sigma_k is the matrix the run decomposed, bitwise
         sigma, spec = make_instance(7, 8)
         run = run_inexact_deflation(sigma, 4, 50, RandomSource(3), spectrum=spec)
-        assert run.sigma is sigma
-        mats = replay(run)
+        mats = replay(sigma, run)
         for k in range(1, 5):
             u, lam = aligned_top_eigenvector(mats[k - 1], spec.eigenvector(k - 1))
             assert np.array_equal(u, run.exact_tops[:, k - 1])
@@ -263,18 +269,18 @@ class TestRunInexactDeflation:
     def test_weyl_consistency(self):
         sigma, spec = make_instance(10, 13)
         run = run_inexact_deflation(sigma, 6, 15, RandomSource(5), spectrum=spec)
-        mats = replay(run)
+        mats = replay(sigma, run)
         for k in range(1, 7):
-            gap = SymMatrix(mats[k - 1].array - _ideal_matrix(spec, k).array)
+            gap = SymMatrix(mats[k - 1].array - ideal_matrix(spec, k).array)
             shift = abs(run.top_eigenvalues[k - 1] - spec.eigenvalues[k - 1])
             assert shift <= spectral_norm(gap) + 1e-10
 
     def test_matrices_not_too_indefinite(self):
         sigma, spec = make_instance(10, 14)
         run = run_inexact_deflation(sigma, 8, 10, RandomSource(6), spectrum=spec)
-        mats = replay(run)
+        mats = replay(sigma, run)
         for k in range(1, 9):
-            gap = SymMatrix(mats[k - 1].array - _ideal_matrix(spec, k).array)
+            gap = SymMatrix(mats[k - 1].array - ideal_matrix(spec, k).array)
             w_min = jacobi_eigendecomposition(mats[k - 1]).eigenvalues.min()
             assert w_min >= -spectral_norm(gap) - 1e-10
 
@@ -282,7 +288,7 @@ class TestRunInexactDeflation:
         sigma, spec = make_instance(9, 15)
         current = sigma
         for k in range(1, 6):
-            assert np.linalg.norm(current.array - _ideal_matrix(spec, k).array) <= 1e-10
+            assert np.linalg.norm(current.array - ideal_matrix(spec, k).array) <= 1e-10
             current = deflate_step(current, spec.eigenvector(k - 1))
 
     def test_rejects_bad_k_and_t(self):
@@ -313,7 +319,7 @@ class TestRunInexactDeflation:
         assert run.spectrum is None
         assert run.exact_tops is None and run.init_alignments is None
         assert run.top_eigenvalues is None
-        mats = replay(run)
+        mats = replay(sigma, run)
         for k in range(1, 4):
             oracle = jacobi_eigendecomposition(mats[k - 1])
             assert abs(run.components[:, k - 1] @ oracle.eigenvector(0)) >= 1.0 - 1e-8
