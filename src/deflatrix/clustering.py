@@ -7,10 +7,13 @@ information score against ground-truth labels.
 
 The sweep deliberately embeds from the *top* end of the Laplacian spectrum
 (``spectrum_end="top"``); ``"bottom"`` embeds from the other end for
-comparison by deflating 2I - L instead. The matrix to deflate is built once
-per sweep and :func:`spectral_embed` takes it as given. Laplacians routinely
-carry (near-)repeated eigenvalues, so the deflation run gets no reference
-spectrum here: no oracle runs and no decay is required.
+comparison by deflating 2I - L instead. Laplacians routinely carry
+(near-)repeated eigenvalues, so the deflation run gets no reference
+spectrum here: no oracle runs, no decay is required, and no deflated
+matrix is formed. The matrix to deflate is built once per sweep and kept in
+compressed sparse row (CSR) form when few of its entries are nonzero, as for
+r much smaller than n; :func:`spectral_embed` takes it as given. A cell on a
+sparse graph then allocates no n x n array: its memory is O(nk + nnz).
 """
 
 from __future__ import annotations
@@ -40,6 +43,11 @@ __all__ = [
 
 _EMBED_STREAM = 0
 _KMEANS_STREAM = 1
+# A CSR product costs a gather, a multiply and a segmented sum per stored
+# entry, against one streamed multiply-add per entry for the dense product.
+# Measured on blob Laplacians, the two cost the same at about 7% nonzeros
+# for n = 500 and 13% for n = 1000 and 2000; the rule sits between.
+_CSR_MAX_DENSITY = 1 / 12
 
 
 @dataclass(frozen=True)
@@ -143,10 +151,45 @@ def _identity_minus(c: float, m: np.ndarray, out: np.ndarray | None = None) -> n
     return out
 
 
-def spectral_embed(target: SymMatrix, k: int, t: int, rng: RandomSource) -> np.ndarray:
+class _CsrMatrix:
+    """A symmetric matrix in compressed sparse row form, as an operator with
+    ``dim`` and ``matvec(x, out)``.
+
+    Row i stores ``data[starts[i]:starts[i + 1]]`` in the columns ``cols``
+    of the same slice. Every diagonal entry is stored, zero or not, so no
+    row is empty: ``np.add.reduceat`` gives an empty segment the value at
+    its start instead of 0.
+    """
+
+    __slots__ = ("dim", "_data", "_cols", "_starts")
+
+    def __init__(self, a: np.ndarray, stored: np.ndarray) -> None:
+        rows, self._cols = np.nonzero(stored)
+        self._data = a[rows, self._cols]
+        self._starts = np.searchsorted(rows, np.arange(a.shape[0]))
+        self.dim = a.shape[0]
+
+    def matvec(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(self._data * x[self._cols], self._starts, out=out)
+
+
+def _embedding_operator(target: SymMatrix):
+    """``target`` as the sweep's runs multiply by it: in CSR form when at
+    most ``_CSR_MAX_DENSITY`` of its entries (its diagonal counted as
+    stored) are nonzero, else the dense matrix itself."""
+    a = target.array
+    stored = a != 0
+    np.fill_diagonal(stored, True)
+    if np.count_nonzero(stored) > _CSR_MAX_DENSITY * stored.size:
+        return target
+    return _CsrMatrix(a, stored)
+
+
+def spectral_embed(target, k: int, t: int, rng: RandomSource) -> np.ndarray:
     """Embed each node as its row in the matrix of k deflation outputs, the
     approximate top eigenvectors of ``target`` (the Laplacian, or 2I - L to
-    embed from the Laplacian's bottom end)."""
+    embed from the Laplacian's bottom end), a :class:`SymMatrix` or the
+    sweep's CSR operator."""
     _check_count("k", k, target.dim)
     run = run_inexact_deflation(target, k, t, rng.substream(_EMBED_STREAM))
     return run.components.copy()
@@ -320,7 +363,8 @@ def run_clustering_experiment(
 
     The graph, the Laplacian and the matrix the embedding deflates (the
     Laplacian itself, or 2I - L for the bottom end) depend only on the data,
-    so they are built once and shared read-only by every cell. With
+    so they are built once, and that matrix, in CSR form when it is sparse,
+    is shared read-only by every cell. With
     ``jobs > 1`` the cells run in N = min(jobs, cells) worker processes,
     which receive the shared inputs once when they start (forked where the
     platform can fork, so the inputs are inherited rather than pickled).
@@ -347,7 +391,8 @@ def run_clustering_experiment(
     if min(t_values) < 1:
         raise ValueError("t must be >= 1")
     lap = normalized_laplacian(build_rnn_graph(data, r))
-    inputs = (_embedding_target(lap, spectrum_end), data.labels, k, k_clusters, row_normalize)
+    target = _embedding_operator(_embedding_target(lap, spectrum_end))
+    inputs = (target, data.labels, k, k_clusters, row_normalize)
 
     # a cell's cost grows with t: submitting the longest first keeps the
     # last worker from finishing alone on a long cell

@@ -7,9 +7,13 @@ top eigenvector of the current matrix, then removes that direction:
 
 The run keeps vectors, not matrices: its outputs ``v_k`` and, when a
 reference spectrum is given, that spectrum and the oracle's exact top
-eigenpair of ``sigma_k``, so memory stays O(d^2) however many steps are
-taken. Diagnostics replay the update in the spectrum's eigenbasis, where
-the input is diagonal (:mod:`deflatrix.diagnostics`).
+eigenpair of ``sigma_k``. The oracle reads each ``sigma_k``, so a run with a
+spectrum updates a dense matrix. A run without one multiplies by
+sigma_k x = sigma_1 x - V (rho * V^T x), with V the outputs so far and rho
+their Rayleigh quotients, in O(dK) memory beside ``sigma_1``, which may be
+any symmetric operator (a sparse graph Laplacian, say). Diagnostics replay
+the update in the spectrum's eigenbasis, where the input is diagonal
+(:mod:`deflatrix.diagnostics`).
 :func:`reference_run` is the seeded protocol behind the ``deflate`` and
 ``bounds`` commands: a random basis, a test matrix of a given spectrum kind,
 and a run checked against that spectrum.
@@ -17,6 +21,7 @@ and a run checked against that spectrum.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -106,9 +111,10 @@ class DeflationRun:
 
     ``spectrum`` is the reference spectrum the run was checked and measured
     against (``None`` for a run without the oracle). The run stores no
-    matrix: from the input sigma_1,
+    matrix. For a run with the oracle, from the input sigma_1,
     sigma_{k+1} = deflate_step(sigma_k, components[:, k-1]) replays the
-    deflated ones bitwise.
+    deflated ones bitwise; a run without it multiplied by the deflated
+    operator instead, which that replay matches to roundoff.
 
     Per step k (columns of the (d, K) arrays, 1-based step index):
 
@@ -143,6 +149,43 @@ class DeflationRun:
                 arr.setflags(write=False)
 
 
+class _DeflatedOperator:
+    """sigma_k of a run without the oracle: the rows of ``_v[:k]`` are the
+    outputs deflated so far, ``_rho[:k]`` their Rayleigh quotients, and the
+    product is sigma_1 x - V^T (rho * V x). Until the first update it is
+    sigma_1's own product, with its bits."""
+
+    __slots__ = ("dim", "_base", "_v", "_rho", "_k")
+
+    def __init__(self, sigma, K: int) -> None:
+        self.dim = sigma.dim
+        self._base = sigma.matvec
+        self._v = np.empty((K, sigma.dim))
+        self._rho = np.empty(K)
+        self._k = 0
+
+    @property
+    def matvec(self):
+        return self._deflated_matvec if self._k else self._base
+
+    def _deflated_matvec(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        self._base(x, out)
+        v = self._v[:self._k]
+        c = v.dot(x)
+        c *= self._rho[:self._k]
+        out -= c.dot(v)
+        return out
+
+    def deflate(self, v: np.ndarray) -> None:
+        """sigma_{k+1} = sigma_k - (v . sigma_k v) v v^T, kept as (v, rho)."""
+        rho = float(v @ self.matvec(v, np.empty(self.dim)))
+        if not math.isfinite(rho):
+            raise ValueError(f"Rayleigh quotient {rho} of the deflation vector is not finite")
+        self._v[self._k] = v
+        self._rho[self._k] = rho
+        self._k += 1
+
+
 def _check_spectrum(spectrum: Spectrum, d: int, K: int) -> None:
     """The run's precondition on its reference spectrum.
 
@@ -163,7 +206,7 @@ def _check_spectrum(spectrum: Spectrum, d: int, K: int) -> None:
 
 
 def run_inexact_deflation(
-    sigma: SymMatrix,
+    sigma,
     K: int,
     t: int,
     rng: RandomSource,
@@ -182,7 +225,10 @@ def run_inexact_deflation(
     the output vector, and the deflation update is sign-invariant.
 
     Without a spectrum no oracle runs and no decay is required, for matrices
-    (such as graph Laplacians) that may carry ties.
+    (such as graph Laplacians) that may carry ties. ``sigma`` is then either
+    a :class:`SymMatrix` or any symmetric operator with ``dim`` and
+    ``matvec(x, out)``, and the run multiplies by the deflated operator
+    without forming a deflated matrix.
     """
     d = sigma.dim
     if not 1 <= K <= d:
@@ -191,6 +237,8 @@ def run_inexact_deflation(
         raise ValueError("t must be >= 1")
     oracle = spectrum is not None
     if oracle:
+        if not isinstance(sigma, SymMatrix):
+            raise TypeError("the oracle needs sigma as a SymMatrix")
         _check_spectrum(spectrum, d, K)
 
     components = np.empty((d, K))
@@ -198,7 +246,7 @@ def run_inexact_deflation(
     exact_tops = np.empty((d, K)) if oracle else None
     alignments = np.empty(K) if oracle else None
 
-    current = sigma
+    current = sigma if oracle else _DeflatedOperator(sigma, K)
     for k in range(1, K + 1):
         x0 = sample_unit_sphere(d, rng.substream(k))
         v = power_iterate(current, x0, t)
@@ -210,7 +258,10 @@ def run_inexact_deflation(
             alignments[k - 1] = abs(float(x0 @ u))
             lambdas[k - 1] = lam
         components[:, k - 1] = v
-        current = deflate_step(current, v)
+        if oracle:
+            current = deflate_step(current, v)
+        elif k < K:  # nothing multiplies by sigma_{K+1}
+            current.deflate(v)
 
     return DeflationRun(
         d=d,

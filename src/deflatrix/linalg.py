@@ -83,6 +83,13 @@ class SymMatrix:
     def dim(self) -> int:
         return self.array.shape[0]
 
+    @property
+    def matvec(self):
+        """``matvec(x, out)`` writes the product with ``x`` into ``out``.
+        ``ndarray.dot`` releases the GIL around the BLAS call; the 2-D x 1-D
+        ``a @ x`` does not."""
+        return self.array.dot
+
     def __repr__(self) -> str:
         return f"SymMatrix(dim={self.dim})"
 

@@ -26,7 +26,10 @@ _UNIT_TOL = 1e-10
 
 def power_iterate(m: SymMatrix, x0: np.ndarray, t: int) -> np.ndarray:
     """Run exactly ``t`` multiply-and-normalize steps from unit vector ``x0``
-    and return the final iterate x_t."""
+    and return the final iterate x_t.
+
+    ``m`` is a :class:`SymMatrix` or any symmetric operator with ``dim`` and
+    ``matvec(x, out)``, which writes m x into ``out`` without reading it."""
     x0 = np.ascontiguousarray(x0, dtype=float)
     if x0.shape != (m.dim,):
         raise DimensionMismatchError(f"start vector shape {x0.shape} incompatible with dim {m.dim}")
@@ -34,15 +37,12 @@ def power_iterate(m: SymMatrix, x0: np.ndarray, t: int) -> np.ndarray:
         raise ValueError("start vector must have unit norm")
     if t < 0:
         raise ValueError("step count must be non-negative")
-    a = m.array
     x = x0
     # Step i writes its product into buffer i % 2 and normalizes it there,
     # so a step never writes the iterate it reads and the loop only reads x0;
     # the array returned belongs to this call alone, a copy of x0 at t = 0.
-    # `a.dot(x, y)` releases the GIL around the BLAS call, like np.dot; the
-    # 2-D x 1-D `a @ x` does not.
     buffers = (np.empty(m.dim), np.empty(m.dim))
-    matvec = a.dot
+    matvec = m.matvec
     divide = np.divide
     for i in range(t):
         y = buffers[i % 2]

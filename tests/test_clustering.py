@@ -28,8 +28,10 @@ from deflatrix.clustering import (
     spectral_embed,
     synthetic_blobs,
 )
+from deflatrix.deflate import deflate_step
 from deflatrix.errors import DimensionMismatchError, IsolatedNodeError
-from deflatrix.linalg import RandomSource, SymMatrix, jacobi_eigendecomposition
+from deflatrix.linalg import RandomSource, SymMatrix, jacobi_eigendecomposition, sample_unit_sphere
+from deflatrix.powerit import power_iterate
 
 
 def two_cluster_points():
@@ -243,6 +245,63 @@ class TestSetUpBits:
         finally:
             tracemalloc.stop()
         assert peak <= 3.5 * n * n * 8
+
+
+@pytest.fixture(scope="module")
+def blob_laplacians():
+    """The blob fixture's Laplacian at r = 5 and r = 10, as the sweep builds it."""
+    data = synthetic_blobs(seed=0)
+    return {r: normalized_laplacian(build_rnn_graph(data, r)) for r in (5, 10)}
+
+
+class TestEmbeddingOperator:
+    @pytest.mark.parametrize("end", ["top", "bottom"])
+    @pytest.mark.parametrize("r", [5, 10])
+    def test_csr_product_matches_the_dense_one(self, blob_laplacians, r, end):
+        target = clustering._embedding_target(blob_laplacians[r], end)
+        op = clustering._embedding_operator(target)
+        assert isinstance(op, clustering._CsrMatrix) and op.dim == target.dim
+        for seed in range(3):
+            x = RandomSource(seed).normal(target.dim)
+            got = op.matvec(x, np.empty(target.dim))
+            assert np.abs(got - target.array @ x).max() <= 1e-15 * np.linalg.norm(x)
+
+    def test_csr_rows_without_entries(self):
+        # rows 0 and 2 hold no nonzero; an empty reduceat segment would
+        # read the next row's first product instead of 0
+        a = np.zeros((40, 40))
+        a[1, 3] = a[3, 1] = 2.0
+        a[5, 5] = -1.0
+        op = clustering._embedding_operator(SymMatrix(a))
+        assert isinstance(op, clustering._CsrMatrix)
+        x = RandomSource(4).normal(40)
+        assert np.array_equal(op.matvec(x, np.empty(40)), a @ x)
+
+    @pytest.mark.parametrize("sparse", [True, False])
+    def test_embedding_matches_the_dense_deflation_chain(self, blob_laplacians, sparse):
+        lap = blob_laplacians[10]
+        target = clustering._embedding_operator(lap) if sparse else lap
+        k, t, rng = 4, 200, RandomSource(3)
+        got = spectral_embed(target, k, t, rng)
+        # the same start vectors, through deflated matrices
+        stream = rng.substream(clustering._EMBED_STREAM)
+        current = lap
+        for j in range(1, k + 1):
+            v = power_iterate(current, sample_unit_sphere(lap.dim, stream.substream(j)), t)
+            assert np.abs(got[:, j - 1] - v).max() <= 1e-10
+            current = deflate_step(current, v)
+
+    def test_a_cell_allocates_less_than_one_dense_matrix(self, blob_laplacians):
+        lap = blob_laplacians[10]
+        op = clustering._embedding_operator(lap)
+        labels = synthetic_blobs(seed=0).labels
+        tracemalloc.start()
+        try:
+            _run_cell(op, labels, 10, 10, False, 20, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < lap.dim * lap.dim * 8
 
 
 class TestSpectralEmbed:

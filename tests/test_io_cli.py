@@ -656,6 +656,21 @@ class TestClusterCommand:
             )
             assert got == digests, f"jobs={jobs}, numpy {np.__version__}"
 
+    def test_complete_graph_sweep_is_pinned(self, tmp_path, monkeypatch):
+        # at r = n - 1 every entry is nonzero, so the runs multiply by the
+        # dense Laplacian; SHA-256 of the two files as the dense deflation
+        # chain wrote them
+        def no_csr(*args):
+            raise AssertionError("a complete graph was stored in CSR form")
+
+        monkeypatch.setattr(deflatrix.clustering, "_CsrMatrix", no_csr)
+        assert run_cli("cluster", "--data", "blobs", "--r", "499", "--k", "3", "--clusters", "3",
+                       "--t-values", "4,12", "--seeds", "0,1", "--out", str(tmp_path)) == 0
+        got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in ("mi_vs_t.csv", "mi_summary.csv"))
+        assert got == ("13a84d2a71ea9c53d583aa064a8b94c5e5f2615afc472c0efbed9c5720ca9cd2",
+                       "7a2a93c3bdeb6d1c72435d72287d2790798aea45ef37b683e13d7cdb6283360d")
+
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(),
         reason="workers inherit the patched k-means only when forked",
