@@ -91,9 +91,7 @@ def cmd_deflate(args) -> int:
     # an explicit slice is checked before the run; below d = 1 the run's own
     # "d must be >= 1" is the message, and the default slice is always in range
     if args.j_slice and d >= 1:
-        bad = [j for j in args.j_slice if not 1 <= j <= d]
-        if bad:
-            raise ValueError(f"--j-slice entries out of range: {bad}")
+        dio._check_j_slice(args.j_slice, d)
     run = _run_from_args(args)
     j_slice = args.j_slice or sorted({max(1, (d * q) // 4) for q in (1, 2, 3, 4)})
     diags = diagnose_run(run)
@@ -119,7 +117,7 @@ def cmd_cluster(args) -> int:
         data = synthetic_blobs(seed=args.seed)
     else:
         data = dio.read_dataset_csv(args.data)
-    clusters = args.clusters if args.clusters is not None else int(data.labels.max()) + 1
+    clusters = args.clusters if args.clusters is not None else len(set(data.labels.tolist()))
     cells, summary = run_clustering_experiment(
         data,
         args.r,

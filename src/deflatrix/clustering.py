@@ -8,24 +8,27 @@ information score against ground-truth labels.
 The sweep deliberately embeds from the *top* end of the Laplacian spectrum
 (``spectrum_end="top"``); ``"bottom"`` embeds from the other end for
 comparison by deflating 2I - L instead. Laplacians routinely carry
-(near-)repeated eigenvalues, so the deflation run gets no reference
-spectrum here: no oracle runs, no decay is required, and no deflated
-matrix is formed. The matrix to deflate is built once per sweep and kept in
-compressed sparse row (CSR) form when few of its entries are nonzero, as for
-r much smaller than n; :func:`spectral_embed` takes it as given. A cell on a
-sparse graph then allocates no n x n array: its memory is O(nk + nnz).
+(near-)repeated eigenvalues, and the embedding reads only the output
+vectors, so :func:`spectral_embed` runs the deflation loop itself, without
+a reference spectrum or an oracle. It keeps the outputs so far, V, and
+their Rayleigh quotients rho, not a deflated matrix, and multiplies by
+sigma_k x = sigma_1 x - V (rho * V^T x). The matrix to deflate is built
+once per sweep and kept in compressed sparse row (CSR) form when few of
+its entries are nonzero, as for r much smaller than n; a cell on a sparse
+graph then allocates no n x n array: its memory is O(nk + nnz).
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .deflate import run_inexact_deflation
 from .errors import DimensionMismatchError, IsolatedNodeError
-from .linalg import RandomSource, SymMatrix
+from .linalg import RandomSource, SymMatrix, sample_unit_sphere
+from .powerit import power_iterate
 
 __all__ = [
     "ClusteringCell",
@@ -140,7 +143,8 @@ def normalized_laplacian(weights: np.ndarray) -> SymMatrix:
     sym = np.add(lap, lap.T)
     del lap
     sym /= 2.0
-    return SymMatrix(sym)
+    # bitwise symmetric, and 0.0 - m gives no -0.0 for the nonnegative m
+    return SymMatrix._trusted(sym)
 
 
 def _identity_minus(c: float, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -173,6 +177,43 @@ class _CsrMatrix:
         return np.add.reduceat(self._data * x[self._cols], self._starts, out=out)
 
 
+class _DeflatedOperator:
+    """sigma_k of the embedding's run: the rows of ``_v[:k]`` are the
+    outputs deflated so far, ``_rho[:k]`` their Rayleigh quotients, and the
+    product is sigma_1 x - V^T (rho * V x). Until the first update it is
+    sigma_1's own product, with its bits."""
+
+    __slots__ = ("dim", "_base", "_v", "_rho", "_k")
+
+    def __init__(self, sigma, K: int) -> None:
+        self.dim = sigma.dim
+        self._base = sigma.matvec
+        self._v = np.empty((K, sigma.dim))
+        self._rho = np.empty(K)
+        self._k = 0
+
+    @property
+    def matvec(self):
+        return self._deflated_matvec if self._k else self._base
+
+    def _deflated_matvec(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        self._base(x, out)
+        v = self._v[:self._k]
+        c = v.dot(x)
+        c *= self._rho[:self._k]
+        out -= c.dot(v)
+        return out
+
+    def deflate(self, v: np.ndarray) -> None:
+        """sigma_{k+1} = sigma_k - (v . sigma_k v) v v^T, kept as (v, rho)."""
+        rho = float(v @ self.matvec(v, np.empty(self.dim)))
+        if not math.isfinite(rho):
+            raise ValueError(f"Rayleigh quotient {rho} of the deflation vector is not finite")
+        self._v[self._k] = v
+        self._rho[self._k] = rho
+        self._k += 1
+
+
 def _embedding_operator(target: SymMatrix):
     """``target`` as the sweep's runs multiply by it: in CSR form when at
     most ``_CSR_MAX_DENSITY`` of its entries (its diagonal counted as
@@ -188,11 +229,22 @@ def _embedding_operator(target: SymMatrix):
 def spectral_embed(target, k: int, t: int, rng: RandomSource) -> np.ndarray:
     """Embed each node as its row in the matrix of k deflation outputs, the
     approximate top eigenvectors of ``target`` (the Laplacian, or 2I - L to
-    embed from the Laplacian's bottom end), a :class:`SymMatrix` or the
-    sweep's CSR operator."""
-    _check_count("k", k, target.dim)
-    run = run_inexact_deflation(target, k, t, rng.substream(_EMBED_STREAM))
-    return run.components.copy()
+    embed from the Laplacian's bottom end), a :class:`SymMatrix` or any
+    symmetric operator with ``dim`` and ``matvec(x, out)``, such as the
+    sweep's CSR form. Step j starts from substream j of the embed stream."""
+    n = target.dim
+    _check_count("k", k, n)
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    stream = rng.substream(_EMBED_STREAM)
+    current = _DeflatedOperator(target, k)
+    features = np.empty((n, k))
+    for j in range(1, k + 1):
+        v = power_iterate(current, sample_unit_sphere(n, stream.substream(j)), t)
+        features[:, j - 1] = v
+        if j < k:
+            current.deflate(v)
+    return features
 
 
 def _check_count(name: str, value: int, n: int) -> None:
@@ -204,7 +256,8 @@ def _embedding_target(lap: SymMatrix, spectrum_end: str) -> SymMatrix:
     """The matrix whose top eigenvectors are ``lap``'s at ``spectrum_end``;
     2I - L reverses the spectrum within its [0, 2] range."""
     if spectrum_end == "bottom":
-        return SymMatrix(_identity_minus(2.0, lap.array))
+        # bitwise symmetric like lap, with no -0.0 (0.0 - x is +0.0 for x = 0)
+        return SymMatrix._trusted(_identity_minus(2.0, lap.array))
     return lap
 
 

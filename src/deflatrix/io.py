@@ -80,8 +80,6 @@ def write_run_dir(
     and, from the run's diagnostics, the sub-routine error size, the output
     error against the ideal eigenvector and the Frobenius matrix gap.
     """
-    if run.spectrum is None:
-        raise ValueError("serialization needs a run recorded with a reference spectrum")
     if [dg.k for dg in diags] != list(range(1, run.K + 1)):
         raise ValueError("serialization needs one diagnostic row per step")
     out = Path(out_dir)
@@ -115,16 +113,26 @@ def write_run_dir(
         fh.write("\n")
 
 
+def _check_j_slice(j_slice, d: int) -> None:
+    """Figure directions are the ideal eigenvectors 1..d."""
+    bad = [j for j in j_slice if not 1 <= j <= d]
+    if bad:
+        raise ValueError(f"--j-slice entries out of range: {bad}")
+
+
 def write_figure_csvs(diags: list[StepDiagnostics], j_slice, out_dir) -> None:
     """Emit the three figure-trace CSVs for the requested ideal directions.
 
     fig2.csv: directional matrix-gap norms; fig3.csv: alignment profiles of
     the output and running-top eigenvectors; fig4.csv: the step-k inner
-    product next to the directional gap.
+    product next to the directional gap. A direction outside 1..d raises
+    ValueError before anything is written.
     """
     out = Path(out_dir)
     # a repeated direction is written once, where it first appears
     j_slice = list(dict.fromkeys(int(j) for j in j_slice))
+    if diags:
+        _check_j_slice(j_slice, diags[0].directional_gaps.size)
     cols = [j - 1 for j in j_slice]
     fig2 = [_SCHEMA_LINE, "k,j,directional_gap"]
     fig3 = [_SCHEMA_LINE, "k,j,v_align,u_align"]

@@ -29,8 +29,16 @@ from deflatrix.clustering import (
     synthetic_blobs,
 )
 from deflatrix.deflate import deflate_step
-from deflatrix.errors import DimensionMismatchError, IsolatedNodeError
-from deflatrix.linalg import RandomSource, SymMatrix, jacobi_eigendecomposition, sample_unit_sphere
+from deflatrix.errors import DegenerateIterateError, DimensionMismatchError, IsolatedNodeError
+from deflatrix.linalg import (
+    PowerLawSpectrum,
+    RandomSource,
+    SymMatrix,
+    build_test_sigma,
+    jacobi_eigendecomposition,
+    random_orthogonal_basis,
+    sample_unit_sphere,
+)
 from deflatrix.powerit import power_iterate
 
 
@@ -234,8 +242,8 @@ class TestSetUpBits:
 
     def test_set_up_peak_memory(self):
         # the graph and the Laplacian hold about three n x n arrays of
-        # doubles at their peak: the weights, the symmetrized Laplacian and
-        # the validated copy
+        # doubles at their peak: the weights, the scaled Laplacian and its
+        # symmetrized sum, which is wrapped as it is (3.06 n^2 measured)
         n = 400
         data = synthetic_blobs(n=n, seed=0)
         tracemalloc.start()
@@ -244,7 +252,7 @@ class TestSetUpBits:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * n * n * 8
+        assert peak <= 3.25 * n * n * 8
 
 
 @pytest.fixture(scope="module")
@@ -302,6 +310,64 @@ class TestEmbeddingOperator:
         finally:
             tracemalloc.stop()
         assert peak < lap.dim * lap.dim * 8
+
+
+def power_law_matrix(d, seed):
+    """A d x d matrix with eigenvalues 1, 1/2, ..., 1/d in a random basis."""
+    basis = random_orthogonal_basis(d, RandomSource(seed))
+    return build_test_sigma(d, PowerLawSpectrum(1.0), basis)[0]
+
+
+class CountingOperator:
+    """A symmetric operator that counts its products."""
+
+    def __init__(self, sigma):
+        self.dim = sigma.dim
+        self.sigma = sigma
+        self.products = 0
+
+    def matvec(self, x, out):
+        self.products += 1
+        return self.sigma.array.dot(x, out)
+
+
+class TestImplicitDeflation:
+    def test_first_output_keeps_the_dense_bits(self):
+        sigma = power_law_matrix(8, 30)
+        got = spectral_embed(sigma, 3, 40, RandomSource(2))
+        x0 = sample_unit_sphere(8, RandomSource(2).substream(clustering._EMBED_STREAM).substream(1))
+        assert np.array_equal(got[:, 0], power_iterate(sigma, x0, 40))
+
+    def test_takes_any_operator_and_no_rayleigh_quotient_after_the_last_step(self):
+        sigma = power_law_matrix(8, 31)
+        op = CountingOperator(sigma)
+        got = spectral_embed(op, 4, 15, RandomSource(3))
+        # t products per step, and one per Rayleigh quotient rho_1..rho_3
+        assert op.products == 4 * 15 + 3
+        assert np.array_equal(got, spectral_embed(sigma, 4, 15, RandomSource(3)))
+
+    def test_vanishing_iterate_raises(self):
+        # sigma_2 = diag(1, 0) - e_1 e_1^T is exactly zero
+        sigma = SymMatrix(np.diag([1.0, 0.0]))
+        with pytest.raises(DegenerateIterateError, match="vanished"):
+            spectral_embed(sigma, 2, 3, RandomSource(0))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_rayleigh_quotient_fails_loudly(self):
+        # power iteration overflows on this matrix before any rho would, so
+        # the update is checked directly
+        big = SymMatrix([[1.5e308, -1.5e308], [-1.5e308, 1.5e308]])
+        with pytest.raises(ValueError, match="finite"):
+            clustering._DeflatedOperator(big, 2).deflate(np.array([1.0, -1.0]) / np.sqrt(2.0))
+
+    def test_outputs_align_with_the_oracle_of_the_replayed_matrices(self):
+        sigma = power_law_matrix(8, 17)
+        got = spectral_embed(sigma, 3, 60, RandomSource(4))
+        current = sigma
+        for k in range(1, 4):
+            oracle = jacobi_eigendecomposition(current)
+            assert abs(got[:, k - 1] @ oracle.eigenvector(0)) >= 1.0 - 1e-8
+            current = deflate_step(current, got[:, k - 1])
 
 
 class TestSpectralEmbed:
@@ -434,13 +500,20 @@ class TestExperiment:
         args = (data, 4, 4, 4, [5, 15], [0, 1, 2])
         opts = {"spectrum_end": "bottom", "row_normalize": True}
         init = SymMatrix.__init__
+        trusted = SymMatrix._trusted.__func__
         built = []
 
         def counting_init(self, array):
             built.append(1)
             init(self, array)
 
+        def counting_trusted(cls, array):
+            built.append(1)
+            return trusted(cls, array)
+
+        # a matrix is built validated or wrapped as trusted; both count
         monkeypatch.setattr(SymMatrix, "__init__", counting_init)
+        monkeypatch.setattr(SymMatrix, "_trusted", classmethod(counting_trusted))
         serial = run_clustering_experiment(*args, **opts, jobs=1)
         # the Laplacian and the target, built once for all six cells
         assert len(built) == 2

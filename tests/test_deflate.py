@@ -1,3 +1,4 @@
+import types
 import warnings
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from deflatrix.clustering import build_rnn_graph, normalized_laplacian, synthetic_blobs
 from deflatrix.deflate import (
-    _DeflatedOperator,
     aligned_top_eigenvector,
     deflate_step,
     run_inexact_deflation,
@@ -13,7 +13,6 @@ from deflatrix.deflate import (
 from deflatrix.diagnostics import bound_report, diagnose_run
 from deflatrix.errors import (
     DegenerateGapError,
-    DegenerateIterateError,
     DimensionMismatchError,
     InvalidSpectrumError,
 )
@@ -323,64 +322,11 @@ class TestRunInexactDeflation:
             run = run_inexact_deflation(sigma, 2, 50, RandomSource(0), spectrum=spec)
         assert run.top_eigenvalues[0] == pytest.approx(3.0, abs=1e-12)
 
-    def test_oracle_free_mode(self):
-        sigma, _ = make_instance(8, 17)
-        run = run_inexact_deflation(sigma, 3, 60, RandomSource(4))
-        assert run.spectrum is None
-        assert run.exact_tops is None and run.init_alignments is None
-        assert run.top_eigenvalues is None
-        mats = replay(sigma, run)
-        for k in range(1, 4):
-            oracle = jacobi_eigendecomposition(mats[k - 1])
-            assert abs(run.components[:, k - 1] @ oracle.eigenvector(0)) >= 1.0 - 1e-8
-
-
-class CountingOperator:
-    """A symmetric operator that counts its products."""
-
-    def __init__(self, sigma):
-        self.dim = sigma.dim
-        self.sigma = sigma
-        self.products = 0
-
-    def matvec(self, x, out):
-        self.products += 1
-        return self.sigma.array.dot(x, out)
-
-
-class TestImplicitDeflation:
-    def test_first_output_keeps_the_dense_bits(self):
-        sigma, _ = make_instance(8, 30)
-        run = run_inexact_deflation(sigma, 3, 40, RandomSource(2))
-        x0 = sample_unit_sphere(8, RandomSource(2).substream(1))
-        assert np.array_equal(run.components[:, 0], power_iterate(sigma, x0, 40))
-
-    def test_takes_any_operator_and_no_rayleigh_quotient_after_the_last_step(self):
-        sigma, _ = make_instance(8, 31)
-        op = CountingOperator(sigma)
-        run = run_inexact_deflation(op, 4, 15, RandomSource(3))
-        # t products per step, and one per Rayleigh quotient rho_1..rho_3
-        assert op.products == 4 * 15 + 3
-        assert np.array_equal(run.components,
-                              run_inexact_deflation(sigma, 4, 15, RandomSource(3)).components)
-
-    def test_vanishing_iterate_raises(self):
-        # sigma_2 = diag(1, 0) - e_1 e_1^T is exactly zero
-        sigma = SymMatrix(np.diag([1.0, 0.0]))
-        with pytest.raises(DegenerateIterateError, match="vanished"):
-            run_inexact_deflation(sigma, 2, 3, RandomSource(0))
-
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    def test_overflowing_rayleigh_quotient_fails_loudly(self):
-        # the deflate_step case above, kept as (v, rho)
-        big = SymMatrix([[1.5e308, -1.5e308], [-1.5e308, 1.5e308]])
-        with pytest.raises(ValueError, match="finite"):
-            _DeflatedOperator(big, 2).deflate(np.array([1.0, -1.0]) / np.sqrt(2.0))
-
     def test_oracle_needs_a_matrix(self):
         sigma, spec = make_instance(5, 32)
+        operator = types.SimpleNamespace(dim=sigma.dim, matvec=sigma.array.dot)
         with pytest.raises(TypeError, match="SymMatrix"):
-            run_inexact_deflation(CountingOperator(sigma), 2, 5, RandomSource(0), spectrum=spec)
+            run_inexact_deflation(operator, 2, 5, RandomSource(0), spectrum=spec)
 
 
 class TestSpectrumPrecondition:

@@ -20,7 +20,7 @@ import deflatrix.diagnostics
 import deflatrix.selftest
 from deflatrix import io as dio
 from deflatrix.cli import main, parse_spectrum
-from deflatrix.clustering import synthetic_blobs
+from deflatrix.clustering import Dataset, synthetic_blobs
 from deflatrix.deflate import run_inexact_deflation
 from deflatrix.diagnostics import diagnose_run
 from deflatrix.errors import DegenerateGapError, SchemaError
@@ -118,6 +118,18 @@ class TestRunDir:
         assert [float(r.split(",")[2]) for r in rows] == [dg.sub_err for dg in diags]
         with pytest.raises(ValueError, match="one diagnostic row per step"):
             dio.write_run_dir(run, diags[:-1], tmp_path / "short")
+
+
+class TestFigureCsvs:
+    @pytest.mark.parametrize("j", [0, 7])
+    def test_direction_outside_one_to_d_raises(self, tmp_path, j):
+        # column j - 1 of a d = 6 run: 0 would wrap to column 6, 7 past it
+        basis = random_orthogonal_basis(6, RandomSource(3))
+        sigma, spec = build_test_sigma(6, PowerLawSpectrum(1.0), basis)
+        diags = diagnose_run(run_inexact_deflation(sigma, 3, 40, RandomSource(4), spectrum=spec))
+        with pytest.raises(ValueError, match=rf"out of range: \[{j}\]"):
+            dio.write_figure_csvs(diags, [2, j], tmp_path)
+        assert not (tmp_path / "fig2.csv").exists()
 
 
 class TestBoundsCsv:
@@ -547,6 +559,17 @@ class TestClusterCommand:
         summary = (tmp_path / "mi_summary.csv").read_text().splitlines()
         assert summary[1] == "t,mean_mi,std_mi"
         assert len(summary) == 4
+
+    def test_default_cluster_count_ignores_where_the_labels_start(self, tmp_path):
+        # labels 1..3 are three clusters, as 0..3 would not be
+        data = synthetic_blobs(n=60, clusters=3, seed=2)
+        args = ["cluster", "--r", "5", "--t-values", "4,12", "--seeds", "0,1"]
+        for name, labels in (("zero", data.labels), ("one", data.labels + 1)):
+            path = tmp_path / f"{name}.csv"
+            dio.write_dataset_csv(Dataset(data.features, labels), path)
+            assert run_cli(*args, "--data", str(path), "--out", str(tmp_path / name)) == 0
+        assert ((tmp_path / "zero" / "mi_vs_t.csv").read_bytes()
+                == (tmp_path / "one" / "mi_vs_t.csv").read_bytes())
 
     def test_non_integral_label_exits_one(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
