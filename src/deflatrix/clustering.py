@@ -267,6 +267,14 @@ def kmeans(points: np.ndarray, k_clusters: int, rng: RandomSource) -> np.ndarray
     Runs until the assignment reaches a fixpoint or 300 passes. A cluster
     that empties is repaired by re-seeding it at the point of the largest
     cluster farthest from that cluster's center.
+
+    Each pass assigns a point to the center nearest by the squared distance
+    ||x||^2 - 2 x.c + ||c||^2, one matrix product per pass, and moves every
+    center to the mean of its members, summed in row order. The distances
+    differ from sum((x - c)^2) in their last bits; the contract is the
+    assignments, which the two forms agree on for the sweep's inputs. The
+    seeding and the re-seeding keep sum((x - c)^2), since those distances
+    decide the generator's draws and the re-seed order.
     """
     assignments, _ = _kmeans_with_history(points, k_clusters, rng)
     return assignments
@@ -280,22 +288,28 @@ def _kmeans_with_history(points, k_clusters, rng):
     _check_count("k_clusters", k_clusters, n)
     gen = rng.generator
     centers = _seed_centers(x, k_clusters, gen)
+    sq = (x * x).sum(axis=1)[:, None]
+    # each contiguous column is summed per cluster by one bincount
+    columns = np.ascontiguousarray(x.T)
     assignments = np.full(n, -1, dtype=np.int64)
     history: list[float] = []
     for _ in range(300):
-        d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        # scaling by -2 is exact, so this is -2 (x @ centers.T) bit for bit
+        d2 = x @ (-2.0 * centers.T)
+        d2 += sq
+        d2 += (centers * centers).sum(axis=1)
         new_assign = d2.argmin(axis=1)
         history.append(float(d2[np.arange(n), new_assign].sum()))
         if np.array_equal(new_assign, assignments):
             break
         assignments = new_assign
-        empty = [c for c in range(k_clusters) if not (assignments == c).any()]
-        for c in range(k_clusters):
-            members = assignments == c
-            if members.any():
-                centers[c] = x[members].mean(axis=0)
-        if empty:
-            _reseed_empty(x, assignments, centers, empty)
+        counts = np.bincount(assignments, minlength=k_clusters)
+        filled = counts > 0
+        sums = np.array([np.bincount(assignments, weights=c, minlength=k_clusters)
+                         for c in columns])
+        centers[filled] = (sums[:, filled] / counts[filled]).T
+        if not filled.all():
+            _reseed_empty(x, assignments, centers, np.flatnonzero(~filled))
     return assignments, history
 
 

@@ -247,4 +247,6 @@ def read_dataset_csv(path) -> Dataset:
             raise SchemaError(f"{where}: label {cells[label_idx].strip()!r} is not an integer")
         feats.append(row)
         labels.append(int(label))
+    if not feats:
+        raise SchemaError(f"{path}: no data rows")
     return Dataset(features=np.array(feats), labels=np.array(labels))

@@ -135,7 +135,9 @@ class RandomSource:
     The same (seed, path) pair produces the identical stream on every
     platform. A source is stateful and should stay confined to one logical
     task; derive independent streams for per-step or parallel use with
-    :meth:`substream`.
+    :meth:`substream`. The seed is checked at once, but the generator is
+    built on the first draw, so a source that only derives substreams never
+    pays for one.
     """
 
     __slots__ = ("seed", "path", "_gen")
@@ -146,8 +148,7 @@ class RandomSource:
             raise ValueError("seed must be a 64-bit unsigned integer")
         self.seed = seed
         self.path = tuple(int(p) for p in path)
-        ss = np.random.SeedSequence(seed, spawn_key=self.path)
-        self._gen = np.random.Generator(np.random.Philox(ss))
+        self._gen = None
 
     def substream(self, *path: int) -> "RandomSource":
         """Independent stream derived from this source's identity."""
@@ -155,10 +156,13 @@ class RandomSource:
 
     @property
     def generator(self) -> np.random.Generator:
+        if self._gen is None:
+            ss = np.random.SeedSequence(self.seed, spawn_key=self.path)
+            self._gen = np.random.Generator(np.random.Philox(ss))
         return self._gen
 
     def normal(self, *shape: int) -> np.ndarray:
-        return self._gen.standard_normal(shape)
+        return self.generator.standard_normal(shape)
 
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed}, path={self.path})"

@@ -442,6 +442,89 @@ class TestKmeans:
         assert np.array_equal(a, b)
 
 
+def direct_distance_kmeans(points, k_clusters, rng):
+    """Lloyd's algorithm with the distances sum((x - c)^2) of an (n, k, p)
+    broadcast and one mean per cluster, as k-means was first written: the
+    reference whose assignments the matrix form must reproduce."""
+    x = np.asarray(points, dtype=float)
+    n = x.shape[0]
+    centers = clustering._seed_centers(x, k_clusters, rng.generator)
+    assignments = np.full(n, -1, dtype=np.int64)
+    for _ in range(300):
+        d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_assign = d2.argmin(axis=1)
+        if np.array_equal(new_assign, assignments):
+            break
+        assignments = new_assign
+        empty = [c for c in range(k_clusters) if not (assignments == c).any()]
+        for c in range(k_clusters):
+            members = assignments == c
+            if members.any():
+                centers[c] = x[members].mean(axis=0)
+        if empty:
+            clustering._reseed_empty(x, assignments, centers, empty)
+    return assignments
+
+
+class TestKmeansMatchesDirectDistances:
+    @pytest.mark.parametrize("row_normalize", [False, True])
+    @pytest.mark.parametrize("end", ["top", "bottom"])
+    def test_blob_sweep_cells(self, monkeypatch, end, row_normalize):
+        # every k-means call of the default blob sweep: 3 t values x 5 seeds
+        calls = []
+
+        def recording(points, k_clusters, rng):
+            source = (rng.seed, rng.path)
+            got = kmeans(points, k_clusters, rng)
+            calls.append((points, k_clusters, source, got))
+            return got
+
+        monkeypatch.setattr(clustering, "kmeans", recording)
+        run_clustering_experiment(synthetic_blobs(seed=0), 10, 10, 10, [5, 20, 100], range(5),
+                                  spectrum_end=end, row_normalize=row_normalize)
+        assert len(calls) == 15
+        for points, k_clusters, source, got in calls:
+            want = direct_distance_kmeans(points, k_clusters, RandomSource(*source))
+            assert np.array_equal(got, want), source
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_one_feature(self, seed):
+        # numpy sums a single column pairwise, while the matrix form sums
+        # each cluster's members in row order
+        points = synthetic_blobs(n=200, clusters=4, seed=seed).features[:, :1]
+        assert np.array_equal(kmeans(points, 4, RandomSource(seed)),
+                              direct_distance_kmeans(points, 4, RandomSource(seed)))
+
+    @pytest.mark.parametrize(
+        "points, k_clusters, seed",
+        [
+            # three distinct points, four copies each, five clusters
+            (np.repeat([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0]], 4, axis=0), 5, 7),
+            # distinct points whose sixth cluster empties after an update
+            (RandomSource(2710).generator.standard_exponential((10, 2)) ** 3, 6, 2710),
+        ],
+        ids=["duplicates", "emptied"],
+    )
+    def test_reseeded_clusters(self, monkeypatch, points, k_clusters, seed):
+        reseeds = []
+        reseed = clustering._reseed_empty
+
+        def counting(x, assignments, centers, empty):
+            reseeds.append(list(empty))
+            reseed(x, assignments, centers, empty)
+
+        monkeypatch.setattr(clustering, "_reseed_empty", counting)
+        got = kmeans(points, k_clusters, RandomSource(seed))
+        assert reseeds
+        assert np.array_equal(got, direct_distance_kmeans(points, k_clusters, RandomSource(seed)))
+
+    def test_one_cluster(self):
+        points = synthetic_blobs(n=40, clusters=2, seed=3).features
+        got = kmeans(points, 1, RandomSource(8))
+        assert np.array_equal(got, np.zeros(40, dtype=np.int64))
+        assert np.array_equal(got, direct_distance_kmeans(points, 1, RandomSource(8)))
+
+
 class TestMutualInformation:
     def test_perfect_two_way_split(self):
         c = np.array([0] * 5 + [1] * 5)

@@ -592,6 +592,16 @@ class TestClusterCommand:
         assert capsys.readouterr().err.startswith(f"error: {data}:10: label 'x' is not a number")
         assert not out.exists()
 
+    @pytest.mark.parametrize("head", ["", "# schema=1\n"])
+    def test_header_only_dataset_exits_one_naming_the_file(self, tmp_path, capsys, head):
+        data = tmp_path / "h.csv"
+        data.write_text(head + "f0,label\n\n")
+        out = tmp_path / "out"
+        code = run_cli("cluster", "--data", str(data), "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {data}: no data rows\n"
+        assert not out.exists()
+
     def test_missing_dataset_file(self, tmp_path):
         code = run_cli("cluster", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path))
         assert code == 1
@@ -693,6 +703,20 @@ class TestClusterCommand:
                     for name in ("mi_vs_t.csv", "mi_summary.csv"))
         assert got == ("13a84d2a71ea9c53d583aa064a8b94c5e5f2615afc472c0efbed9c5720ca9cd2",
                        "7a2a93c3bdeb6d1c72435d72287d2790798aea45ef37b683e13d7cdb6283360d")
+
+    def test_cluster_files_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # k-means multiplies by its centers through BLAS, which reads its
+        # thread count once, when numpy is imported: one process per setting
+        src = Path(deflatrix.cli.__file__).resolve().parent.parent
+        code = "import sys; from deflatrix.cli import main; sys.exit(main(sys.argv[1:]))"
+        written = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
+            subprocess.run([sys.executable, "-c", code, "cluster", "--data", "blobs",
+                            "--out", str(out)], env=env, capture_output=True, check=True)
+            written.append([(out / name).read_bytes() for name in ("mi_vs_t.csv", "mi_summary.csv")])
+        assert written[0] == written[1]
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(),

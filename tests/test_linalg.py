@@ -179,6 +179,30 @@ class TestRandomSource:
         with pytest.raises(ValueError):
             RandomSource(2**64)
 
+    def test_deriving_substreams_builds_no_generator(self, monkeypatch):
+        built = []
+        philox = np.random.Philox
+
+        def counting(seed_seq):
+            built.append(seed_seq.spawn_key)
+            return philox(seed_seq)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        leaf = RandomSource(7).substream(3).substream(1, 2)
+        assert built == []
+        leaf.normal(1)
+        leaf.normal(1)
+        assert built == [(3, 1, 2)]
+
+    def test_nested_substream_draws_are_pinned(self):
+        # the values drawn when every source built its generator up front
+        s = RandomSource(7).substream(3).substream(1, 2)
+        assert s.normal(3).tolist() == [
+            -0.1302712196441577, -0.16862107432009932, -1.2770100018527715]
+        assert int(s.generator.integers(1000)) == 371
+        top = RandomSource(2**64 - 1, (5,)).substream(0)
+        assert top.normal(2).tolist() == [-0.2724689238019011, -1.2635516633981732]
+
 
 class TestRandomOrthogonalBasis:
     def test_dim_one_is_sign(self):
