@@ -241,6 +241,10 @@ def _parse(argv) -> argparse.Namespace:
         if key not in actions:
             unused.append(key.replace("_", "-"))
         elif actions[key].nargs == 0:  # a store_true flag has no type to parse with
+            if raw.lower() not in ("1", "true", "yes", "0", "false", "no", ""):
+                raise SchemaError(
+                    f"{args.config}: {key.replace('_', '-')}={raw!r} is not a boolean"
+                )
             defaults[key] = raw.lower() in ("1", "true", "yes")
         else:
             defaults[key] = raw

@@ -63,8 +63,8 @@ class Dataset:
     def __post_init__(self):
         x = np.array(self.features, dtype=float)
         y = np.array(self.labels, dtype=np.int64)
-        if x.ndim != 2 or y.shape != (x.shape[0],):
-            raise DimensionMismatchError("features must be (n, p) with one label per row")
+        if x.ndim != 2 or not x.shape[1] or y.shape != (x.shape[0],):
+            raise DimensionMismatchError("features must be (n, p), p >= 1, with one label per row")
         if not np.isfinite(x).all():
             raise ValueError("features must be finite")
         uniq = np.unique(y)

@@ -9,6 +9,7 @@ deterministic for identical inputs.
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -53,6 +54,11 @@ def _write_lines(path, lines) -> None:
             fh.write("\n")
 
 
+def _write_csv(path, header: str, rows) -> None:
+    """The schema line, the header, then each row's cells through _fmt."""
+    _write_lines(path, [_SCHEMA_LINE, header, *(",".join(map(_fmt, row)) for row in rows)])
+
+
 def _check_schema(line: str, path) -> None:
     if line.strip() != _SCHEMA_LINE:
         raise SchemaError(f"{path}: expected first line '{_SCHEMA_LINE}', got {line.strip()!r}")
@@ -83,21 +89,11 @@ def write_run_dir(
     if [dg.k for dg in diags] != list(range(1, run.K + 1)):
         raise ValueError("serialization needs one diagnostic row per step")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    lines = [_SCHEMA_LINE, "k,lambda_k,delta_norm,eig_err,matrix_gap_fro"]
-    for dg in diags:
-        lines.append(
-            ",".join(
-                [
-                    str(dg.k),
-                    _fmt(run.top_eigenvalues[dg.k - 1]),
-                    _fmt(dg.sub_err),
-                    _fmt(dg.output_err),
-                    _fmt(dg.matrix_gap_fro),
-                ]
-            )
-        )
-    _write_lines(out / "run.csv", lines)
+    rows = (
+        (dg.k, run.top_eigenvalues[dg.k - 1], dg.sub_err, dg.output_err, dg.matrix_gap_fro)
+        for dg in diags
+    )
+    _write_csv(out / "run.csv", "k,lambda_k,delta_norm,eig_err,matrix_gap_fro", rows)
     _write_lines(out / "v.csv", _vectors_csv(run.components, "vectors"))
     _write_lines(out / "u.csv", _vectors_csv(run.exact_tops, "vectors"))
     meta = {
@@ -168,42 +164,26 @@ def write_bounds_csv(rows: list[BoundRow], path) -> None:
     header = "k,thm1_bound,thm2_bound,empirical_err,slack_thm1,slack_thm2,cond7,cond12,cond13"
     if budgets:
         header += ",delta_budget,t_budget"
-    lines = [_SCHEMA_LINE, header]
-    for row in rows:
-        cells = [
-            str(row.k),
-            _fmt(row.agnostic),
-            _fmt(row.power_iter),
-            _fmt(row.empirical),
-            _fmt(row.slack_agnostic),
-            _fmt(row.slack_power_iter),
-            _fmt(row.condition_agnostic),
-            _fmt(row.condition_step_floor),
-            _fmt(row.condition_tail),
-        ]
-        if budgets:
-            cells += [_fmt(row.error_budget), _fmt(row.iteration_budget)]
-        lines.append(",".join(cells))
-    _write_lines(path, lines)
+    cells = (
+        (row.k, row.agnostic, row.power_iter, row.empirical, row.slack_agnostic,
+         row.slack_power_iter, row.condition_agnostic, row.condition_step_floor,
+         row.condition_tail, *((row.error_budget, row.iteration_budget) if budgets else ()))
+        for row in rows
+    )
+    _write_csv(path, header, cells)
 
 
 def write_mi_csvs(cells: list[ClusteringCell], summary: list[ClusteringSummary], out_dir) -> None:
     out = Path(out_dir)
-    lines = [_SCHEMA_LINE, "t,seed,mi"]
-    lines += [f"{c.t},{c.seed},{_fmt(c.mi)}" for c in cells]
-    _write_lines(out / "mi_vs_t.csv", lines)
-    lines = [_SCHEMA_LINE, "t,mean_mi,std_mi"]
-    lines += [f"{s.t},{_fmt(s.mean_mi)},{_fmt(s.std_mi)}" for s in summary]
-    _write_lines(out / "mi_summary.csv", lines)
+    _write_csv(out / "mi_vs_t.csv", "t,seed,mi", ((c.t, c.seed, c.mi) for c in cells))
+    rows = ((s.t, s.mean_mi, s.std_mi) for s in summary)
+    _write_csv(out / "mi_summary.csv", "t,mean_mi,std_mi", rows)
 
 
 def write_dataset_csv(data: Dataset, path) -> None:
     p = data.features.shape[1]
     header = ",".join([f"f{i}" for i in range(p)] + ["label"])
-    lines = [_SCHEMA_LINE, header]
-    for row, label in zip(data.features, data.labels):
-        lines.append(",".join([_fmt(x) for x in row] + [str(int(label))]))
-    _write_lines(path, lines)
+    _write_csv(path, header, ([*row, label] for row, label in zip(data.features, data.labels)))
 
 
 def read_dataset_csv(path) -> Dataset:
@@ -228,6 +208,8 @@ def read_dataset_csv(path) -> Dataset:
     header = [c.strip() for c in lines[0][1].split(",")]
     if "label" not in header:
         raise SchemaError(f"{path}: no 'label' column in header {header}")
+    if len(header) == 1:
+        raise SchemaError(f"{path}: no feature columns")
     label_idx = header.index("label")
     feats = []
     labels = []
@@ -237,11 +219,13 @@ def read_dataset_csv(path) -> Dataset:
         if len(cells) != len(header):
             raise SchemaError(f"{where}: row has {len(cells)} cells, header has {len(header)}")
         row = []
-        for name, cell in zip(header, cells):
+        for i, (name, cell) in enumerate(zip(header, cells)):
             try:
                 row.append(float(cell))
             except ValueError:
                 raise SchemaError(f"{where}: {name} {cell.strip()!r} is not a number") from None
+            if i != label_idx and not math.isfinite(row[-1]):
+                raise SchemaError(f"{where}: {name} {cell.strip()!r} is not finite")
         label = row.pop(label_idx)
         if not label.is_integer():
             raise SchemaError(f"{where}: label {cells[label_idx].strip()!r} is not an integer")
@@ -249,4 +233,7 @@ def read_dataset_csv(path) -> Dataset:
         labels.append(int(label))
     if not feats:
         raise SchemaError(f"{path}: no data rows")
-    return Dataset(features=np.array(feats), labels=np.array(labels))
+    try:
+        return Dataset(features=np.array(feats), labels=np.array(labels))
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from None

@@ -89,8 +89,15 @@ class Tally:
         if margin is not None and (self.worst is None or margin < self.worst):
             self.worst = margin
 
-    def record_bool(self, ok: bool, margin: float | None = None) -> None:
-        self.record(Verdict.HOLDS if ok else Verdict.VIOLATED, margin)
+    def record_bool(self, ok: bool) -> None:
+        self.record(Verdict.HOLDS if ok else Verdict.VIOLATED)
+
+    def record_margins(self, margins) -> None:
+        """A row holds iff every margin is >= 0, so a NaN margin is a
+        violation, and no margin at all holds; its worst is their minimum."""
+        margins = list(margins)
+        ok = all(margin >= 0 for margin in margins)
+        self.record(Verdict.HOLDS if ok else Verdict.VIOLATED, min(margins, default=None))
 
 
 def random_spectrum_kind(gen: np.random.Generator):
@@ -105,6 +112,13 @@ def make_instance(d: int, rng: RandomSource) -> tuple[SymMatrix, Spectrum]:
     kind = random_spectrum_kind(rng.generator)
     basis = random_orthogonal_basis(d, rng)
     return build_test_sigma(d, kind, basis)
+
+
+def _instances(n: int, rng: RandomSource, d: int):
+    """Trial i's substream with the instance drawn on its substream 0."""
+    for i in range(n):
+        sub = rng.substream(i)
+        yield sub, *make_instance(d, sub.substream(0))
 
 
 def _symmetric_perturbation(rng: RandomSource, d: int, norm: float) -> np.ndarray:
@@ -186,32 +200,22 @@ def run_level_checks(corpus: list[RunBundle]) -> dict[str, Tally]:
         for dg in diags:
             k = dg.k
             shift = abs(run.top_eigenvalues[k - 1] - float(lam[k - 1]))
-            tallies["eigenvalue_shift"].record_bool(
-                shift <= dg.matrix_gap_spec + CHECK_SLACK,
-                dg.matrix_gap_spec + CHECK_SLACK - shift,
-            )
+            tallies["eigenvalue_shift"].record_margins([dg.matrix_gap_spec + CHECK_SLACK - shift])
 
             # the two-sided gap min_{j != k} |lambda_k - lambda_j|; every run has k < d
             dk_gap = min(gap[k - 2], gap[k - 1]) if k > 1 else gap[0]
             if dg.matrix_gap_fro <= dk_gap / 4.0:
                 bound = 2.0 / dk_gap * dg.matrix_gap_fro
-                tallies["eigvec_sensitivity"].record_bool(
-                    dg.drift <= bound + CHECK_SLACK, bound + CHECK_SLACK - dg.drift
-                )
+                tallies["eigvec_sensitivity"].record_margins([bound + CHECK_SLACK - dg.drift])
             else:
                 tallies["eigvec_sensitivity"].record(Verdict.SKIPPED)
 
             # directional gap of step k against every later ideal direction is
             # at most the alignment-weighted sum of earlier top eigenvalues
-            ok = not any(
-                dg.directional_gaps[j - 1] > weighted[k - 1][j - 1] + CHECK_SLACK
-                for j in range(k, run.d + 1)
-            )
-            margin = min(
+            tallies["directional_sum"].record_margins(
                 float(weighted[k - 1][j - 1] + CHECK_SLACK - dg.directional_gaps[j - 1])
                 for j in range(k, run.d + 1)
             )
-            tallies["directional_sum"].record_bool(ok, margin)
 
             check = alignment_lower_bound_check(
                 dg.matrix_gap_fro, run.exact_tops[:, k - 1], run.spectrum, k
@@ -225,18 +229,14 @@ def run_level_checks(corpus: list[RunBundle]) -> dict[str, Tally]:
             fro_ok = all(diags[kp - 1].matrix_gap_fro <= fro_limit for kp in range(1, k))
             if fro_ok and rows[k - 1].condition_step_floor:
                 bound = eigvec_drift_bound(inputs, k, dg.matrix_gap_spec)
-                tallies["drift_bound"].record_bool(
-                    dg.drift <= bound + CHECK_SLACK, bound + CHECK_SLACK - dg.drift
-                )
+                tallies["drift_bound"].record_margins([bound + CHECK_SLACK - dg.drift])
                 lam_k = float(run.top_eigenvalues[k - 1])
-                checked = [
-                    (float(dg.directional_gaps[j - 1]), directional_gap_bound(inputs, k, j, lam_k))
+                tallies["directional_bound"].record_margins(
+                    directional_gap_bound(inputs, k, j, lam_k)
+                    + CHECK_SLACK
+                    - float(dg.directional_gaps[j - 1])
                     for j in range(k, run.d + 1)
                     if lam_k > lam[j - 1]
-                ]
-                tallies["directional_bound"].record_bool(
-                    not any(gap > bound + CHECK_SLACK for gap, bound in checked),
-                    min((bound + CHECK_SLACK - gap for gap, bound in checked), default=None),
                 )
             else:
                 tallies["drift_bound"].record(Verdict.SKIPPED)
@@ -250,9 +250,7 @@ def perturbed_alignment_trials(n: int, rng: RandomSource) -> Tally:
     t = 25 steps."""
     d, t = 12, 25
     tally = Tally()
-    for i in range(n):
-        sub = rng.substream(i)
-        m_star, spectrum = make_instance(d, sub.substream(0))
+    for sub, m_star, spectrum in _instances(n, rng, d):
         gap1 = float(spectrum.eigenvalues[0] - spectrum.eigenvalues[1])
         h = _symmetric_perturbation(sub.substream(1), d, 0.05 * gap1)
         m = SymMatrix(m_star.array + h)
@@ -265,17 +263,17 @@ def perturbed_alignment_trials(n: int, rng: RandomSource) -> Tally:
         c0 = 1.0 / alignment
         sigma1 = float(spec_m.eigenvalues[0])
         x_t = power_iterate(m, x0, t)
-        ok = True
-        for j in range(2, d + 1):
-            sigma_j = float(spectrum.eigenvalues[j - 1])
-            if sigma1 <= sigma_j:
-                continue
-            h_aj = float(np.linalg.norm(h @ spectrum.eigenvector(j - 1)))
-            bound = pi_alignment_bound(sigma_j, sigma1, h_aj, c0, t)
-            if abs(float(x_t @ spectrum.eigenvector(j - 1))) > bound + CHECK_SLACK:
-                ok = False
-                break
-        tally.record_bool(ok)
+        tally.record_bool(
+            not any(
+                abs(float(x_t @ spectrum.eigenvector(j)))
+                > pi_alignment_bound(
+                    sigma_j, sigma1, float(np.linalg.norm(h @ spectrum.eigenvector(j))), c0, t
+                )
+                + CHECK_SLACK
+                for j, sigma_j in enumerate(spectrum.eigenvalues.tolist())
+                if j > 0 and sigma1 > sigma_j
+            )
+        )
     return tally
 
 
@@ -284,9 +282,7 @@ def inner_identity_trials(n: int, rng: RandomSource) -> Tally:
     d = 10."""
     d = 10
     tally = Tally()
-    for i in range(n):
-        sub = rng.substream(i)
-        sigma, _ = make_instance(d, sub.substream(0))
+    for sub, sigma, _ in _instances(n, rng, d):
         m = SymMatrix(sigma.array + _symmetric_perturbation(sub.substream(1), d, 0.01))
         gen = sub.substream(2).generator
         i_idx = int(gen.integers(0, d))
@@ -296,7 +292,7 @@ def inner_identity_trials(n: int, rng: RandomSource) -> Tally:
         except DegenerateGapError:
             tally.record(Verdict.SKIPPED)
             continue
-        tally.record_bool(rel_err <= 1e-6, 1e-6 - rel_err)
+        tally.record_margins([1e-6 - rel_err])
     return tally
 
 
@@ -306,9 +302,7 @@ def iterate_convergence_trials(n: int, rng: RandomSource) -> Tally:
     on initial alignment >= 1/sqrt(2)."""
     d = 10
     tally = Tally()
-    for i in range(n):
-        sub = rng.substream(i)
-        sigma, spectrum = make_instance(d, sub.substream(0))
+    for sub, sigma, spectrum in _instances(n, rng, d):
         a1 = spectrum.eigenvector(0)
         sigma1 = float(spectrum.eigenvalues[0])
         sigma2 = float(spectrum.eigenvalues[1])
@@ -354,7 +348,7 @@ def recurrence_trials(n: int, rng: RandomSource) -> dict[str, Tally]:
         rel = max(
             abs(c - e) / max(abs(e), 1e-30) for c, e in zip(closed, brute)
         )
-        tallies["recurrence_sum_form"].record_bool(rel <= 1e-12, 1e-12 - rel)
+        tallies["recurrence_sum_form"].record_margins([1e-12 - rel])
 
         q1 = float(gen.uniform(0.0, 2.0))
         closed = affine_recurrence_closed_form(a, b, q1)
@@ -362,7 +356,7 @@ def recurrence_trials(n: int, rng: RandomSource) -> dict[str, Tally]:
         for k in range(length):
             brute.append(float(a[k]) * brute[-1] + float(b[k]))
         rel = max(abs(c - e) / max(abs(e), 1e-30) for c, e in zip(closed, brute))
-        tallies["recurrence_affine_form"].record_bool(rel <= 1e-12, 1e-12 - rel)
+        tallies["recurrence_affine_form"].record_margins([1e-12 - rel])
 
         k = int(gen.integers(2, 12))
         p = np.cumsum(gen.uniform(0.05, 1.0, k)) + gen.uniform(0.1, 1.0)
@@ -401,39 +395,45 @@ def _sum_condition_budgets(gaps: np.ndarray, lambdas, K: int) -> list[float]:
     return budgets
 
 
-def agnostic_soundness_trials(n: int, dims, rng: RandomSource) -> Tally:
-    """Measured output error against the agnostic bound, on runs calibrated so
-    the admissibility condition holds at every step (t doubles up to 4096)."""
+def _soundness_trials(n: int, dims, rng: RandomSource, calibrate) -> Tally:
+    """Draw loop of the calibrated soundness families: attempt i draws its
+    instance on substream i at dimension dims[i % len(dims)] and K on its
+    substream 1, and ``calibrate(sigma, spectrum, K, sub)`` runs it on
+    substream 2, giving (measured error, bound) per step, or None for an
+    instance that does not calibrate. At most 8n instances are drawn."""
     tally = Tally()
-    produced = 0
     attempt = 0
     dims = list(dims)
-    while produced < n and attempt < 8 * n:
+    while tally.holds + tally.violated < n and attempt < 8 * n:
         attempt += 1
         sub = rng.substream(attempt)
         d = dims[attempt % len(dims)]
         sigma, spectrum = make_instance(d, sub.substream(0))
         K = int(sub.substream(1).generator.integers(2, min(8, d // 2) + 1))
-        gaps = eigengaps(spectrum.eigenvalues)
-        budgets = _sum_condition_budgets(gaps, spectrum.eigenvalues, K)
-        if min(budgets) < 1e-11:
-            continue  # not satisfiable in float64; draw another instance
-        t = _budget_predicted_t(spectrum.eigenvalues, budgets, 3.0 * math.sqrt(d))
-        rows = None
-        while t <= 4096:
-            run = run_inexact_deflation(sigma, K, t, sub.substream(2), spectrum=spectrum)
-            candidate = bound_report(run)
-            if all(row.condition_agnostic for row in candidate):
-                rows = candidate
-                break
-            t *= 2
-        if rows is None:
-            continue
-        assert all(row.agnostic is not None for row in rows)
-        ok = not any(row.empirical > row.agnostic + CHECK_SLACK for row in rows)
-        tally.record_bool(ok)
-        produced += 1
+        checked = calibrate(sigma, spectrum, K, sub)
+        if checked is not None:
+            tally.record_bool(not any(err > bound + CHECK_SLACK for err, bound in checked))
     return tally
+
+
+def _agnostic_calibration(sigma: SymMatrix, spectrum: Spectrum, K: int, sub: RandomSource):
+    gaps = eigengaps(spectrum.eigenvalues)
+    budgets = _sum_condition_budgets(gaps, spectrum.eigenvalues, K)
+    if min(budgets) < 1e-11:
+        return None  # not satisfiable in float64; draw another instance
+    t = _budget_predicted_t(spectrum.eigenvalues, budgets, 3.0 * math.sqrt(sigma.dim))
+    while t <= 4096:
+        rows = bound_report(run_inexact_deflation(sigma, K, t, sub.substream(2), spectrum=spectrum))
+        if all(row.condition_agnostic for row in rows):
+            return [(row.empirical, row.agnostic) for row in rows]
+        t *= 2
+    return None
+
+
+def agnostic_soundness_trials(n: int, dims, rng: RandomSource) -> Tally:
+    """Measured output error against the agnostic bound, on runs calibrated so
+    the admissibility condition holds at every step (t doubles up to 4096)."""
+    return _soundness_trials(n, dims, rng, _agnostic_calibration)
 
 
 def _min_t_power_iter(gaps: np.ndarray, lambdas, K: int, c0: float) -> int:
@@ -456,38 +456,24 @@ def _min_t_power_iter(gaps: np.ndarray, lambdas, K: int, c0: float) -> int:
     raise RuntimeError("no admissible step count found")
 
 
+def _power_iter_calibration(sigma: SymMatrix, spectrum: Spectrum, K: int, sub: RandomSource):
+    gaps = eigengaps(spectrum.eigenvalues)
+    c0 = 3.0 * math.sqrt(sigma.dim)
+    for _ in range(4):
+        t = _min_t_power_iter(gaps, spectrum.eigenvalues, K, c0)
+        run = run_inexact_deflation(sigma, K, t, sub.substream(2), spectrum=spectrum)
+        rows = bound_report(run)
+        if all(row.condition_tail and row.condition_step_floor for row in rows):
+            return [(row.empirical, row.power_iter) for row in rows]
+        c0 = inputs_from_run(run).init_constant  # measured; recompute the floor with it
+    return None
+
+
 def power_iter_soundness_trials(n: int, dims, rng: RandomSource) -> Tally:
     """Measured output error against the power-iteration bound, on runs whose
     step count clears both admissibility conditions (with the run's own
     measured initialization constant)."""
-    tally = Tally()
-    produced = 0
-    attempt = 0
-    dims = list(dims)
-    while produced < n and attempt < 8 * n:
-        attempt += 1
-        sub = rng.substream(attempt)
-        d = dims[attempt % len(dims)]
-        sigma, spectrum = make_instance(d, sub.substream(0))
-        K = int(sub.substream(1).generator.integers(2, min(8, d // 2) + 1))
-        gaps = eigengaps(spectrum.eigenvalues)
-        c0 = 3.0 * math.sqrt(d)
-        rows = None
-        for _ in range(4):
-            t = _min_t_power_iter(gaps, spectrum.eigenvalues, K, c0)
-            run = run_inexact_deflation(sigma, K, t, sub.substream(2), spectrum=spectrum)
-            candidate = bound_report(run)
-            if all(row.condition_tail and row.condition_step_floor for row in candidate):
-                rows = candidate
-                break
-            c0 = inputs_from_run(run).init_constant  # measured; recompute the floor with it
-        if rows is None:
-            continue
-        assert all(row.power_iter is not None for row in rows)
-        ok = not any(row.empirical > row.power_iter + CHECK_SLACK for row in rows)
-        tally.record_bool(ok)
-        produced += 1
-    return tally
+    return _soundness_trials(n, dims, rng, _power_iter_calibration)
 
 
 def budget_e2e_trials(
@@ -502,9 +488,7 @@ def budget_e2e_trials(
     16384) until every measured sub-routine error fits its per-step budget,
     then demand epsilon-accurate output at every step."""
     tally = Tally()
-    for i in range(n):
-        sub = rng.substream(i)
-        sigma, spectrum = make_instance(d, sub.substream(0))
+    for sub, sigma, spectrum in _instances(n, rng, d):
         gaps = eigengaps(spectrum.eigenvalues)
         for eps in epsilons:
             proto = BoundInputs(

@@ -60,6 +60,10 @@ class TestDataset:
         with pytest.raises(ValueError, match="contiguous"):
             Dataset(features=np.zeros((3, 1)), labels=np.array([0, 2, 0]))
 
+    def test_rejects_zero_feature_columns(self):
+        with pytest.raises(DimensionMismatchError, match="p >= 1"):
+            Dataset(features=np.zeros((4, 0)), labels=np.array([0, 1, 0, 1]))
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             Dataset(features=np.zeros((3, 1)), labels=np.array([0, 1]))

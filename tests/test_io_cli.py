@@ -106,6 +106,14 @@ class TestDatasetCsv:
             dio.read_dataset_csv(path)
         assert str(info.value) == f"{path}:4: {message}"
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", " NaN "])
+    def test_non_finite_feature_names_path_line_and_column(self, tmp_path, cell):
+        path = tmp_path / "data.csv"
+        path.write_text(f"x,y,label\n0.0,1.0,0\n1.0,{cell},1\n")
+        with pytest.raises(SchemaError) as info:
+            dio.read_dataset_csv(path)
+        assert str(info.value) == f"{path}:3: y {cell.strip()!r} is not finite"
+
 
 class TestRunDir:
     def test_needs_one_diagnostic_row_per_step(self, tmp_path):
@@ -139,6 +147,40 @@ class TestBoundsCsv:
             "# schema=1",
             "k,thm1_bound,thm2_bound,empirical_err,slack_thm1,slack_thm2,cond7,cond12,cond13",
         ]
+
+
+    # one row per kind of value _fmt formats: None, Python and numpy bools,
+    # Python and numpy ints, inf, nan, -0.0 and a plain float
+    ROWS = [
+        deflatrix.bounds.BoundRow(
+            k=1, agnostic=None, power_iter=math.inf, empirical=-0.0,
+            condition_agnostic=False, condition_step_floor=np.bool_(True),
+            condition_tail=np.bool_(False), error_budget=math.nan, iteration_budget=12,
+        ),
+        deflatrix.bounds.BoundRow(
+            k=np.int64(2), agnostic=0.5, power_iter=None, empirical=0.1,
+            condition_agnostic=True, condition_step_floor=False,
+            condition_tail=True, error_budget=-0.0, iteration_budget=np.int64(7),
+        ),
+    ]
+    HEADER = "k,thm1_bound,thm2_bound,empirical_err,slack_thm1,slack_thm2,cond7,cond12,cond13"
+
+    def test_every_kind_of_value_is_pinned(self, tmp_path):
+        dio.write_bounds_csv(self.ROWS, tmp_path / "bounds.csv")
+        assert (tmp_path / "bounds.csv").read_bytes() == (
+            f"# schema=1\n{self.HEADER},delta_budget,t_budget\n"
+            "1,precondition-failed,inf,-0.0,precondition-failed,inf,false,true,false,nan,12\n"
+            "2,0.5,precondition-failed,0.1,5.0,precondition-failed,true,false,true,-0.0,7\n"
+        ).encode()
+
+    def test_without_budgets_is_pinned(self, tmp_path):
+        rows = [dataclasses.replace(r, error_budget=None, iteration_budget=None) for r in self.ROWS]
+        dio.write_bounds_csv(rows, tmp_path / "bounds.csv")
+        assert (tmp_path / "bounds.csv").read_bytes() == (
+            f"# schema=1\n{self.HEADER}\n"
+            "1,precondition-failed,inf,-0.0,precondition-failed,inf,false,true,false\n"
+            "2,0.5,precondition-failed,0.1,5.0,precondition-failed,true,false,true\n"
+        ).encode()
 
 
 class TestVectorsCsv:
@@ -602,6 +644,22 @@ class TestClusterCommand:
         assert capsys.readouterr().err == f"error: {data}: no data rows\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("x,label\n0.0,0\n1.0,1\ninf,0\n", "{data}:4: x 'inf' is not finite"),
+         ("label\n0\n1\n0\n1\n", "{data}: no feature columns"),
+         ("x,label\n0.0,0\n1.0,2\n", "{data}: labels must cover a contiguous integer range")],
+        ids=["non-finite", "label-only", "label-gap"],
+    )
+    def test_dataset_errors_exit_one_naming_the_file(self, tmp_path, capsys, text, message):
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        out = tmp_path / "out"
+        code = run_cli("cluster", "--data", str(data), "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message.format(data=data)}\n"
+        assert not out.exists()
+
     def test_missing_dataset_file(self, tmp_path):
         code = run_cli("cluster", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path))
         assert code == 1
@@ -965,6 +1023,30 @@ class TestConfigFile:
         cfg.write_text("row-normalize=false\n")
         plain = self.outcome(argv, tmp_path / "plain", capsys)
         assert self.outcome([*argv, "--config", str(cfg)], tmp_path / "config", capsys) == plain
+
+    @pytest.mark.parametrize(
+        "value, is_set",
+        [("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("False", False),
+         ("NO", False), ("", False)],
+    )
+    def test_boolean_config_spellings(self, tmp_path, capsys, value, is_set):
+        argv = ["cluster", "--r", "5", "--k", "3", "--clusters", "3", "--t-values", "4",
+                "--seeds", "0"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"row-normalize={value}\n")
+        flags = ["--row-normalize"] if is_set else []
+        expected = self.outcome([*argv, *flags], tmp_path / "flags", capsys)
+        assert self.outcome([*argv, "--config", str(cfg)], tmp_path / "config", capsys) == expected
+
+    @pytest.mark.parametrize("value", ["on", "off", "2", "y"])
+    def test_other_boolean_config_value_exits_one(self, tmp_path, capsys, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"row-normalize={value}\n")
+        out = tmp_path / "out"
+        assert run_cli("cluster", "--config", str(cfg), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg}: row-normalize={value!r} is not a boolean\n"
+        assert not out.exists()
 
     def test_config_does_not_carry_over_to_the_next_call(self, tmp_path):
         deflatrix.cli._parser.cache_clear()

@@ -1,10 +1,18 @@
 """The selftest harness's shared-work shortcuts against the loops they replace."""
 
 import dataclasses
+import math
 
+import numpy as np
 import pytest
 
-from deflatrix.diagnostics import CHECK_SLACK
+from deflatrix.bounds import (
+    build_bound_report,
+    directional_gap_bound,
+    eigengaps,
+    eigvec_drift_bound,
+)
+from deflatrix.diagnostics import CHECK_SLACK, inputs_from_run
 from deflatrix.linalg import RandomSource
 from deflatrix.selftest import _directional_sums, build_run_corpus, run_level_checks
 
@@ -73,3 +81,127 @@ def test_directional_sum_verdicts_match_reference(corpus, inflate):
     assert (tally.holds, tally.violated, tally.skipped) == (holds, violated, 0)
     if inflate > 1.0:
         assert holds and violated
+
+
+MARGIN_ROWS = (
+    "eigenvalue_shift",
+    "eigvec_sensitivity",
+    "directional_sum",
+    "drift_bound",
+    "directional_bound",
+)
+
+
+def _ref_margin_rows(corpus):
+    # the margin rows of run_level_checks with each comparison stated twice,
+    # once for the verdict and once for the margin; a row is
+    # [holds, violated, skipped, worst]
+    ref = {name: [0, 0, 0, None] for name in MARGIN_ROWS}
+
+    def record(name, ok, margin):
+        row = ref[name]
+        row[0 if ok else 1] += 1
+        if margin is not None and (row[3] is None or margin < row[3]):
+            row[3] = margin
+
+    for bundle in corpus:
+        run, diags = bundle.run, bundle.diags
+        lam = run.spectrum.eigenvalues
+        gap = eigengaps(lam).tolist()
+        inputs = inputs_from_run(run)
+        rows = build_bound_report(inputs, gap, np.zeros(inputs.K))
+        weighted = _directional_sums(run, run.spectrum.basis)
+        for dg in diags:
+            k = dg.k
+            shift = abs(run.top_eigenvalues[k - 1] - float(lam[k - 1]))
+            record(
+                "eigenvalue_shift",
+                shift <= dg.matrix_gap_spec + CHECK_SLACK,
+                dg.matrix_gap_spec + CHECK_SLACK - shift,
+            )
+            dk_gap = min(gap[k - 2], gap[k - 1]) if k > 1 else gap[0]
+            if dg.matrix_gap_fro <= dk_gap / 4.0:
+                bound = 2.0 / dk_gap * dg.matrix_gap_fro
+                record(
+                    "eigvec_sensitivity",
+                    dg.drift <= bound + CHECK_SLACK,
+                    bound + CHECK_SLACK - dg.drift,
+                )
+            else:
+                ref["eigvec_sensitivity"][2] += 1
+            js = range(k, run.d + 1)
+            sums, gaps = weighted[k - 1], dg.directional_gaps
+            record(
+                "directional_sum",
+                not any(gaps[j - 1] > sums[j - 1] + CHECK_SLACK for j in js),
+                min(float(sums[j - 1] + CHECK_SLACK - gaps[j - 1]) for j in js),
+            )
+            fro_limit = min(gap[:k]) / 8.0
+            fro_ok = all(diags[kp - 1].matrix_gap_fro <= fro_limit for kp in range(1, k))
+            if fro_ok and rows[k - 1].condition_step_floor:
+                bound = eigvec_drift_bound(inputs, k, dg.matrix_gap_spec)
+                record(
+                    "drift_bound", dg.drift <= bound + CHECK_SLACK, bound + CHECK_SLACK - dg.drift
+                )
+                lam_k = float(run.top_eigenvalues[k - 1])
+                checked = [
+                    (float(dg.directional_gaps[j - 1]), directional_gap_bound(inputs, k, j, lam_k))
+                    for j in js
+                    if lam_k > lam[j - 1]
+                ]
+                record(
+                    "directional_bound",
+                    not any(g > b + CHECK_SLACK for g, b in checked),
+                    min((b + CHECK_SLACK - g for g, b in checked), default=None),
+                )
+            else:
+                ref["drift_bound"][2] += 1
+                ref["directional_bound"][2] += 1
+    return {name: tuple(row) for name, row in ref.items()}
+
+
+def _scaled(corpus, drift, gaps, spec):
+    # measured values up and the spectral matrix gap, a bound input, down
+    return [
+        dataclasses.replace(
+            bundle,
+            diags=[
+                dataclasses.replace(
+                    dg,
+                    drift=dg.drift * drift,
+                    directional_gaps=dg.directional_gaps * gaps,
+                    matrix_gap_spec=dg.matrix_gap_spec / spec,
+                )
+                for dg in bundle.diags
+            ],
+        )
+        for bundle in corpus
+    ]
+
+
+@pytest.mark.parametrize("drift, gaps, spec", [(1.0, 1.0, 1.0), (1e3, 1e6, 1e3)])
+def test_margin_rows_match_two_expression_reference(corpus, drift, gaps, spec):
+    # scaled, every margin row has both verdicts, so the margin rule is
+    # compared on violated rows as well as on passing ones
+    runs = _scaled(corpus, drift, gaps, spec)
+    ref = _ref_margin_rows(runs)
+    tallies = run_level_checks(runs)
+    for name in MARGIN_ROWS:
+        tally = tallies[name]
+        assert (tally.holds, tally.violated, tally.skipped, tally.worst) == ref[name], name
+        if drift > 1.0:
+            assert tally.holds and tally.violated, name
+
+
+def test_nan_margin_counts_as_violated(corpus):
+    # the step-1 directional gap along u_1 is NaN: the two-expression form
+    # read `nan > bound` as false and passed the step, the margin rule fails it
+    bundle = corpus[0]
+    gaps = bundle.diags[0].directional_gaps.copy()
+    gaps[0] = math.nan
+    first = dataclasses.replace(bundle.diags[0], directional_gaps=gaps)
+    poisoned = dataclasses.replace(bundle, diags=[first, *bundle.diags[1:]])
+    clean = run_level_checks([bundle])["directional_sum"]
+    got = run_level_checks([poisoned])["directional_sum"]
+    assert (got.holds, got.violated) == (clean.holds - 1, clean.violated + 1)
+    assert _ref_margin_rows([poisoned])["directional_sum"][:2] == (clean.holds, clean.violated)
