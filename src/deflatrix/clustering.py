@@ -35,7 +35,6 @@ __all__ = [
     "ClusteringSummary",
     "Dataset",
     "build_rnn_graph",
-    "entropy",
     "kmeans",
     "mutual_information",
     "normalized_laplacian",
@@ -276,11 +275,6 @@ def kmeans(points: np.ndarray, k_clusters: int, rng: RandomSource) -> np.ndarray
     seeding and the re-seeding keep sum((x - c)^2), since those distances
     decide the generator's draws and the re-seed order.
     """
-    assignments, _ = _kmeans_with_history(points, k_clusters, rng)
-    return assignments
-
-
-def _kmeans_with_history(points, k_clusters, rng):
     x = np.asarray(points, dtype=float)
     if x.ndim != 2:
         raise DimensionMismatchError("points must be a 2-d array")
@@ -292,14 +286,12 @@ def _kmeans_with_history(points, k_clusters, rng):
     # each contiguous column is summed per cluster by one bincount
     columns = np.ascontiguousarray(x.T)
     assignments = np.full(n, -1, dtype=np.int64)
-    history: list[float] = []
     for _ in range(300):
         # scaling by -2 is exact, so this is -2 (x @ centers.T) bit for bit
         d2 = x @ (-2.0 * centers.T)
         d2 += sq
         d2 += (centers * centers).sum(axis=1)
         new_assign = d2.argmin(axis=1)
-        history.append(float(d2[np.arange(n), new_assign].sum()))
         if np.array_equal(new_assign, assignments):
             break
         assignments = new_assign
@@ -310,7 +302,7 @@ def _kmeans_with_history(points, k_clusters, rng):
         centers[filled] = (sums[:, filled] / counts[filled]).T
         if not filled.all():
             _reseed_empty(x, assignments, centers, np.flatnonzero(~filled))
-    return assignments, history
+    return assignments
 
 
 def _seed_centers(x, k, gen):
@@ -366,13 +358,6 @@ def mutual_information(c, c_star) -> float:
     mask = joint > 0
     mi = float((joint[mask] * np.log(joint[mask] / np.outer(pa, pb)[mask])).sum())
     return max(mi, 0.0)
-
-
-def entropy(c) -> float:
-    """Partition entropy (natural log); the ceiling of mutual information."""
-    _, counts = np.unique(np.asarray(c, dtype=np.int64), return_counts=True)
-    p = counts / counts.sum()
-    return float(-(p * np.log(p)).sum())
 
 
 @dataclass(frozen=True)

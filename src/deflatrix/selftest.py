@@ -86,7 +86,8 @@ class Tally:
             self.violated += 1
         else:
             self.skipped += 1
-        if margin is not None and (self.worst is None or margin < self.worst):
+        # a NaN margin stays the worst; otherwise the worst is the minimum
+        if margin is not None and (self.worst is None or margin < self.worst or math.isnan(margin)):
             self.worst = margin
 
     def record_bool(self, ok: bool) -> None:
@@ -94,10 +95,12 @@ class Tally:
 
     def record_margins(self, margins) -> None:
         """A row holds iff every margin is >= 0, so a NaN margin is a
-        violation, and no margin at all holds; its worst is their minimum."""
+        violation, and no margin at all holds; its worst is NaN if a margin
+        is, and otherwise their minimum."""
         margins = list(margins)
         ok = all(margin >= 0 for margin in margins)
-        self.record(Verdict.HOLDS if ok else Verdict.VIOLATED, min(margins, default=None))
+        worst = min(margins, key=lambda m: (not math.isnan(m), m), default=None)
+        self.record(Verdict.HOLDS if ok else Verdict.VIOLATED, worst)
 
 
 def random_spectrum_kind(gen: np.random.Generator):
@@ -264,9 +267,9 @@ def perturbed_alignment_trials(n: int, rng: RandomSource) -> Tally:
         sigma1 = float(spec_m.eigenvalues[0])
         x_t = power_iterate(m, x0, t)
         tally.record_bool(
-            not any(
+            all(
                 abs(float(x_t @ spectrum.eigenvector(j)))
-                > pi_alignment_bound(
+                <= pi_alignment_bound(
                     sigma_j, sigma1, float(np.linalg.norm(h @ spectrum.eigenvector(j))), c0, t
                 )
                 + CHECK_SLACK
@@ -366,7 +369,9 @@ def recurrence_trials(n: int, rng: RandomSource) -> dict[str, Tally]:
             default=0.0,
         )
         t = max(1.0, floor) * float(gen.uniform(1.05, 3.0)) + 1.0
-        direct = sum(p[i - 1] ** t / g**i for i in range(1, k))
+        direct = 0.0
+        for i in range(1, k):
+            direct += p[i - 1] ** t / g**i
         bound = geometric_tail_bound(p, g, t, k)
         tallies["recurrence_geometric_tail"].record_bool(direct <= bound * (1 + 1e-12))
     return tallies
@@ -412,7 +417,7 @@ def _soundness_trials(n: int, dims, rng: RandomSource, calibrate) -> Tally:
         K = int(sub.substream(1).generator.integers(2, min(8, d // 2) + 1))
         checked = calibrate(sigma, spectrum, K, sub)
         if checked is not None:
-            tally.record_bool(not any(err > bound + CHECK_SLACK for err, bound in checked))
+            tally.record_bool(all(err <= bound + CHECK_SLACK for err, bound in checked))
     return tally
 
 

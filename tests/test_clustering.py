@@ -17,10 +17,8 @@ import deflatrix
 from deflatrix import clustering
 from deflatrix.clustering import (
     Dataset,
-    _kmeans_with_history,
     _run_cell,
     build_rnn_graph,
-    entropy,
     kmeans,
     mutual_information,
     normalized_laplacian,
@@ -435,9 +433,13 @@ class TestKmeans:
         assert len(set(labels.tolist())) == 5
 
     def test_lloyd_objective_non_increasing(self):
+        # kmeans keeps no objective; its reference records one per pass
         points = synthetic_blobs(n=80, clusters=4, seed=11).features
-        _, history = _kmeans_with_history(points, 4, RandomSource(5))
+        history = []
+        want = direct_distance_kmeans(points, 4, RandomSource(5), history)
+        assert len(history) >= 2
         assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
+        assert np.array_equal(kmeans(points, 4, RandomSource(5)), want)
 
     def test_deterministic(self):
         points = synthetic_blobs(n=50, clusters=5, seed=12).features
@@ -446,10 +448,12 @@ class TestKmeans:
         assert np.array_equal(a, b)
 
 
-def direct_distance_kmeans(points, k_clusters, rng):
+def direct_distance_kmeans(points, k_clusters, rng, history=None):
     """Lloyd's algorithm with the distances sum((x - c)^2) of an (n, k, p)
     broadcast and one mean per cluster, as k-means was first written: the
-    reference whose assignments the matrix form must reproduce."""
+    reference whose assignments the matrix form must reproduce. Each pass
+    appends its objective, the summed distance to the nearest center, to
+    ``history`` when one is given."""
     x = np.asarray(points, dtype=float)
     n = x.shape[0]
     centers = clustering._seed_centers(x, k_clusters, rng.generator)
@@ -457,6 +461,8 @@ def direct_distance_kmeans(points, k_clusters, rng):
     for _ in range(300):
         d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_assign = d2.argmin(axis=1)
+        if history is not None:
+            history.append(float(d2.min(axis=1).sum()))
         if np.array_equal(new_assign, assignments):
             break
         assignments = new_assign
@@ -557,8 +563,12 @@ class TestMutualInformation:
         n = int(gen.integers(2, 50))
         a = gen.integers(0, int(gen.integers(1, 6)) + 1, n)
         b = gen.integers(0, int(gen.integers(1, 6)) + 1, n)
+        # I(a; a) = H(a), so the score of a partition with itself is its entropy
+        h_a = mutual_information(a, a)
+        p = np.unique(a, return_counts=True)[1] / n
+        assert h_a == pytest.approx(-(p * np.log(p)).sum(), abs=1e-12)
         mi = mutual_information(a, b)
-        assert 0.0 <= mi <= min(entropy(a), entropy(b)) + 1e-12
+        assert 0.0 <= mi <= min(h_a, mutual_information(b, b)) + 1e-12
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):

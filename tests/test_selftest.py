@@ -1,11 +1,14 @@
 """The selftest harness's shared-work shortcuts against the loops they replace."""
 
+import ast
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from deflatrix import bounds, selftest
 from deflatrix.bounds import (
     build_bound_report,
     directional_gap_bound,
@@ -14,7 +17,8 @@ from deflatrix.bounds import (
 )
 from deflatrix.diagnostics import CHECK_SLACK, inputs_from_run
 from deflatrix.linalg import RandomSource
-from deflatrix.selftest import _directional_sums, build_run_corpus, run_level_checks
+from deflatrix.diagnostics import Verdict
+from deflatrix.selftest import Tally, _directional_sums, build_run_corpus, run_level_checks
 
 
 @pytest.fixture(scope="module")
@@ -205,3 +209,58 @@ def test_nan_margin_counts_as_violated(corpus):
     got = run_level_checks([poisoned])["directional_sum"]
     assert (got.holds, got.violated) == (clean.holds - 1, clean.violated + 1)
     assert _ref_margin_rows([poisoned])["directional_sum"][:2] == (clean.holds, clean.violated)
+
+
+@pytest.mark.parametrize("trials", ["agnostic_soundness", "power_iter_soundness"])
+def test_nan_soundness_bound_counts_as_violated(monkeypatch, trials):
+    # `err > nan` is false, so a NaN bound once passed every trial
+    real = selftest.bound_report
+
+    def nan_bounds(run):
+        return [dataclasses.replace(row, agnostic=math.nan, power_iter=math.nan)
+                for row in real(run)]
+
+    monkeypatch.setattr(selftest, "bound_report", nan_bounds)
+    tally = getattr(selftest, f"{trials}_trials")(3, (8, 12), RandomSource(0))
+    assert (tally.holds, tally.violated) == (0, 3)
+
+
+def test_nan_alignment_bound_counts_as_violated(monkeypatch):
+    monkeypatch.setattr(selftest, "pi_alignment_bound", lambda *args: math.nan)
+    tally = selftest.perturbed_alignment_trials(5, RandomSource(0))
+    assert (tally.holds, tally.violated + tally.skipped) == (0, 5)
+    assert tally.violated > 0
+
+
+@pytest.mark.parametrize(
+    "margins, worst",
+    [([math.nan, 1.0, -1.0], math.nan), ([1.0, math.nan], math.nan), ([2.0, -1.0, 0.5], -1.0)],
+)
+def test_worst_margin_does_not_depend_on_order(margins, worst):
+    # a NaN margin is the worst however it is recorded; otherwise the minimum
+    for order in itertools.permutations(margins):
+        rows, single, plain = Tally(), Tally(), Tally()
+        single.record_margins(order)
+        for margin in order:
+            rows.record_margins([margin])
+            plain.record(Verdict.HOLDS, margin)
+        for tally in (rows, single, plain):
+            assert repr(tally.worst) == repr(worst), order
+        assert rows.violated == sum(not margin >= 0 for margin in margins)
+        assert single.violated == 1 - all(margin >= 0 for margin in margins)
+
+
+@pytest.mark.parametrize("module", [bounds, selftest], ids=lambda m: m.__name__)
+def test_no_builtin_sum(module):
+    # builtin sum() of floats is compensated from Python 3.12 on; the
+    # explicit ascending loops keep every reference value on any version
+    with open(module.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    calls = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "sum"
+    ]
+    assert calls == []
