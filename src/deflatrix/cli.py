@@ -6,10 +6,10 @@ Subcommands: ``deflate`` (run + diagnostics + figure traces + bound report),
 
 Configuration precedence is flags > config file > defaults; every default
 lives in ``build_parser``. The config file is flat ``key=value`` lines with
-``#`` comments, keys spelled like the long flags, each value parsed by its
-flag's ``type``. The ``DEFLATRIX_OUT`` environment variable overrides the default
-output directory. Exit codes: 0 success, 1 usage or I/O error, 2 math
-precondition abort.
+``#`` comments; each key names a long flag and is read as that flag. The
+``DEFLATRIX_OUT`` environment variable overrides the default output
+directory. Exit codes: 0 success, 1 usage or I/O error, 2 math precondition
+abort.
 """
 
 from __future__ import annotations
@@ -57,9 +57,7 @@ def _read_config_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise SchemaError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            # keys are spelled like the long flags, and --K stores to `k`
-            values["k" if key == "K" else key] = value.strip()
+            values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 
@@ -134,7 +132,7 @@ def cmd_cluster(args) -> int:
     for s in summary:
         print(f"t={s.t}: mean MI {s.mean_mi:.4f} (std {s.std_mi:.4f})")
     means = [s.mean_mi for s in summary]
-    drops = sum(1 for a, b in zip(means, means[1:]) if b < a)
+    drops = [b < a for a, b in zip(means, means[1:])].count(True)
     print(f"MI trend across t: {'non-decreasing' if drops == 0 else f'{drops} inversion(s)'}")
     print(f"wrote {out / 'mi_vs_t.csv'} and {out / 'mi_summary.csv'}")
     return 0
@@ -221,40 +219,42 @@ _parser = functools.cache(build_parser)
 
 
 def _parse(argv) -> argparse.Namespace:
-    """Parse ``argv``; a ``--config`` file's values become the command's
-    defaults on a parser of this call's own, so each is parsed by its flag's
-    ``type`` and a flag still wins over it."""
+    """Parse ``argv``; each key of a ``--config`` file names a long flag and
+    becomes a ``--flag=value`` token ahead of the command line's own flags,
+    so its flag's ``type`` parses it and a flag on the command line wins."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = _parser().parse_args(argv)
     if not args.config:
         return args
-    parser = build_parser()
-    (sub,) = parser._subparsers._group_actions
-    commands = sub.choices
+    (sub,) = _parser()._subparsers._group_actions
     # a key of another command is skipped with a warning, a misspelled one
     # is an error
-    known = {a.dest for p in commands.values() for a in p._actions} - {"help", "config"}
-    actions = {a.dest: a for a in commands[args.command]._actions}
-    defaults, unused = {}, []
-    for key, raw in _read_config_file(args.config).items():
-        if key not in known:
+    known = {o for p in sub.choices.values() for o in p._option_string_actions}
+    known -= {"--help", "--config"}
+    options = sub.choices[args.command]._option_string_actions
+    config = _read_config_file(args.config)
+    tokens, unused = [], []
+    for key, raw in config.items():
+        flag = "--" + key.replace("_", "-")
+        if flag == "--k" and "--K" in options and "K" not in config:
+            flag = "--K"  # the old spelling of --K
+        if flag not in known:
             raise SchemaError(f"{args.config}: unknown config key {key!r}")
-        if key not in actions:
-            unused.append(key.replace("_", "-"))
-        elif actions[key].nargs == 0:  # a store_true flag has no type to parse with
+        if flag not in options:
+            unused.append(flag[2:])
+        elif options[flag].nargs == 0:  # a store_true flag takes no value
             if raw.lower() not in ("1", "true", "yes", "0", "false", "no", ""):
-                raise SchemaError(
-                    f"{args.config}: {key.replace('_', '-')}={raw!r} is not a boolean"
-                )
-            defaults[key] = raw.lower() in ("1", "true", "yes")
+                raise SchemaError(f"{args.config}: {flag[2:]}={raw!r} is not a boolean")
+            tokens += [flag] if raw.lower() in ("1", "true", "yes") else []
         else:
-            defaults[key] = raw
+            tokens.append(f"{flag}={raw}")
     if unused:
         print(
             f"warning: ignoring config keys {args.command} does not use: {', '.join(unused)}",
             file=sys.stderr,
         )
-    commands[args.command].set_defaults(**defaults)
-    return parser.parse_args(argv)
+    at = argv.index(args.command) + 1
+    return _parser().parse_args([*argv[:at], *tokens, *argv[at:]])
 
 
 def main(argv=None) -> int:

@@ -119,12 +119,13 @@ def build_rnn_graph(data: Dataset, r: int) -> np.ndarray:
         tie[crowded] = ties
     neighbor |= tie
     adjacency = neighbor | neighbor.T
-    # the weights overwrite the distances; exp of a pair that is not joined
-    # is computed and then discarded
-    d2 *= -0.5
-    weights = np.exp(d2, out=d2)
-    np.copyto(weights, 0.0, where=~adjacency)
-    np.fill_diagonal(weights, 0.0)
+    # the weights overwrite the distances; exp runs on the joined pairs only,
+    # and the diagonal is never joined
+    joined = d2[adjacency]
+    joined *= -0.5
+    weights = d2
+    weights.fill(0.0)
+    weights[adjacency] = np.exp(joined, out=joined)
     weights.setflags(write=False)
     return weights
 
@@ -350,9 +351,7 @@ def mutual_information(c, c_star) -> float:
     _, bi = np.unique(b, return_inverse=True)
     ka = int(ai.max()) + 1
     kb = int(bi.max()) + 1
-    joint = np.zeros((ka, kb))
-    np.add.at(joint, (ai, bi), 1.0)
-    joint /= n
+    joint = np.bincount(ai * kb + bi, minlength=ka * kb).reshape(ka, kb) / n
     pa = joint.sum(axis=1)
     pb = joint.sum(axis=0)
     mask = joint > 0

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -614,6 +615,46 @@ class TestBoundInputs:
     def test_rejects_epsilon_outside_positive_reals(self, epsilon):
         with pytest.raises(ValueError, match="epsilon"):
             proto_inputs([1.0, 0.5], [0.0, 0.0], epsilon=epsilon)
+
+
+def _three(**change):
+    return proto_inputs(**{"lambdas": [1.0, 0.5, 0.25], "errs": [0.0] * 3, "K": 2, **change})
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: eigengaps([]), "expected a nonempty 1-d eigenvalue list"),
+        (lambda: eigengaps([[1.0, 0.5]]), "expected a nonempty 1-d eigenvalue list"),
+        (lambda: _three(K=0), "K must lie in [1, 3]"),
+        (lambda: _three(K=4), "K must lie in [1, 3]"),
+        (lambda: _three(errs=[0.0]), "need a sub-routine error norm for every step up to K"),
+        (lambda: _three(t=-1), "t must be non-negative"),
+        (lambda: directional_gap_bound(_three(), 2, 1, 1.0),
+         "the directional bound applies to j >= k"),
+        (lambda: sum_recurrence_closed_form([1.0, 2.0], [1.0]),
+         "coefficient lists must have equal length"),
+        (lambda: sum_recurrence_closed_form([1.0], [-1.0]), "coefficients must be non-negative"),
+        (lambda: affine_recurrence_closed_form([1.0], [1.0, 2.0], 1.0),
+         "coefficient lists must have equal length"),
+        (lambda: affine_recurrence_closed_form([1.0], [1.0], -1.0),
+         "coefficients must be non-negative"),
+        (lambda: geometric_tail_bound([1.0, 2.0], 2.0, 5.0, 3), "need at least k sequence entries"),
+        (lambda: geometric_tail_bound([1.0, 1.0], 2.0, 5.0, 2),
+         "sequence must be positive and strictly increasing"),
+        (lambda: geometric_tail_bound([1.0, 2.0], 0.0, 5.0, 2), "g and t must be positive"),
+        (lambda: geometric_tail_bound([1.0, 2.0], 2.0, 0.0, 2), "g and t must be positive"),
+        (lambda: build_bound_report(_three(), eigengaps([1.0, 0.5, 0.25]), [0.0]),
+         "need an empirical error for every step up to K"),
+    ],
+    ids=["empty-gaps", "2d-gaps", "K-zero", "K-past-d", "few-errors", "negative-t",
+         "j-below-k", "sum-lengths", "sum-negative", "affine-lengths", "affine-negative-q1",
+         "tail-short", "tail-flat", "tail-g", "tail-t", "few-empirical"],
+)
+def test_bad_arguments_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)) as err:
+        call()
+    assert err.type is ValueError
 
 
 class TestBoundReport:

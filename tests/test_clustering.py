@@ -62,6 +62,13 @@ class TestDataset:
         with pytest.raises(DimensionMismatchError, match="p >= 1"):
             Dataset(features=np.zeros((4, 0)), labels=np.array([0, 1, 0, 1]))
 
+    @pytest.mark.parametrize("n, clusters", [(3, 4), (5, 0)])
+    def test_blobs_need_a_point_per_cluster(self, n, clusters):
+        with pytest.raises(ValueError) as err:
+            synthetic_blobs(n=n, clusters=clusters)
+        assert err.type is ValueError
+        assert str(err.value) == "need at least one point per cluster"
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             Dataset(features=np.zeros((3, 1)), labels=np.array([0, 1]))
@@ -427,6 +434,10 @@ class TestKmeans:
         assert labels[2] == labels[3]
         assert labels[0] != labels[2]
 
+    def test_rejects_one_dimensional_points(self):
+        with pytest.raises(DimensionMismatchError, match="points must be a 2-d array"):
+            kmeans(np.arange(6.0), 2, RandomSource(0))
+
     def test_each_point_own_cluster(self):
         points = np.arange(10, dtype=float).reshape(5, 2)
         labels = kmeans(points, 5, RandomSource(4))
@@ -682,8 +693,14 @@ class TestExperiment:
 
     def test_rejects_empty_sweeps(self):
         data = synthetic_blobs(n=20, clusters=2, seed=16)
-        with pytest.raises(ValueError):
-            run_clustering_experiment(data, 3, 2, 2, [], [0])
+        for t_values, seeds, message in (
+            ([], [0], "need at least one t value"),
+            ([5], [], "need at least one seed"),
+        ):
+            with pytest.raises(ValueError) as err:
+                run_clustering_experiment(data, 3, 2, 2, t_values, seeds)
+            assert err.type is ValueError
+            assert str(err.value) == message
 
 
 def test_cli_import_does_not_load_multiprocessing():

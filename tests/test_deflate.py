@@ -1,3 +1,4 @@
+import re
 import types
 import warnings
 
@@ -69,6 +70,12 @@ class TestDeflateStep:
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError, match="unit"):
             deflate_step(SymMatrix(np.eye(2)), np.array([1.0, 1.0]))
+
+    def test_rejects_vector_of_another_dimension(self):
+        with pytest.raises(
+            DimensionMismatchError, match=re.escape("vector shape (3,) incompatible with dim 2")
+        ):
+            deflate_step(SymMatrix(np.eye(2)), np.array([1.0, 0.0, 0.0]))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_update_is_symmetric_as_computed(self, seed):
@@ -217,6 +224,17 @@ class TestAlignedTopEigenvector:
     def test_degenerate_gap(self):
         with pytest.raises(DegenerateGapError):
             aligned_top_eigenvector(SymMatrix(np.eye(2)), np.array([1.0, 0.0]))
+
+    def test_rejects_reference_of_another_dimension(self):
+        sigma = SymMatrix(np.diag([2.0, 1.0]))
+        with pytest.raises(DimensionMismatchError, match="reference vector dimension mismatch"):
+            aligned_top_eigenvector(sigma, np.array([1.0, 0.0, 0.0]))
+
+    def test_rejects_non_unit_reference(self):
+        sigma = SymMatrix(np.diag([2.0, 1.0]))
+        with pytest.raises(ValueError, match="reference vector must have unit norm") as err:
+            aligned_top_eigenvector(sigma, np.array([1.0, 1.0]))
+        assert err.type is ValueError
 
     @pytest.mark.parametrize("seed", range(10))
     def test_perturbation_envelope(self, seed):

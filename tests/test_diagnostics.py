@@ -15,7 +15,7 @@ from deflatrix.diagnostics import (
     inputs_from_run,
     matrix_gap_recurrence_check,
 )
-from deflatrix.errors import DegenerateGapError
+from deflatrix.errors import DegenerateGapError, DimensionMismatchError
 from deflatrix.linalg import (
     ExponentialSpectrum,
     PowerLawSpectrum,
@@ -170,6 +170,16 @@ class TestBoundReport:
         want = build_bound_report(inputs, eigengaps(spec.eigenvalues), errors)
         assert bound_report(run, epsilon) == want
 
+    def test_orthogonal_start_vector_raises(self, accurate_bundle):
+        # c0 is the reciprocal of the worst start alignment
+        run, _, _ = accurate_bundle
+        alignments = run.init_alignments.copy()
+        alignments[2] = 1e-13
+        with pytest.raises(ValueError) as err:
+            inputs_from_run(dataclasses.replace(run, init_alignments=alignments))
+        assert err.type is ValueError
+        assert str(err.value) == "a start vector was (numerically) orthogonal to its target"
+
 
 class TestGapRecurrence:
     def test_accurate_run_holds(self, accurate_bundle):
@@ -216,6 +226,11 @@ class TestInnerIdentity:
         sigma, _ = make_instance(5, 31)
         with pytest.raises(DegenerateGapError):
             eigvec_inner_identity_check(sigma, sigma, 2, 2)
+
+    def test_rejects_matrices_of_different_sizes(self):
+        sigma, _ = make_instance(5, 31)
+        with pytest.raises(DimensionMismatchError, match="matrices must have equal dimension"):
+            eigvec_inner_identity_check(sigma, SymMatrix(np.eye(4)), 0, 0)
 
     def test_selftest_trials_do_not_hide_bugs_as_skips(self, monkeypatch):
         from deflatrix import selftest

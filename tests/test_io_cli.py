@@ -49,6 +49,19 @@ class TestDatasetCsv:
         with pytest.raises(SchemaError, match="schema=1"):
             dio.read_dataset_csv(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("", "empty dataset"), ("\n  \n", "empty dataset"),
+         ("# schema=1\n", "missing header"), ("# schema=1\n\n", "missing header")],
+    )
+    def test_rejects_file_without_header(self, tmp_path, text, message):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        with pytest.raises(SchemaError) as err:
+            dio.read_dataset_csv(path)
+        assert err.type is SchemaError
+        assert str(err.value) == f"{path}: {message}"
+
     def test_plain_csv_without_schema_line(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("x,y,label\n0.0,1.0,0\n1.0,0.0,1\n")
@@ -203,6 +216,17 @@ class TestParseSpectrum:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             parse_spectrum("zipf:1")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("exponential", "exponential spectrum needs a decay rate, e.g. exponential:0.8"),
+         ("explicit:", "explicit spectrum needs values, e.g. explicit:1,0.5,0.25")],
+    )
+    def test_kind_without_values(self, text, message):
+        with pytest.raises(ValueError) as err:
+            parse_spectrum(text)
+        assert err.type is ValueError
+        assert str(err.value) == message
 
 
 def run_cli(*argv):
@@ -697,20 +721,23 @@ class TestClusterCommand:
         assert not out.exists()
 
     def test_blobs_csv_script_matches_the_builtin_blobs(self, tmp_path):
+        # the README: `make_blobs_csv.py PATH`, then `cluster --data PATH`,
+        # writes the bytes of `cluster --data blobs`, at any blob seed
         src = Path(deflatrix.__file__).resolve().parent.parent
         script = src.parent / "scripts" / "make_blobs_csv.py"
-        csv_path = tmp_path / "blobs.csv"
         env = {**os.environ, "PYTHONPATH": str(src)}
-        subprocess.run([sys.executable, str(script), str(csv_path)], env=env,
-                       capture_output=True, check=True)
         sweep = ["--t-values", "5,20", "--seeds", "0,1"]
-        assert run_cli("cluster", "--data", str(csv_path), *sweep,
-                       "--out", str(tmp_path / "csv")) == 0
-        assert run_cli("cluster", "--data", "blobs", *sweep,
-                       "--out", str(tmp_path / "blobs")) == 0
-        for name in ("mi_vs_t.csv", "mi_summary.csv"):
-            assert (tmp_path / "csv" / name).read_bytes() == (
-                tmp_path / "blobs" / name).read_bytes()
+        for seed in ("0", "3"):
+            csv_path, csv_out, blobs_out = (tmp_path / f"{name}{seed}"
+                                            for name in ("blobs.csv", "csv", "blobs"))
+            subprocess.run([sys.executable, str(script), str(csv_path), "--seed", seed],
+                           env=env, capture_output=True, check=True)
+            assert run_cli("cluster", "--data", str(csv_path), *sweep,
+                           "--out", str(csv_out)) == 0
+            assert run_cli("cluster", "--data", "blobs", "--seed", seed, *sweep,
+                           "--out", str(blobs_out)) == 0
+            for name in ("mi_vs_t.csv", "mi_summary.csv"):
+                assert (csv_out / name).read_bytes() == (blobs_out / name).read_bytes()
 
     def test_job_count_does_not_change_sweep(self, tmp_path):
         # worker processes compute the cells the serial run computes in turn,
@@ -902,18 +929,6 @@ class TestSelftestCommand:
         }
         assert got == SELFTEST_TALLIES[seed]
 
-    def test_tallies_do_not_depend_on_compensated_sum(self, monkeypatch):
-        # builtin sum() of floats is compensated from Python 3.12 on; the
-        # selftest's float sums must not go through it, so a compensated sum
-        # in its place leaves every tally and worst margin where it is
-        for module in (deflatrix.bounds, deflatrix.selftest):
-            monkeypatch.setattr(module, "sum", math.fsum, raising=False)
-        got = {
-            name: (t.holds, t.violated, t.skipped, t.worst)
-            for name, t in run_selftest(0).items()
-        }
-        assert got == SELFTEST_TALLIES[0]
-
     def test_mutation_canary_detected(self, capsys, monkeypatch):
         # a leading constant of 4 in place of 5 in the agnostic bound must
         # surface as violations
@@ -1073,9 +1088,83 @@ class TestConfigFile:
         assert "error: argument --" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_blank_and_comment_lines_are_skipped(self, tmp_path, capsys):
+        argv = ["bounds", "--d", "8", "--K", "3", "--t", "30"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# a comment\n\n   \n  # indented comment\nseed=4\n\n")
+        expected = self.outcome([*argv, "--seed", "4"], tmp_path / "flags", capsys)
+        assert self.outcome([*argv, "--config", str(cfg)], tmp_path / "config", capsys) == expected
+
+    def test_line_without_equals_sign_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# run\nd 10\n")
+        out = tmp_path / "out"
+        assert run_cli("bounds", "--config", str(cfg), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:2: expected key=value, got 'd 10'\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["func", "help", "config", "command"])
     def test_parser_internals_are_unknown_keys(self, tmp_path, capsys, key):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key}=x\n")
         assert run_cli("bounds", "--config", str(cfg)) == 1
         assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+    def test_config_call_builds_no_parser_of_its_own(self, tmp_path, capsys, monkeypatch):
+        # a config file is read as flags by the shared parser
+        deflatrix.cli._parser.cache_clear()
+        assert run_cli("selftest", "--help") == 0
+        capsys.readouterr()
+
+        def no_parser():
+            raise AssertionError("a --config call built a parser")
+
+        monkeypatch.setattr(deflatrix.cli, "build_parser", no_parser)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("d=10\nK=3\nt=30\n")
+        assert run_cli("bounds", "--config", str(cfg), "--out", str(tmp_path / "o")) == 0
+        assert len((tmp_path / "o" / "bounds.csv").read_text().splitlines()) == 2 + 3
+        assert deflatrix.cli._parser.cache_info().misses == 1
+
+    CLUSTER = ["cluster", "--r", "5", "--clusters", "3", "--t-values", "4", "--seeds", "0"]
+
+    def test_upper_k_is_not_the_cluster_k(self, tmp_path, capsys):
+        # `K=` names `--K`, a flag of deflate and bounds, so cluster skips it
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("K=4\n")
+        plain = self.outcome(self.CLUSTER, tmp_path / "plain", capsys)
+        code, out, err, files = self.outcome(
+            [*self.CLUSTER, "--config", str(cfg)], tmp_path / "config", capsys
+        )
+        assert err == "warning: ignoring config keys cluster does not use: K\n"
+        assert (code, out, files) == plain[:2] + plain[3:]
+
+    @pytest.mark.parametrize("lines", [["K=4", "k=10"], ["k=10", "K=4"]])
+    def test_both_k_spellings_go_to_their_own_flags(self, tmp_path, capsys, lines):
+        # with both keys in a file, `K=` is --K and `k=` is cluster's --k,
+        # whichever line comes first
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(line + "\n" for line in lines))
+        out = tmp_path / "bounds"
+        assert run_cli("bounds", "--config", str(cfg), "--d", "10", "--t", "30",
+                       "--out", str(out)) == 0
+        assert capsys.readouterr().err == (
+            "warning: ignoring config keys bounds does not use: k\n"
+        )
+        steps = [line.split(",")[0] for line in (out / "bounds.csv").read_text().splitlines()]
+        assert steps[2:] == ["1", "2", "3", "4"]
+        by_flag = self.outcome([*self.CLUSTER, "--k", "10"], tmp_path / "flag", capsys)
+        code, stdout, err, files = self.outcome(
+            [*self.CLUSTER, "--config", str(cfg)], tmp_path / "config", capsys
+        )
+        assert err == "warning: ignoring config keys cluster does not use: K\n"
+        assert (code, stdout, files) == by_flag[:2] + by_flag[3:]
+
+    def test_bad_config_value_exits_one_under_the_same_flag(self, tmp_path, capsys):
+        # the config value is parsed even when a flag on the command line wins
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("d=abc\n")
+        out = tmp_path / "out"
+        assert run_cli("bounds", "--config", str(cfg), "--d", "5", "--out", str(out)) == 1
+        assert "argument --d: invalid int value: 'abc'" in capsys.readouterr().err
+        assert not out.exists()

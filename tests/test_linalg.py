@@ -331,3 +331,29 @@ class TestBuildTestSigma:
         assert spec.eigenvalues[-1] == pytest.approx(0.01, abs=0)
         fro = np.linalg.norm(sigma.array)
         assert fro == pytest.approx(np.linalg.norm(spec.eigenvalues), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Spectrum(np.ones(3), np.eye(2)), DimensionMismatchError,
+         "eigenvalue/basis shapes do not match: (3,) vs (2, 2)"),
+        (lambda: Spectrum(np.ones((2, 2)), np.eye(2)), DimensionMismatchError,
+         "eigenvalue/basis shapes do not match: (2, 2) vs (2, 2)"),
+        (lambda: sample_unit_sphere(0, RandomSource(0)), ValueError, "d must be >= 1"),
+        (lambda: spectrum_eigenvalues(PowerLawSpectrum(1.0), 0), ValueError, "d must be >= 1"),
+        (lambda: spectrum_eigenvalues(ExplicitSpectrum((1.0, 0.5)), 3), DimensionMismatchError,
+         "expected 3 eigenvalues, got (2,)"),
+        (lambda: spectrum_eigenvalues("power-law:1", 3), TypeError,
+         "unknown spectrum kind: 'power-law:1'"),
+        (lambda: build_test_sigma(3, PowerLawSpectrum(1.0), np.eye(2)), DimensionMismatchError,
+         "basis shape (2, 2) incompatible with d=3"),
+    ],
+    ids=["spectrum-sizes", "spectrum-2d", "sphere-d0", "eigenvalues-d0", "explicit-length",
+         "unknown-kind", "basis-shape"],
+)
+def test_bad_arguments_raise(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert err.type is error
+    assert str(err.value) == message

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from deflatrix.deflate import run_inexact_deflation
 from deflatrix.errors import (
     DegenerateIterateError,
+    DimensionMismatchError,
     InvalidSpectrumError,
 )
 from deflatrix.linalg import (
@@ -52,6 +54,12 @@ class TestPowerIterate:
     def test_negative_steps_rejected(self):
         with pytest.raises(ValueError):
             power_iterate(SymMatrix(np.eye(2)), np.array([1.0, 0.0]), -1)
+
+    def test_start_vector_of_another_dimension_rejected(self):
+        with pytest.raises(
+            DimensionMismatchError, match=re.escape("start vector shape (3,) incompatible with dim 2")
+        ):
+            power_iterate(SymMatrix(np.eye(2)), np.array([1.0, 0.0, 0.0]), 1)
 
 
 def _reference_power_iterate(a, x0, t):
@@ -171,6 +179,18 @@ class TestErrorBound:
             x_t = power_iterate(sigma, x0, t)
             dist = min(np.linalg.norm(x_t - a1), np.linalg.norm(x_t + a1))
             assert dist <= pi_error_bound(1.0, 0.5, t) + 1e-10
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: pi_error_bound(1.0, 0.5, -1), lambda: pi_alignment_bound(0.5, 1.0, 0.0, 1.0, -1)],
+    ids=["error-bound", "alignment-bound"],
+)
+def test_bounds_reject_negative_steps(call):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert err.type is ValueError
+    assert str(err.value) == "step count must be non-negative"
 
 
 class TestAlignmentBound:

@@ -2,13 +2,16 @@
 
 import ast
 import dataclasses
+import importlib
 import itertools
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
-from deflatrix import bounds, selftest
+import deflatrix
+from deflatrix import selftest
 from deflatrix.bounds import (
     build_bound_report,
     directional_gap_bound,
@@ -250,11 +253,14 @@ def test_worst_margin_does_not_depend_on_order(margins, worst):
         assert single.violated == 1 - all(margin >= 0 for margin in margins)
 
 
-@pytest.mark.parametrize("module", [bounds, selftest], ids=lambda m: m.__name__)
+@pytest.mark.parametrize(
+    "module",
+    ["deflatrix", *sorted(m.name for m in pkgutil.iter_modules(deflatrix.__path__, "deflatrix."))],
+)
 def test_no_builtin_sum(module):
     # builtin sum() of floats is compensated from Python 3.12 on; the
-    # explicit ascending loops keep every reference value on any version
-    with open(module.__file__, encoding="utf-8") as f:
+    # explicit ascending loops keep every value the same on any version
+    with open(importlib.import_module(module).__file__, encoding="utf-8") as f:
         tree = ast.parse(f.read())
     calls = [
         node.lineno
@@ -264,3 +270,131 @@ def test_no_builtin_sum(module):
         and node.func.id == "sum"
     ]
     assert calls == []
+
+
+# The skip and give-up branches, reached by patching a calibration input. A
+# skip is counted only where the family's precondition fails; a soundness
+# instance that does not calibrate is dropped, so its row counts nothing.
+
+
+def _counts(tally):
+    return tally.holds, tally.violated, tally.skipped
+
+
+def test_orthogonal_start_is_a_perturbed_alignment_skip(monkeypatch):
+    # the start vector is the iterated matrix's second eigenvector, so it has
+    # no alignment with the first
+    real = selftest.jacobi_eigendecomposition
+    spectra = []
+
+    def recording(m):
+        spectra.append(real(m))
+        return spectra[-1]
+
+    monkeypatch.setattr(selftest, "jacobi_eigendecomposition", recording)
+    monkeypatch.setattr(selftest, "sample_unit_sphere", lambda d, rng: spectra[-1].eigenvector(1))
+    assert _counts(selftest.perturbed_alignment_trials(4, RandomSource(0))) == (0, 0, 4)
+
+
+def test_degenerate_pair_is_an_inner_identity_skip(monkeypatch):
+    # the identity divides by sigma_i - sigma_j*, which is zero for an
+    # eigenvalue paired with itself
+    real = selftest.eigvec_inner_identity_check
+    monkeypatch.setattr(
+        selftest, "eigvec_inner_identity_check", lambda m, m_star, i, j: real(m_star, m_star, j, j)
+    )
+    assert _counts(selftest.inner_identity_trials(4, RandomSource(0))) == (0, 0, 4)
+
+
+def test_budget_predicted_t_passes_over_steps_without_a_rate():
+    # ceil(log(1 / 1e-3) / log 2) + 2 = 12 from step 1; the last step has no
+    # next eigenvalue, so no rate, and a zero budget has no step count
+    half = np.array([1.0, 0.5])
+    assert selftest._budget_predicted_t(half, [1e-3], 1.0) == 12
+    assert selftest._budget_predicted_t(half, [1e-3, 1e-3], 1.0) == 12
+    assert selftest._budget_predicted_t(np.array([1.0, 0.5, 0.25]), [1e-3, 0.0], 1.0) == 12
+    assert selftest._budget_predicted_t(np.array([1.0]), [1e-3], 1.0) == 8
+
+
+def _recording_runs(monkeypatch, steps):
+    real = selftest.run_inexact_deflation
+
+    def recording(sigma, K, t, rng, **kwargs):
+        steps.append(t)
+        return real(sigma, K, t, rng, **kwargs)
+
+    monkeypatch.setattr(selftest, "run_inexact_deflation", recording)
+
+
+def _failing(monkeypatch, condition):
+    real = selftest.bound_report
+    monkeypatch.setattr(
+        selftest,
+        "bound_report",
+        lambda run, epsilon=None: [
+            dataclasses.replace(row, **{condition: False}) for row in real(run, epsilon)
+        ],
+    )
+
+
+def test_agnostic_calibration_gives_up_past_4096_steps(monkeypatch):
+    steps = []
+    _recording_runs(monkeypatch, steps)
+    _failing(monkeypatch, "condition_agnostic")
+    monkeypatch.setattr(selftest, "_budget_predicted_t", lambda *args: 2048)
+    assert selftest.agnostic_soundness_trials(1, (6,), RandomSource(0)) == Tally()
+    # eight instances drawn, each run at 2048 and 4096 steps and then dropped
+    assert steps == [2048, 4096] * 8
+
+
+def test_min_t_power_iter_raises_when_no_step_count_is_admissible(monkeypatch):
+    real = selftest.build_bound_report
+    monkeypatch.setattr(
+        selftest,
+        "build_bound_report",
+        lambda *args: [dataclasses.replace(row, condition_tail=False) for row in real(*args)],
+    )
+    lam = np.array([1.0, 0.5, 0.25])
+    with pytest.raises(RuntimeError) as err:
+        selftest._min_t_power_iter(eigengaps(lam), lam, 2, 1.0)
+    assert err.type is RuntimeError
+    assert str(err.value) == "no admissible step count found"
+
+
+def test_power_iter_calibration_gives_up_after_four_runs(monkeypatch):
+    constants = []
+
+    def min_t(gaps, lambdas, K, c0):
+        constants.append(c0)
+        return 8
+
+    monkeypatch.setattr(selftest, "_min_t_power_iter", min_t)
+    _failing(monkeypatch, "condition_tail")
+    assert selftest.power_iter_soundness_trials(1, (6,), RandomSource(0)) == Tally()
+    # eight instances drawn; each starts from 3 sqrt(d) and then reads the
+    # run's measured constant three times
+    assert len(constants) == 32
+    assert constants[::4] == [3.0 * math.sqrt(6)] * 8
+    assert all(c >= 1.0 for c in constants)
+
+
+def test_unsatisfiable_budget_is_a_budget_e2e_skip(monkeypatch):
+    steps = []
+    _recording_runs(monkeypatch, steps)
+    tally = selftest.budget_e2e_trials(3, RandomSource(0), epsilons=(1e-13,), d=10, K=3)
+    assert _counts(tally) == (0, 0, 3)
+    assert steps == []
+
+
+def test_budget_e2e_skips_past_16384_steps(monkeypatch):
+    steps, predicted = [], []
+    _recording_runs(monkeypatch, steps)
+
+    def past_the_cap(*args):
+        predicted.append(args)
+        return 16385
+
+    monkeypatch.setattr(selftest, "_budget_predicted_t", past_the_cap)
+    tally = selftest.budget_e2e_trials(3, RandomSource(0), epsilons=(1e-2, 1e-3), d=10, K=3)
+    assert _counts(tally) == (0, 0, 6)
+    assert len(predicted) == 6 and steps == []
