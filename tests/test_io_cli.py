@@ -1110,11 +1110,10 @@ class TestConfigFile:
         assert run_cli("bounds", "--config", str(cfg)) == 1
         assert f"unknown config key {key!r}" in capsys.readouterr().err
 
-    def test_config_call_builds_no_parser_of_its_own(self, tmp_path, capsys, monkeypatch):
+    def test_config_call_builds_no_parser_of_its_own(self, tmp_path, monkeypatch):
         # a config file is read as flags by the shared parser
         deflatrix.cli._parser.cache_clear()
-        assert run_cli("selftest", "--help") == 0
-        capsys.readouterr()
+        deflatrix.cli._parser()
 
         def no_parser():
             raise AssertionError("a --config call built a parser")
