@@ -31,9 +31,7 @@ from .deflate import (
     run_inexact_deflation,
 )
 from .diagnostics import (
-    InequalityCheck,
     StepDiagnostics,
-    Verdict,
     alignment_lower_bound_check,
     bound_report,
     diagnose_run,

@@ -415,13 +415,13 @@ def run_clustering_experiment(
     The graph, the Laplacian and the matrix the embedding deflates (the
     Laplacian itself, or 2I - L for the bottom end) depend only on the data,
     so they are built once, and that matrix, in CSR form when it is sparse,
-    is shared read-only by every cell. With
-    ``jobs > 1`` the cells run in N = min(jobs, cells) worker processes,
-    which receive the shared inputs once when they start (forked where the
-    platform can fork, so the inputs are inherited rather than pickled).
-    A cell's argument errors are raised here before any work starts. A
-    repeated t value or seed is run once. Cells are submitted longest
-    (largest t) first; results come back sorted by (t, seed) and are
+    is shared read-only by every cell; no dense matrix outlives its CSR
+    form. With ``jobs > 1`` the cells run in N = min(jobs, cells) worker
+    processes, which receive the shared inputs once when they start (forked
+    where the platform can fork, so the inputs are inherited rather than
+    pickled). A cell's argument errors are raised here before any work
+    starts. A repeated t value or seed is run once. Cells are submitted
+    longest (largest t) first; results come back sorted by (t, seed) and are
     byte-identical for every ``jobs``.
     """
     t_values = list(dict.fromkeys(int(t) for t in t_values))
@@ -443,6 +443,7 @@ def run_clustering_experiment(
         raise ValueError("t must be >= 1")
     lap = normalized_laplacian(build_rnn_graph(data, r))
     target = _embedding_operator(_embedding_target(lap, spectrum_end))
+    del lap  # the cells read only the target
     inputs = (target, data.labels, k, k_clusters, row_normalize)
 
     # a cell's cost grows with t: submitting the longest first keeps the

@@ -145,7 +145,8 @@ def _check_spectrum(spectrum: Spectrum, d: int, K: int) -> None:
 
     Theorems 1-2, the smallest of the first K gaps and the oracle's per-step
     gap read only lambda_1..lambda_{K+1}, so only those must decrease
-    strictly; every eigenvalue must be positive.
+    strictly, each by more than 1e-12; every eigenvalue must be positive. The
+    message names the first eigenvalue or gap that fails.
     """
     if spectrum.dim != d:
         raise DimensionMismatchError("spectrum dimension does not match the matrix")
@@ -153,10 +154,19 @@ def _check_spectrum(spectrum: Spectrum, d: int, K: int) -> None:
     if np.abs(basis.T @ basis - np.eye(d)).max() > 1e-10:
         raise InvalidSpectrumError("spectrum basis columns are not orthonormal")
     lam = spectrum.eigenvalues
-    if lam[-1] <= 0 or np.any(np.diff(lam[:K + 1]) >= -_GAP_TOL):
-        raise InvalidSpectrumError(
-            "matrix must have strictly decreasing positive eigenvalues"
-        )
+    head = lam[:K + 1]
+    gaps = head[:-1] - head[1:]
+    if lam[-1] <= 0:
+        j = int(np.argmax(lam <= 0))
+        cause = f"lambda_{j + 1} = {lam[j]:.3g} is not positive"
+    elif np.any(gaps <= _GAP_TOL):
+        k = int(np.argmax(gaps <= _GAP_TOL)) + 1
+        cause = f"lambda_{k} - lambda_{k + 1} = {gaps[k - 1]:.3g} is at most {_GAP_TOL:g}"
+    else:
+        return
+    raise InvalidSpectrumError(
+        f"matrix must have strictly decreasing positive eigenvalues: {cause}"
+    )
 
 
 def run_inexact_deflation(

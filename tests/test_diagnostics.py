@@ -6,8 +6,8 @@ import pytest
 from deflatrix.bounds import BoundInputs, build_bound_report, eigengaps
 from deflatrix.deflate import aligned_top_eigenvector, deflate_step, run_inexact_deflation
 from deflatrix.diagnostics import (
+    CHECK_SLACK,
     StepDiagnostics,
-    Verdict,
     alignment_lower_bound_check,
     bound_report,
     diagnose_run,
@@ -184,17 +184,17 @@ class TestBoundReport:
 class TestGapRecurrence:
     def test_accurate_run_holds(self, accurate_bundle):
         _, spec, diags = accurate_bundle
-        checks = matrix_gap_recurrence_check(diags, spec.eigenvalues)
-        assert len(checks) == len(diags) - 1
-        assert all(c.verdict is Verdict.HOLDS for c in checks)
+        margins = matrix_gap_recurrence_check(diags, spec.eigenvalues)
+        assert len(margins) == len(diags) - 1
+        assert all(type(m) is float and m >= 0 for m in margins)
 
     def test_large_errors_are_skipped_not_failed(self):
         sigma, spec = make_instance(8, 26, ExponentialSpectrum(0.55))
         run = run_inexact_deflation(sigma, 5, 1, RandomSource(10), spectrum=spec)
         diags = diagnose_run(run)
-        checks = matrix_gap_recurrence_check(diags, spec.eigenvalues)
-        assert any(c.verdict is Verdict.SKIPPED for c in checks)
-        assert not any(c.verdict is Verdict.VIOLATED for c in checks)
+        margins = matrix_gap_recurrence_check(diags, spec.eigenvalues)
+        assert None in margins
+        assert all(m is None or m >= 0 for m in margins)
 
 
 class TestInnerIdentity:
@@ -246,9 +246,10 @@ class TestInnerIdentity:
 class TestAlignmentLowerBound:
     def test_exact_match_holds(self):
         sigma, spec = make_instance(7, 32)
-        check = alignment_lower_bound_check(0.0, spec.eigenvector(0), spec, 1)
-        assert check.verdict is Verdict.HOLDS
-        assert check.lhs == pytest.approx(1.0, abs=1e-9)
+        # squared alignment 1 against a floor of 1: the margin is the slack
+        margin = alignment_lower_bound_check(0.0, spec.eigenvector(0), spec, 1)
+        assert margin >= 0
+        assert margin == pytest.approx(CHECK_SLACK, abs=1e-14)
 
     def test_gate_skips_large_gaps(self):
         sigma, spec = make_instance(7, 33)
@@ -256,11 +257,10 @@ class TestAlignmentLowerBound:
         k = 3
         big = SymMatrix(ideal_matrix(spec, k).array + 0.5 * np.eye(7))
         gap_fro = float(np.linalg.norm(big.array - ideal_matrix(spec, k).array))
-        check = alignment_lower_bound_check(gap_fro, spec.eigenvector(k - 1), spec, k)
-        assert check.verdict is Verdict.SKIPPED
+        assert alignment_lower_bound_check(gap_fro, spec.eigenvector(k - 1), spec, k) is None
 
     def test_reads_the_run_trace(self, sloppy_bundle):
-        # the measured gap and the run's oracle vector give the same verdict
+        # the measured gap and the run's oracle vector give the same margin
         # as decomposing the replayed sigma_k again
         run, spec, diags = sloppy_bundle
         sigma_k, _ = make_instance(10, 22, ExponentialSpectrum(0.6))
@@ -268,9 +268,9 @@ class TestAlignmentLowerBound:
             k = dg.k
             u, _ = aligned_top_eigenvector(sigma_k, spec.eigenvector(k - 1))
             fresh = alignment_lower_bound_check(dg.matrix_gap_fro, u, spec, k)
-            check = alignment_lower_bound_check(
+            margin = alignment_lower_bound_check(
                 dg.matrix_gap_fro, run.exact_tops[:, k - 1], spec, k
             )
-            assert check == fresh
-            assert check.verdict is not Verdict.VIOLATED
+            assert margin == fresh
+            assert margin is None or margin >= 0
             sigma_k = deflate_step(sigma_k, run.components[:, k - 1])

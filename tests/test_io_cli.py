@@ -571,11 +571,28 @@ class TestDecayPrecondition:
         assert not out.exists()
 
     def test_underflowing_tail_aborts(self, tmp_path, capsys):
-        # 0.01**399 underflows to 0, which the run rejects as non-positive
+        # 0.01**399 underflows to 0, which the run rejects as non-positive;
+        # 0.01**162 is the first eigenvalue to reach 0
         code = run_cli("bounds", "--d", "400", "--K", "2", "--t", "5",
                        "--spectrum", "exponential:0.01", "--out", str(tmp_path))
         assert code == 2
-        assert "positive" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "precondition failed: matrix must have strictly decreasing positive eigenvalues: "
+            "lambda_163 = 0 is not positive\n"
+        )
+
+    def test_gap_message_names_the_first_narrow_gap(self, tmp_path, capsys):
+        # power-law:40 decreases strictly, but lambda_2 - lambda_3 = 2**-40
+        # - 3**-40 lies within the run's 1e-12 gap tolerance
+        out = tmp_path / "out"
+        code = run_cli("deflate", "--d", "40", "--K", "40", "--t", "3",
+                       "--spectrum", "power-law:40", "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "precondition failed: matrix must have strictly decreasing positive eigenvalues: "
+            "lambda_2 - lambda_3 = 9.09e-13 is at most 1e-12\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("K, code", [("1", 0), ("2", 2)])
     def test_gap_within_k_plus_one_aborts(self, tmp_path, capsys, K, code):
@@ -864,45 +881,45 @@ recurrence_sum_form          200         0        0
 # (holds, violated, skipped, worst) per row of run_selftest(seed)
 SELFTEST_TALLIES = {
     0: {
-        "agnostic_formula_oracle": (1, 0, 0, None),
-        "agnostic_soundness": (10, 0, 0, None),
+        "agnostic_formula_oracle": (1, 0, 0, 1e-12),
+        "agnostic_soundness": (10, 0, 0, 1.0000256987883336e-10),
         "alignment_floor": (68, 0, 35, 9.999689137553105e-11),
-        "budget_e2e": (4, 0, 0, None),
+        "budget_e2e": (4, 0, 0, 0.009997840505829678),
         "directional_bound": (55, 0, 48, 9.999962439950387e-11),
         "directional_sum": (103, 0, 0, 9.999994398271376e-11),
         "drift_bound": (55, 0, 48, 9.999827261953733e-11),
         "eigenvalue_shift": (103, 0, 0, 9.999933386618523e-11),
         "eigvec_sensitivity": (66, 0, 37, 9.999827261953733e-11),
-        "gap_recurrence": (61, 0, 26, None),
+        "gap_recurrence": (61, 0, 26, 1.0000119945999642e-10),
         "inner_identity": (40, 0, 0, 9.999938461891137e-07),
-        "iterate_convergence": (88, 0, 8, None),
-        "perturbed_alignment": (30, 0, 0, None),
-        "pi_formula_oracle": (1, 0, 0, None),
-        "power_iter_formula_oracle": (1, 0, 0, None),
-        "power_iter_soundness": (8, 0, 0, None),
+        "iterate_convergence": (88, 0, 8, 9.999926370583504e-11),
+        "perturbed_alignment": (30, 0, 0, 0.00654193073236661),
+        "pi_formula_oracle": (1, 0, 0, 1e-15),
+        "power_iter_formula_oracle": (1, 0, 0, 7.730648276851491e-14),
+        "power_iter_soundness": (8, 0, 0, 1.0000358078746579e-10),
         "recurrence_affine_form": (200, 0, 0, 9.993185283655222e-13),
-        "recurrence_geometric_tail": (200, 0, 0, None),
+        "recurrence_geometric_tail": (200, 0, 0, 4.9221767360697616e-08),
         "recurrence_sum_form": (200, 0, 0, 9.98682188286243e-13),
     },
     1: {
-        "agnostic_formula_oracle": (1, 0, 0, None),
-        "agnostic_soundness": (10, 0, 0, None),
+        "agnostic_formula_oracle": (1, 0, 0, 1e-12),
+        "agnostic_soundness": (10, 0, 0, 1.0000053060049699e-10),
         "alignment_floor": (69, 0, 25, 9.99982236431606e-11),
-        "budget_e2e": (4, 0, 0, None),
+        "budget_e2e": (4, 0, 0, 0.009987914690153853),
         "directional_bound": (60, 0, 34, 9.999973509904778e-11),
         "directional_sum": (94, 0, 0, 9.999991673327316e-11),
         "drift_bound": (60, 0, 34, 9.999881034831809e-11),
         "eigenvalue_shift": (94, 0, 0, 9.99991118215803e-11),
         "eigvec_sensitivity": (68, 0, 26, 9.999881034831809e-11),
-        "gap_recurrence": (60, 0, 18, None),
+        "gap_recurrence": (60, 0, 18, 1.0000118243638649e-10),
         "inner_identity": (40, 0, 0, 9.999988420844706e-07),
-        "iterate_convergence": (104, 0, 4, None),
-        "perturbed_alignment": (30, 0, 0, None),
-        "pi_formula_oracle": (1, 0, 0, None),
-        "power_iter_formula_oracle": (1, 0, 0, None),
-        "power_iter_soundness": (8, 0, 0, None),
+        "iterate_convergence": (104, 0, 4, 9.999968378695466e-11),
+        "perturbed_alignment": (30, 0, 0, 0.01067923645890265),
+        "pi_formula_oracle": (1, 0, 0, 1e-15),
+        "power_iter_formula_oracle": (1, 0, 0, 7.730648276851491e-14),
+        "power_iter_soundness": (8, 0, 0, 1.0000682070110603e-10),
         "recurrence_affine_form": (200, 0, 0, 9.993511716680014e-13),
-        "recurrence_geometric_tail": (200, 0, 0, None),
+        "recurrence_geometric_tail": (200, 0, 0, 0.0012229856304289202),
         "recurrence_sum_form": (200, 0, 0, 9.987690552755686e-13),
     },
 }

@@ -20,8 +20,13 @@ from deflatrix.bounds import (
 )
 from deflatrix.diagnostics import CHECK_SLACK, inputs_from_run
 from deflatrix.linalg import RandomSource
-from deflatrix.diagnostics import Verdict
-from deflatrix.selftest import Tally, _directional_sums, build_run_corpus, run_level_checks
+from deflatrix.selftest import (
+    Tally,
+    _directional_sums,
+    build_run_corpus,
+    run_level_checks,
+    run_selftest,
+)
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +233,24 @@ def test_nan_soundness_bound_counts_as_violated(monkeypatch, trials):
     assert (tally.holds, tally.violated) == (0, 3)
 
 
+def test_formula_oracle_without_a_bound_counts_as_violated(monkeypatch):
+    # an engine that returns no bound has NaN margins, not passing ones
+    real = selftest.build_bound_report
+    monkeypatch.setattr(
+        selftest,
+        "build_bound_report",
+        lambda *args: [
+            dataclasses.replace(row, agnostic=None, power_iter=None) for row in real(*args)
+        ],
+    )
+    tallies = selftest._formula_oracle_checks()
+    for name in ("agnostic_formula_oracle", "power_iter_formula_oracle"):
+        tally = tallies[name]
+        assert (tally.holds, tally.violated, tally.skipped) == (0, 1, 0), name
+        assert math.isnan(tally.worst), name
+    assert _counts(tallies["pi_formula_oracle"]) == (1, 0, 0)
+
+
 def test_nan_alignment_bound_counts_as_violated(monkeypatch):
     monkeypatch.setattr(selftest, "pi_alignment_bound", lambda *args: math.nan)
     tally = selftest.perturbed_alignment_trials(5, RandomSource(0))
@@ -242,15 +265,37 @@ def test_nan_alignment_bound_counts_as_violated(monkeypatch):
 def test_worst_margin_does_not_depend_on_order(margins, worst):
     # a NaN margin is the worst however it is recorded; otherwise the minimum
     for order in itertools.permutations(margins):
-        rows, single, plain = Tally(), Tally(), Tally()
+        rows, single = Tally(), Tally()
         single.record_margins(order)
         for margin in order:
             rows.record_margins([margin])
-            plain.record(Verdict.HOLDS, margin)
-        for tally in (rows, single, plain):
+        for tally in (rows, single):
             assert repr(tally.worst) == repr(worst), order
         assert rows.violated == sum(not margin >= 0 for margin in margins)
         assert single.violated == 1 - all(margin >= 0 for margin in margins)
+
+
+def test_skip_and_empty_trials_leave_the_worst_margin():
+    # a skipped trial has no margin, and a trial with none holds vacuously
+    tally = Tally()
+    tally.skip()
+    tally.record_margins([])
+    assert (tally.holds, tally.violated, tally.skipped, tally.worst) == (1, 0, 1, None)
+    tally.record_margins([np.float64(0.5), 2])
+    tally.skip()
+    tally.record_margins([])
+    assert (tally.holds, tally.violated, tally.skipped, tally.worst) == (3, 0, 2, 0.5)
+    assert type(tally.worst) is float
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_every_decided_row_has_a_float_worst_margin(seed):
+    # every row is decided by its margins, so a row with a decided trial has
+    # a worst margin, a Python float whatever type its margins had
+    for name, tally in run_selftest(seed).items():
+        decided = tally.holds + tally.violated
+        assert decided > 0, name
+        assert type(tally.worst) is float, name
 
 
 @pytest.mark.parametrize(
