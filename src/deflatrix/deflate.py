@@ -18,6 +18,7 @@ and a run checked against that spectrum.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -34,7 +35,7 @@ from .linalg import (
     random_orthogonal_basis,
     sample_unit_sphere,
 )
-from .powerit import power_iterate
+from .powerit import _UNIT_TOL, power_iterate
 
 __all__ = [
     "DeflationRun",
@@ -44,7 +45,6 @@ __all__ = [
     "run_inexact_deflation",
 ]
 
-_UNIT_TOL = 1e-10
 _GAP_TOL = 1e-12
 
 
@@ -60,7 +60,7 @@ def deflate_step(sigma_k: SymMatrix, v: np.ndarray) -> SymMatrix:
     v = np.ascontiguousarray(v, dtype=float)
     if v.shape != (sigma_k.dim,):
         raise DimensionMismatchError(f"vector shape {v.shape} incompatible with dim {sigma_k.dim}")
-    if abs(np.linalg.norm(v) - 1.0) > _UNIT_TOL:
+    if abs(math.sqrt(v.dot(v)) - 1.0) > _UNIT_TOL:
         raise ValueError("deflation vector must have unit norm")
     a = sigma_k.array
     # np.dot releases the GIL around the BLAS call; `a @ v` does not
@@ -84,7 +84,10 @@ def aligned_top_eigenvector(sigma_k: SymMatrix, u_star_k: np.ndarray) -> tuple[n
     u_star_k = np.asarray(u_star_k, dtype=float)
     if u_star_k.shape != (sigma_k.dim,):
         raise DimensionMismatchError("reference vector dimension mismatch")
-    if abs(np.linalg.norm(u_star_k) - 1.0) > _UNIT_TOL:
+    # np.linalg.norm's value: it, too, takes a strided column's dot on a
+    # contiguous copy
+    ref = np.ascontiguousarray(u_star_k)
+    if abs(math.sqrt(ref.dot(ref)) - 1.0) > _UNIT_TOL:
         raise ValueError("reference vector must have unit norm")
     spec = jacobi_eigendecomposition(sigma_k)
     if spec.dim >= 2 and spec.eigenvalues[0] - spec.eigenvalues[1] < _GAP_TOL:

@@ -120,6 +120,21 @@ class Spectrum:
         object.__setattr__(self, "eigenvalues", w)
         object.__setattr__(self, "basis", u)
 
+    @classmethod
+    def _trusted(cls, eigenvalues: np.ndarray, basis: np.ndarray) -> "Spectrum":
+        """Wrap, without the checks, fresh float arrays of matching shapes
+        with the eigenvalues sorted non-increasing (a solver's output).
+
+        The arrays are made read-only in place; external inputs go through the
+        validating constructor instead.
+        """
+        eigenvalues.setflags(write=False)
+        basis.setflags(write=False)
+        s = cls.__new__(cls)
+        object.__setattr__(s, "eigenvalues", eigenvalues)
+        object.__setattr__(s, "basis", basis)
+        return s
+
     @property
     def dim(self) -> int:
         return self.eigenvalues.size
@@ -189,7 +204,9 @@ def jacobi_eigendecomposition(m: SymMatrix) -> Spectrum:
         w, v = np.linalg.eigh(m.array)
     except np.linalg.LinAlgError as exc:
         raise PreconditionError(f"symmetric eigensolver failed: {exc}") from exc
-    return Spectrum(w[::-1], v[:, ::-1])
+    # eigh's eigenvalues ascend, so the reversed copies are sorted; each is
+    # the C-order copy the validating constructor would make
+    return Spectrum._trusted(w[::-1].copy(), v[:, ::-1].copy())
 
 
 def sample_unit_sphere(d: int, rng: RandomSource) -> np.ndarray:
@@ -198,7 +215,7 @@ def sample_unit_sphere(d: int, rng: RandomSource) -> np.ndarray:
         raise ValueError("d must be >= 1")
     while True:
         x = rng.normal(d)
-        n = float(np.linalg.norm(x))
+        n = math.sqrt(x.dot(x))
         if n > 1e-6:
             return x / n
 

@@ -96,7 +96,9 @@ class Tally:
             self.violated += 1
         if self.worst is not None:
             margins.insert(0, self.worst)
-        self.worst = min(margins, key=lambda m: (not math.isnan(m), m), default=None)
+        if margins:
+            nans = [m for m in margins if m != m]
+            self.worst = nans[0] if nans else min(margins)
 
 
 def random_spectrum_kind(gen: np.random.Generator):

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from deflatrix.clustering import _DeflatedOperator
 from deflatrix.deflate import run_inexact_deflation
 from deflatrix.errors import (
     DegenerateIterateError,
@@ -11,6 +12,7 @@ from deflatrix.errors import (
     InvalidSpectrumError,
 )
 from deflatrix.linalg import (
+    ExponentialSpectrum,
     PowerLawSpectrum,
     RandomSource,
     SymMatrix,
@@ -62,15 +64,37 @@ class TestPowerIterate:
             power_iterate(SymMatrix(np.eye(2)), np.array([1.0, 0.0, 0.0]), 1)
 
 
-def _reference_power_iterate(a, x0, t):
-    # the loop as first written, with `@` products, np.linalg.norm and an
-    # out-of-place divide; power_iterate must reproduce it bit for bit
-    x = np.ascontiguousarray(x0, dtype=float)
+def _reference_iterates(product, x0, t):
+    # x_0, ..., x_t of the loop as first written, with a fresh array for
+    # every product, np.linalg.norm and an out-of-place divide
+    xs = [np.ascontiguousarray(x0, dtype=float)]
     for _ in range(t):
-        y = a @ x
-        n = float(np.linalg.norm(y))
-        x = y / n
-    return x
+        y = product(xs[-1])
+        xs.append(y / float(np.linalg.norm(y)))
+    return xs
+
+
+def _reference_power_iterate(a, x0, t):
+    # power_iterate must reproduce this loop's x_t bit for bit
+    return _reference_iterates(a.__matmul__, x0, t)[-1]
+
+
+def _first_exact_two_cycle(xs):
+    # the first s >= 1 with x_{s+2} == x_s bit for bit, or None
+    return next(
+        (s for s in range(1, len(xs) - 2) if xs[s + 2].tobytes() == xs[s].tobytes()), None
+    )
+
+
+class _CountingOperator:
+    def __init__(self, m):
+        self.dim = m.dim
+        self.products = 0
+        self._matvec = m.matvec
+
+    def matvec(self, x, out):
+        self.products += 1
+        return self._matvec(x, out)
 
 
 class TestPowerIterateMatchesReference:
@@ -102,6 +126,60 @@ class TestPowerIterateMatchesReference:
         x0 = sample_unit_sphere(7, RandomSource(10))
         x0.setflags(write=False)
         self.assert_matches_reference(SymMatrix((g + g.T) / 2.0), x0, t)
+
+    # Once the iterate repeats exactly with period two, power_iterate stops
+    # early; its result must still be the reference x_t, at either parity
+    # of t.
+
+    @staticmethod
+    def assert_skips_to_reference(m, x0, t, product):
+        xs = _reference_iterates(product, x0, t)
+        s = _first_exact_two_cycle(xs)
+        assert s is not None and s < t // 4
+        counting = _CountingOperator(m)
+        res = power_iterate(counting, x0, t)
+        assert res.tobytes() == xs[t].tobytes()
+        assert counting.products < t // 2
+
+    @pytest.mark.parametrize("t", [4999, 5000])
+    def test_exponential_spectrum_repeats_exactly(self, t):
+        basis = random_orthogonal_basis(8, RandomSource(20))
+        sigma, _ = build_test_sigma(8, ExponentialSpectrum(0.3), basis)
+        x0 = sample_unit_sphere(8, RandomSource(21))
+        self.assert_skips_to_reference(sigma, x0, t, sigma.array.__matmul__)
+
+    @pytest.mark.parametrize("t", [999, 1000])
+    def test_negative_top_eigenvalue_alternates_sign(self, t):
+        # the iterate flips sign every step: period two, never a fixed point
+        basis = random_orthogonal_basis(6, RandomSource(22))
+        lam = np.array([-1.0, 0.5, 0.4, 0.3, 0.2, 0.1])
+        sigma = SymMatrix((basis * lam) @ basis.T)
+        x0 = sample_unit_sphere(6, RandomSource(23))
+        xs = _reference_iterates(sigma.array.__matmul__, x0, 3)
+        assert xs[3].tobytes() != xs[2].tobytes()
+        self.assert_skips_to_reference(sigma, x0, t, sigma.array.__matmul__)
+
+    @pytest.mark.parametrize("t", [2999, 3000])
+    def test_deflated_sweep_operator_repeats_exactly(self, t):
+        sigma, _ = build_test_sigma(
+            10, PowerLawSpectrum(1.0), random_orthogonal_basis(10, RandomSource(24))
+        )
+        op = _DeflatedOperator(sigma, 2)
+        op.deflate(power_iterate(sigma, sample_unit_sphere(10, RandomSource(25)), 200))
+        x0 = sample_unit_sphere(10, RandomSource(26))
+        self.assert_skips_to_reference(op, x0, t, lambda x: op.matvec(x, np.empty(op.dim)))
+
+    @pytest.mark.parametrize("t", [299, 300])
+    def test_slow_convergence_never_repeats(self, t):
+        # lambda_2 / lambda_1 = 2**-0.01: far from converged at step t
+        basis = random_orthogonal_basis(8, RandomSource(27))
+        sigma, _ = build_test_sigma(8, PowerLawSpectrum(0.01), basis)
+        x0 = sample_unit_sphere(8, RandomSource(28))
+        xs = _reference_iterates(sigma.array.__matmul__, x0, t)
+        assert _first_exact_two_cycle(xs) is None
+        counting = _CountingOperator(sigma)
+        assert power_iterate(counting, x0, t).tobytes() == xs[t].tobytes()
+        assert counting.products == t
 
 
 class TestIterateOwnership:
