@@ -93,7 +93,7 @@ def cmd_deflate(args) -> int:
     run = _run_from_args(args)
     j_slice = args.j_slice or sorted({max(1, (d * q) // 4) for q in (1, 2, 3, 4)})
     diags = diagnose_run(run)
-    report = bound_report(run, args.epsilon)
+    report = bound_report(run, args.epsilon, diags)
     out = _resolve_out(args)
     dio.write_run_dir(run, diags, out, spectrum_label=args.spectrum)
     dio.write_figure_csvs(diags, j_slice, out)

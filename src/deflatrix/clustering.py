@@ -13,9 +13,10 @@ vectors, so :func:`spectral_embed` runs the deflation loop itself, without
 a reference spectrum or an oracle. It keeps the outputs so far, V, and
 their Rayleigh quotients rho, not a deflated matrix, and multiplies by
 sigma_k x = sigma_1 x - V (rho * V^T x). The matrix to deflate is built
-once per sweep and kept in compressed sparse row (CSR) form when few of
-its entries are nonzero, as for r much smaller than n; a cell on a sparse
-graph then allocates no n x n array: its memory is O(nk + nnz).
+once per sweep, in the one n x n buffer the graph was built in, and kept
+in compressed sparse row (CSR) form when few of its entries are nonzero,
+as for r much smaller than n; a cell on a sparse graph then allocates no
+n x n array: its memory is O(nk + nnz).
 """
 
 from __future__ import annotations
@@ -50,6 +51,9 @@ _KMEANS_STREAM = 1
 # Measured on blob Laplacians, the two cost the same at about 7% nonzeros
 # for n = 500 and 13% for n = 1000 and 2000; the rule sits between.
 _CSR_MAX_DENSITY = 1 / 12
+# The set-up's temporaries span this many rows of an n x n matrix: 1 MB of
+# doubles per block at n = 1000, against 8 MB for the whole matrix.
+_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -87,38 +91,37 @@ def build_rnn_graph(data: Dataset, r: int) -> np.ndarray:
     exp(-||x_i - x_j||^2 / 2); two coincident points get weight 1. Distance
     ties at the r-th neighbor break toward the lower index, which keeps the
     graph a deterministic function of the data.
+
+    The matrix is built in the one n x n buffer that the Gram matrix
+    x x^T is computed into: the distances, their symmetrization and the
+    weights overwrite it, and every other temporary spans at most
+    ``_BLOCK_ROWS`` rows. The returned array owns that buffer.
     """
     n = data.n
     if not 1 <= r < n:
         raise ValueError(f"r must lie in [1, {n - 1}]")
     x = data.features
     sq = (x * x).sum(axis=1)
-    # max(sq_i + sq_j - 2 x_i.x_j, 0), then averaged with its transpose, in
-    # two n x n buffers; each entry sees the same operations in the same order
-    gram = x @ x.T
-    gram *= 2.0
-    raw = np.add(sq[:, None], sq[None, :])
-    raw -= gram
-    np.maximum(raw, 0.0, out=raw)
-    d2 = np.add(raw, raw.T, out=gram)
-    del raw
-    d2 /= 2.0
-    np.fill_diagonal(d2, np.inf)
-    # The first r columns of a stable argsort of each row: every entry below
-    # the row's r-th smallest distance, then the lowest-index entries equal
-    # to it until r are chosen. Only a row with more ties than room needs the
-    # running count; every other row takes all of its ties.
-    kth = np.partition(d2, r - 1, axis=1)[:, [r - 1]]
-    neighbor = d2 < kth
-    tie = d2 == kth
-    room = r - np.count_nonzero(neighbor, axis=1)
-    crowded = np.flatnonzero(np.count_nonzero(tie, axis=1) > room)
-    if crowded.size:
-        ties = tie[crowded]
-        ties &= np.cumsum(ties, axis=1, dtype=np.int32) <= room[crowded, None]
-        tie[crowded] = ties
-    neighbor |= tie
+    # one product, as blocks of rows would round some entries differently
+    d2 = x @ x.T
+    # max(sq_i + sq_j - 2 x_i.x_j, 0), then averaged with its transpose;
+    # each entry sees the same operations in the same order as it would
+    # over whole n x n arrays
+    for i0, i1 in _row_blocks(n):
+        block = d2[i0:i1]
+        block *= 2.0
+        np.subtract(np.add(sq[i0:i1, None], sq[None, :]), block, out=block)
+        np.maximum(block, 0.0, out=block)
+    neighbor = np.empty((n, n), dtype=bool)
+    for i0, i1 in _row_blocks(n):
+        # rows [i0, i1) hold their final distances once their strip is
+        # symmetrized, since the earlier strips wrote their columns
+        _symmetrize_strip(d2, i0, i1)
+        rows = np.arange(i0, i1)
+        d2[rows, rows] = np.inf
+        _select_neighbors(d2[i0:i1], r, out=neighbor[i0:i1])
     adjacency = neighbor | neighbor.T
+    del neighbor
     # the weights overwrite the distances; exp runs on the joined pairs only,
     # and the diagonal is never joined
     joined = d2[adjacency]
@@ -130,21 +133,62 @@ def build_rnn_graph(data: Dataset, r: int) -> np.ndarray:
     return weights
 
 
+def _row_blocks(n: int):
+    return ((i0, min(i0 + _BLOCK_ROWS, n)) for i0 in range(0, n, _BLOCK_ROWS))
+
+
+def _symmetrize_strip(a: np.ndarray, i0: int, i1: int) -> None:
+    """Replace a's rows and columns [i0, i1), from the diagonal block on, by
+    (a + a^T) / 2; across every block of rows in order this is
+    ``(a + a.T) / 2`` with its bits. Entry (i, j) and entry (j, i) are both
+    a_ij + a_ji, which IEEE addition makes one value."""
+    s = np.add(a[i0:i1, i0:], a[i0:, i0:i1].T)
+    s /= 2.0
+    a[i0:i1, i0:] = s
+    a[i0:, i0:i1] = s.T
+
+
+def _select_neighbors(d2: np.ndarray, r: int, out: np.ndarray) -> None:
+    """Mark in ``out`` the first r columns of a stable argsort of each row
+    of ``d2``: every entry below the row's r-th smallest distance, then the
+    lowest-index entries equal to it until r are chosen. Only a row with
+    more ties than room needs the running count; every other row takes all
+    of its ties."""
+    kth = np.partition(d2, r - 1, axis=1)[:, [r - 1]]
+    np.less(d2, kth, out=out)
+    tie = d2 == kth
+    room = r - np.count_nonzero(out, axis=1)
+    crowded = np.flatnonzero(np.count_nonzero(tie, axis=1) > room)
+    if crowded.size:
+        ties = tie[crowded]
+        ties &= np.cumsum(ties, axis=1, dtype=np.int32) <= room[crowded, None]
+        tie[crowded] = ties
+    out |= tie
+
+
 def normalized_laplacian(weights: np.ndarray) -> SymMatrix:
-    """Degree-normalized Laplacian I - D^{-1/2} W D^{-1/2}; spectrum in [0, 2]."""
-    degrees = weights.sum(axis=1)
+    """Degree-normalized Laplacian I - D^{-1/2} W D^{-1/2}; spectrum in [0, 2].
+
+    ``weights`` is left as it is: the Laplacian is built in one copy of it.
+    """
+    return SymMatrix._trusted(_laplacian_in_place(np.array(weights, dtype=float)))
+
+
+def _laplacian_in_place(a: np.ndarray) -> np.ndarray:
+    """Overwrite the weight matrix ``a`` with its normalized Laplacian,
+    with the bits of the same operations over whole n x n arrays."""
+    degrees = a.sum(axis=1)
     dead = np.flatnonzero(degrees <= 0.0)
     if dead.size:
         raise IsolatedNodeError(int(dead[0]))
     inv_sqrt = 1.0 / np.sqrt(degrees)
-    lap = weights * inv_sqrt[:, None]
-    lap *= inv_sqrt[None, :]
-    _identity_minus(1.0, lap, out=lap)
-    sym = np.add(lap, lap.T)
-    del lap
-    sym /= 2.0
+    a *= inv_sqrt[:, None]
+    a *= inv_sqrt[None, :]
+    _identity_minus(1.0, a, out=a)
+    for i0, i1 in _row_blocks(a.shape[0]):
+        _symmetrize_strip(a, i0, i1)
     # bitwise symmetric, and 0.0 - m gives no -0.0 for the nonnegative m
-    return SymMatrix._trusted(sym)
+    return a
 
 
 def _identity_minus(c: float, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -214,6 +258,20 @@ class _DeflatedOperator:
         self._k += 1
 
 
+def _laplacian_target(weights: np.ndarray, spectrum_end: str) -> SymMatrix:
+    """The matrix whose top eigenvectors are the Laplacian's at
+    ``spectrum_end``: L itself, or 2I - L, which reverses the spectrum
+    within its [0, 2] range. Both are built in ``weights``'s own buffer,
+    which must be the array :func:`build_rnn_graph` returned, with no other
+    reference to it."""
+    weights.setflags(write=True)
+    a = _laplacian_in_place(weights)
+    if spectrum_end == "bottom":
+        # bitwise symmetric like L, with no -0.0 (0.0 - x is +0.0 for x = 0)
+        _identity_minus(2.0, a, out=a)
+    return SymMatrix._trusted(a)
+
+
 def _embedding_operator(target: SymMatrix):
     """``target`` as the sweep's runs multiply by it: in CSR form when at
     most ``_CSR_MAX_DENSITY`` of its entries (its diagonal counted as
@@ -250,15 +308,6 @@ def spectral_embed(target, k: int, t: int, rng: RandomSource) -> np.ndarray:
 def _check_count(name: str, value: int, n: int) -> None:
     if not 1 <= value <= n:
         raise ValueError(f"{name} must lie in [1, {n}]")
-
-
-def _embedding_target(lap: SymMatrix, spectrum_end: str) -> SymMatrix:
-    """The matrix whose top eigenvectors are ``lap``'s at ``spectrum_end``;
-    2I - L reverses the spectrum within its [0, 2] range."""
-    if spectrum_end == "bottom":
-        # bitwise symmetric like lap, with no -0.0 (0.0 - x is +0.0 for x = 0)
-        return SymMatrix._trusted(_identity_minus(2.0, lap.array))
-    return lap
 
 
 def kmeans(points: np.ndarray, k_clusters: int, rng: RandomSource) -> np.ndarray:
@@ -414,15 +463,15 @@ def run_clustering_experiment(
 
     The graph, the Laplacian and the matrix the embedding deflates (the
     Laplacian itself, or 2I - L for the bottom end) depend only on the data,
-    so they are built once, and that matrix, in CSR form when it is sparse,
-    is shared read-only by every cell; no dense matrix outlives its CSR
-    form. With ``jobs > 1`` the cells run in N = min(jobs, cells) worker
-    processes, which receive the shared inputs once when they start (forked
-    where the platform can fork, so the inputs are inherited rather than
-    pickled). A cell's argument errors are raised here before any work
-    starts. A repeated t value or seed is run once. Cells are submitted
-    longest (largest t) first; results come back sorted by (t, seed) and are
-    byte-identical for every ``jobs``.
+    so they are built once, one after another in the same n x n buffer, and
+    that matrix, in CSR form when it is sparse, is shared read-only by every
+    cell; no dense matrix outlives its CSR form. With ``jobs > 1`` the cells
+    run in N = min(jobs, cells) worker processes, which receive the shared
+    inputs once when they start (forked where the platform can fork, so the
+    inputs are inherited rather than pickled). A cell's argument errors are
+    raised here before any work starts. A repeated t value or seed is run
+    once. Cells are submitted longest (largest t) first; results come back
+    sorted by (t, seed) and are byte-identical for every ``jobs``.
     """
     t_values = list(dict.fromkeys(int(t) for t in t_values))
     seeds = list(dict.fromkeys(int(s) for s in seeds))
@@ -441,9 +490,9 @@ def run_clustering_experiment(
     _check_count("k", k, data.n)
     if min(t_values) < 1:
         raise ValueError("t must be >= 1")
-    lap = normalized_laplacian(build_rnn_graph(data, r))
-    target = _embedding_operator(_embedding_target(lap, spectrum_end))
-    del lap  # the cells read only the target
+    # the cells read only the operator: the dense target, built in the
+    # graph's buffer, is freed here unless the operator is that matrix
+    target = _embedding_operator(_laplacian_target(build_rnn_graph(data, r), spectrum_end))
     inputs = (target, data.labels, k, k_clusters, row_normalize)
 
     # a cell's cost grows with t: submitting the longest first keeps the

@@ -147,16 +147,25 @@ def inputs_from_run(run: DeflationRun, epsilon: float | None = None) -> BoundInp
     )
 
 
-def bound_report(run: DeflationRun, epsilon: float | None = None) -> list[BoundRow]:
+def bound_report(
+    run: DeflationRun,
+    epsilon: float | None = None,
+    diags: list[StepDiagnostics] | None = None,
+) -> list[BoundRow]:
     """The run's bound report (the rows of ``bounds.csv``): both families'
     flags and bounds, and with ``epsilon`` both budgets, next to each step's
-    measured output error against the ideal eigenvector."""
+    measured output error against the ideal eigenvector. Given the run's
+    ``diags`` from :func:`diagnose_run`, the errors are their ``output_err``
+    values, which are the same numbers, rather than computed again."""
     inputs = inputs_from_run(run, epsilon)
     spectrum = run.spectrum
-    errors = [
-        float(np.linalg.norm(run.components[:, k - 1] - spectrum.eigenvector(k - 1)))
-        for k in range(1, run.K + 1)
-    ]
+    if diags is not None:
+        errors = [dg.output_err for dg in diags]
+    else:
+        errors = [
+            float(np.linalg.norm(run.components[:, k - 1] - spectrum.eigenvector(k - 1)))
+            for k in range(1, run.K + 1)
+        ]
     return build_bound_report(inputs, eigengaps(spectrum.eigenvalues), errors)
 
 

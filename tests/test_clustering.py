@@ -192,8 +192,11 @@ class TestTieMask:
 
     def test_grid_masks_its_crowded_rows_only(self, monkeypatch):
         # at r = 4 an interior point takes its four unit neighbors; the 76
-        # points on the border have more ties at their 4th distance than room
-        assert self.masked_rows(monkeypatch, _grid_points(), 4) == [76]
+        # points on the border have more ties at their 4th distance than
+        # room, and each block of rows masks its own
+        rows = self.masked_rows(monkeypatch, _grid_points(), 4)
+        assert sum(rows) == 76
+        assert len(rows) == -(-400 // clustering._BLOCK_ROWS)
 
 
 class TestNormalizedLaplacian:
@@ -228,10 +231,77 @@ class TestNormalizedLaplacian:
         assert err.value.node == 0
 
 
+def _reference_laplacian(weights):
+    # the Laplacian as built over three n x n arrays (the weights, the
+    # scaled Laplacian and its symmetrized sum) before it was built in place
+    degrees = weights.sum(axis=1)
+    inv_sqrt = 1.0 / np.sqrt(degrees)
+    lap = weights * inv_sqrt[:, None]
+    lap *= inv_sqrt[None, :]
+    _reference_identity_minus(1.0, lap, out=lap)
+    sym = np.add(lap, lap.T)
+    sym /= 2.0
+    return sym
+
+
+def _reference_identity_minus(c, m, out=None):
+    out = np.subtract(0.0, m, out=out)
+    out.flat[:: out.shape[0] + 1] += c
+    return out
+
+
+def _doubled_points(n):
+    # every other point appears twice, so many distances are exactly 0
+    base = synthetic_blobs(n=n, clusters=min(n, 3), seed=5)
+    rows = np.arange(n) * 2 // 3
+    return Dataset(features=base.features[rows], labels=base.labels[rows])
+
+
+_B = clustering._BLOCK_ROWS
+
+
+class TestInPlaceSetUpMatchesReference:
+    # the graph, L and 2I - L are built in one buffer a block of rows at a
+    # time; at sizes around the block boundary they keep the bits of the
+    # same operations over whole arrays
+    @staticmethod
+    def assert_matches_reference(data, r):
+        weights = build_rnn_graph(data, r)
+        assert weights.tobytes() == _reference_rnn_weights(data, r).tobytes()
+        lap = _reference_laplacian(weights)
+        bottom = _reference_identity_minus(2.0, lap)
+        assert normalized_laplacian(weights).array.tobytes() == lap.tobytes()
+        for end, want in (("top", lap), ("bottom", bottom)):
+            got = clustering._laplacian_target(build_rnn_graph(data, r), end)
+            assert got.array.tobytes() == want.tobytes(), end
+
+    @pytest.mark.parametrize("n", [2, _B - 1, _B, _B + 1, 2 * _B + 1])
+    def test_blobs(self, n):
+        self.assert_matches_reference(synthetic_blobs(n=n, clusters=min(n, 10), seed=1),
+                                      min(10, n - 1))
+
+    @pytest.mark.parametrize("n", [2, _B - 1, _B, _B + 1, 2 * _B + 1])
+    def test_duplicated_points(self, n):
+        self.assert_matches_reference(_doubled_points(n), min(3, n - 1))
+
+    def test_grid_ties_across_a_block_boundary(self):
+        # points 120..139 are one line of the grid; its crowded border
+        # points 120 and 139 fall on either side of the first block boundary
+        assert 120 < _B < 139
+        self.assert_matches_reference(_grid_points(), 4)
+
+    def test_public_laplacian_leaves_its_input(self):
+        weights = build_rnn_graph(synthetic_blobs(n=60, clusters=3, seed=2), 5)
+        before = weights.tobytes()
+        normalized_laplacian(weights)
+        assert weights.tobytes() == before and not weights.flags.writeable
+
+
 class TestSetUpBits:
     # SHA-256 of .tobytes() for the blob fixture's graph at r=10, its
     # Laplacian and the bottom-end target 2I - L, as first computed with
-    # np.where, np.eye and np.triu over temporary n x n arrays
+    # np.where, np.eye and np.triu over temporary n x n arrays; the sweep's
+    # targets, built in the graph's buffer, keep them
     DIGESTS = {
         "weights": "a6df64e60240443830377f4db632d43f80285e0fbfbca1a8feb4974843446917",
         "laplacian": "3139036a7026c63e7f516f879aec3de1916e3dde5cfee865a706a13018feb96f",
@@ -239,20 +309,23 @@ class TestSetUpBits:
     }
 
     def test_pinned_digests(self):
-        weights = build_rnn_graph(synthetic_blobs(seed=0), 10)
+        data = synthetic_blobs(seed=0)
+        weights = build_rnn_graph(data, 10)
         lap = normalized_laplacian(weights)
-        bottom = clustering._embedding_target(lap, "bottom")
+        top = clustering._laplacian_target(build_rnn_graph(data, 10), "top")
+        bottom = clustering._laplacian_target(build_rnn_graph(data, 10), "bottom")
         got = {
             name: hashlib.sha256(a.tobytes()).hexdigest()
             for name, a in (("weights", weights), ("laplacian", lap.array),
                             ("bottom", bottom.array))
         }
         assert got == self.DIGESTS, f"numpy {np.__version__}"
+        assert top.array.tobytes() == lap.array.tobytes()
 
     def test_set_up_peak_memory(self):
-        # the graph and the Laplacian hold about three n x n arrays of
-        # doubles at their peak: the weights, the scaled Laplacian and its
-        # symmetrized sum, which is wrapped as it is (3.06 n^2 measured)
+        # the caller's weights and the copy the Laplacian is built in, plus
+        # one block of rows (2.38 n^2 measured at n = 400, where a block is
+        # 0.32 n^2; it was 3.06 n^2 over three whole arrays)
         n = 400
         data = synthetic_blobs(n=n, seed=0)
         tracemalloc.start()
@@ -261,7 +334,31 @@ class TestSetUpBits:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 3.25 * n * n * 8
+        assert peak <= 2.5 * n * n * 8
+
+    @pytest.mark.parametrize("end", ["top", "bottom"])
+    def test_sweep_set_up_peak_memory(self, monkeypatch, end):
+        # the sweep builds the graph, L and its target in one n x n buffer,
+        # next to two n x n masks of bools and one block of rows (1.42 n^2
+        # measured at n = 500; 3.04 n^2 when each had its own array)
+        n = 500
+        data = synthetic_blobs(n=n, seed=0)
+
+        class FirstCell(Exception):
+            pass
+
+        def first_cell(*args):
+            raise FirstCell
+
+        monkeypatch.setattr(clustering, "_run_cell", first_cell)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstCell):
+                run_clustering_experiment(data, 10, 10, 10, [20], [0], spectrum_end=end)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * n * n * 8
 
 
 @pytest.fixture(scope="module")
@@ -274,8 +371,8 @@ def blob_laplacians():
 class TestEmbeddingOperator:
     @pytest.mark.parametrize("end", ["top", "bottom"])
     @pytest.mark.parametrize("r", [5, 10])
-    def test_csr_product_matches_the_dense_one(self, blob_laplacians, r, end):
-        target = clustering._embedding_target(blob_laplacians[r], end)
+    def test_csr_product_matches_the_dense_one(self, r, end):
+        target = clustering._laplacian_target(build_rnn_graph(synthetic_blobs(seed=0), r), end)
         op = clustering._embedding_operator(target)
         assert isinstance(op, clustering._CsrMatrix) and op.dim == target.dim
         for seed in range(3):
@@ -434,7 +531,8 @@ class TestSpectralEmbed:
         # against the projection onto the whole bottom eigenspace
         data = synthetic_blobs(n=30, clusters=3, seed=9)
         lap = normalized_laplacian(build_rnn_graph(data, 3))
-        u = spectral_embed(clustering._embedding_target(lap, "bottom"), 1, 300, RandomSource(2))
+        bottom = clustering._laplacian_target(build_rnn_graph(data, 3), "bottom")
+        u = spectral_embed(bottom, 1, 300, RandomSource(2))
         oracle = jacobi_eigendecomposition(lap)
         kernel = oracle.basis[:, np.abs(oracle.eigenvalues) <= 1e-9]
         assert kernel.shape[1] >= 1
@@ -648,13 +746,13 @@ class TestExperiment:
         monkeypatch.setattr(SymMatrix, "__init__", counting_init)
         monkeypatch.setattr(SymMatrix, "_trusted", classmethod(counting_trusted))
         serial = run_clustering_experiment(*args, **opts, jobs=1)
-        # the Laplacian and the target, built once for all six cells
-        assert len(built) == 2
+        # the target, built once for all six cells in the Laplacian's buffer
+        assert len(built) == 1
         parallel = run_clustering_experiment(*args, **opts, jobs=2)
         assert serial == parallel
         # workers count in their own copies of the list; the parent builds
-        # the same two matrices again
-        assert len(built) == 4
+        # the same matrix again
+        assert len(built) == 2
 
     @pytest.mark.parametrize(
         "change, message",

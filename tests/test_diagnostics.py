@@ -154,7 +154,7 @@ class TestDiagnoseRun:
 class TestBoundReport:
     @pytest.mark.parametrize("epsilon", [None, 1e-2])
     def test_reads_the_run_and_its_spectrum(self, accurate_bundle, epsilon):
-        run, spec, _ = accurate_bundle
+        run, spec, diags = accurate_bundle
         worst = float(run.init_alignments.min())
         inputs = BoundInputs(
             lambdas=spec.eigenvalues,
@@ -169,6 +169,13 @@ class TestBoundReport:
         ]
         want = build_bound_report(inputs, eigengaps(spec.eigenvalues), errors)
         assert bound_report(run, epsilon) == want
+        assert bound_report(run, epsilon, diags) == want
+
+    def test_reads_the_errors_of_the_diagnostics_it_is_given(self, accurate_bundle):
+        run, _, diags = accurate_bundle
+        diags = [dataclasses.replace(dg, output_err=dg.k * 1e-3) for dg in diags]
+        rows = bound_report(run, None, diags)
+        assert [row.empirical for row in rows] == [k * 1e-3 for k in range(1, run.K + 1)]
 
     def test_orthogonal_start_vector_raises(self, accurate_bundle):
         # c0 is the reciprocal of the worst start alignment
