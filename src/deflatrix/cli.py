@@ -49,7 +49,8 @@ def parse_spectrum(text: str):
 
 def _read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark, which would join the first key
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -93,7 +94,7 @@ def cmd_deflate(args) -> int:
     run = _run_from_args(args)
     j_slice = args.j_slice or sorted({max(1, (d * q) // 4) for q in (1, 2, 3, 4)})
     diags = diagnose_run(run)
-    report = bound_report(run, args.epsilon, diags)
+    report = bound_report(run, args.epsilon)
     out = _resolve_out(args)
     dio.write_run_dir(run, diags, out, spectrum_label=args.spectrum)
     dio.write_figure_csvs(diags, j_slice, out)

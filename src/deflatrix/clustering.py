@@ -1,9 +1,10 @@
 """Spectral clustering driven by the deflation solver.
 
-Pipeline: mutual-r-nearest-neighbor similarity graph with RBF weights,
-degree-normalized Laplacian, top-k eigenvector embedding extracted with the
-inexact deflation algorithm, k-means on the embedded rows, and a mutual
-information score against ground-truth labels.
+Pipeline: r-nearest-neighbor similarity graph with RBF weights, which joins
+two points when either is among the other's r nearest, degree-normalized
+Laplacian, top-k eigenvector embedding extracted with the inexact deflation
+algorithm, k-means on the embedded rows, and a mutual information score
+against ground-truth labels.
 
 The sweep deliberately embeds from the *top* end of the Laplacian spectrum
 (``spectrum_end="top"``); ``"bottom"`` embeds from the other end for
@@ -84,7 +85,7 @@ class Dataset:
 
 
 def build_rnn_graph(data: Dataset, r: int) -> np.ndarray:
-    """Connect points that appear in each other's r nearest neighbors.
+    """Join two points when either is among the other's r nearest neighbors.
 
     Returns the read-only (n, n) weight matrix: symmetric, zero on the
     diagonal and zero between points that are not joined. Edge weight is
@@ -98,6 +99,8 @@ def build_rnn_graph(data: Dataset, r: int) -> np.ndarray:
     ``_BLOCK_ROWS`` rows. The returned array owns that buffer.
     """
     n = data.n
+    if n < 2:
+        raise ValueError(f"a similarity graph needs at least 2 points, got {n}")
     if not 1 <= r < n:
         raise ValueError(f"r must lie in [1, {n - 1}]")
     x = data.features
@@ -184,19 +187,19 @@ def _laplacian_in_place(a: np.ndarray) -> np.ndarray:
     inv_sqrt = 1.0 / np.sqrt(degrees)
     a *= inv_sqrt[:, None]
     a *= inv_sqrt[None, :]
-    _identity_minus(1.0, a, out=a)
+    _identity_minus(1.0, a)
     for i0, i1 in _row_blocks(a.shape[0]):
         _symmetrize_strip(a, i0, i1)
     # bitwise symmetric, and 0.0 - m gives no -0.0 for the nonnegative m
     return a
 
 
-def _identity_minus(c: float, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """c I - m with the bits of ``c * np.eye(n) - m``, without the identity:
-    0.0 - m_ij off the diagonal and (0.0 - m_ii) + c on it."""
-    out = np.subtract(0.0, m, out=out)
-    out.flat[:: out.shape[0] + 1] += c
-    return out
+def _identity_minus(c: float, m: np.ndarray) -> None:
+    """Overwrite m with c I - m, with the bits of ``c * np.eye(n) - m`` and
+    without the identity: 0.0 - m_ij off the diagonal and (0.0 - m_ii) + c
+    on it."""
+    np.subtract(0.0, m, out=m)
+    m.flat[:: m.shape[0] + 1] += c
 
 
 class _CsrMatrix:
@@ -268,7 +271,7 @@ def _laplacian_target(weights: np.ndarray, spectrum_end: str) -> SymMatrix:
     a = _laplacian_in_place(weights)
     if spectrum_end == "bottom":
         # bitwise symmetric like L, with no -0.0 (0.0 - x is +0.0 for x = 0)
-        _identity_minus(2.0, a, out=a)
+        _identity_minus(2.0, a)
     return SymMatrix._trusted(a)
 
 

@@ -84,24 +84,20 @@ def diagnose_run(run: DeflationRun) -> list[StepDiagnostics]:
     spectrum = run.spectrum
     basis = spectrum.basis
     lam = spectrum.eigenvalues
-    sub_norms = _sub_error_norms(run)
+    ideal = basis[:, : run.K]
+    errors = zip(
+        _column_distances(run.components, run.exact_tops),
+        _column_distances(run.components, ideal),
+        _column_distances(run.exact_tops, ideal),
+    )
     out = []
     m_k = SymMatrix._trusted(np.diag(lam))
-    for k in range(1, run.K + 1):
-        v = run.components[:, k - 1]
-        u = run.exact_tops[:, k - 1]
-        u_star = spectrum.eigenvector(k - 1)
-        w = basis.T @ v
-        a = basis.T @ u
+    for k, (sub_err, output_err, drift) in enumerate(errors, start=1):
+        w = basis.T @ run.components[:, k - 1]
+        a = basis.T @ run.exact_tops[:, k - 1]
         gap = m_k.array.copy()
         # einsum returns a writeable view of the copy's diagonal
         np.einsum("ii->i", gap)[k - 1:] -= lam[k - 1:]
-        sub_err = float(sub_norms[k - 1])
-        # the differences are contiguous, where this is np.linalg.norm's value
-        e = v - u_star
-        output_err = math.sqrt(e.dot(e))
-        e = u - u_star
-        drift = math.sqrt(e.dot(e))
         if output_err > sub_err + drift + 1e-12:
             raise AssertionError("triangle decomposition violated; diagnostics are inconsistent")
         out.append(
@@ -122,24 +118,25 @@ def diagnose_run(run: DeflationRun) -> list[StepDiagnostics]:
     return out
 
 
-def _sub_error_norms(run: DeflationRun) -> np.ndarray:
-    """||v_k - u_k|| for every step k, as np.linalg.norm takes it of the
-    column: the dot of a contiguous copy with itself."""
-    rows = np.ascontiguousarray((run.components - run.exact_tops).T)
-    return np.array([math.sqrt(r.dot(r)) for r in rows])
+def _column_distances(a: np.ndarray, b: np.ndarray) -> list[float]:
+    """||a_k - b_k|| for every column k, as np.linalg.norm takes it of the
+    column difference: the dot of a contiguous copy with itself. Every
+    per-step error of a run (sub-routine error, output error, drift) is
+    measured here, so each has one value wherever it is read."""
+    rows = np.ascontiguousarray((a - b).T)
+    return [math.sqrt(r.dot(r)) for r in rows]
 
 
 def inputs_from_run(run: DeflationRun, epsilon: float | None = None) -> BoundInputs:
     """Bundle a finished run's measurements for the bound formulas; the
     sub-routine error sizes are the ``sub_err`` values of
     :func:`diagnose_run`."""
-    sub_norms = _sub_error_norms(run)
     worst_alignment = float(run.init_alignments.min())
     if worst_alignment <= 1e-12:
         raise ValueError("a start vector was (numerically) orthogonal to its target")
     return BoundInputs(
         lambdas=run.spectrum.eigenvalues,
-        sub_error_norms=sub_norms,
+        sub_error_norms=_column_distances(run.components, run.exact_tops),
         init_constant=max(1.0, 1.0 / worst_alignment),
         t=run.t,
         K=run.K,
@@ -147,26 +144,14 @@ def inputs_from_run(run: DeflationRun, epsilon: float | None = None) -> BoundInp
     )
 
 
-def bound_report(
-    run: DeflationRun,
-    epsilon: float | None = None,
-    diags: list[StepDiagnostics] | None = None,
-) -> list[BoundRow]:
+def bound_report(run: DeflationRun, epsilon: float | None = None) -> list[BoundRow]:
     """The run's bound report (the rows of ``bounds.csv``): both families'
     flags and bounds, and with ``epsilon`` both budgets, next to each step's
-    measured output error against the ideal eigenvector. Given the run's
-    ``diags`` from :func:`diagnose_run`, the errors are their ``output_err``
-    values, which are the same numbers, rather than computed again."""
-    inputs = inputs_from_run(run, epsilon)
-    spectrum = run.spectrum
-    if diags is not None:
-        errors = [dg.output_err for dg in diags]
-    else:
-        errors = [
-            float(np.linalg.norm(run.components[:, k - 1] - spectrum.eigenvector(k - 1)))
-            for k in range(1, run.K + 1)
-        ]
-    return build_bound_report(inputs, eigengaps(spectrum.eigenvalues), errors)
+    measured output error against the ideal eigenvector, the ``output_err``
+    of :func:`diagnose_run`."""
+    lam = run.spectrum.eigenvalues
+    errors = _column_distances(run.components, run.spectrum.basis[:, : run.K])
+    return build_bound_report(inputs_from_run(run, epsilon), eigengaps(lam), errors)
 
 
 def matrix_gap_recurrence_check(

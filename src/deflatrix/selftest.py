@@ -35,6 +35,7 @@ from .deflate import DeflationRun, run_inexact_deflation
 from .diagnostics import (
     CHECK_SLACK,
     StepDiagnostics,
+    _column_distances,
     alignment_lower_bound_check,
     bound_report,
     diagnose_run,
@@ -513,18 +514,16 @@ def budget_e2e_trials(
                 candidate = run_inexact_deflation(
                     sigma, K, t, sub.substream(1), spectrum=spectrum
                 )
-                measured = np.linalg.norm(candidate.components - candidate.exact_tops, axis=0)
-                if all(measured[k - 1] <= budgets[k - 1] for k in range(1, K + 1)):
+                measured = _column_distances(candidate.components, candidate.exact_tops)
+                if all(m <= b for m, b in zip(measured, budgets)):
                     run = candidate
                     break
                 t *= 2
             if run is None:
                 tally.skip()
                 continue
-            tally.record_margins(
-                eps - float(np.linalg.norm(run.components[:, k - 1] - spectrum.eigenvector(k - 1)))
-                for k in range(1, K + 1)
-            )
+            errors = _column_distances(run.components, spectrum.basis[:, :K])
+            tally.record_margins(eps - e for e in errors)
     return tally
 
 

@@ -169,13 +169,12 @@ class TestBoundReport:
         ]
         want = build_bound_report(inputs, eigengaps(spec.eigenvalues), errors)
         assert bound_report(run, epsilon) == want
-        assert bound_report(run, epsilon, diags) == want
 
-    def test_reads_the_errors_of_the_diagnostics_it_is_given(self, accurate_bundle):
-        run, _, diags = accurate_bundle
-        diags = [dataclasses.replace(dg, output_err=dg.k * 1e-3) for dg in diags]
-        rows = bound_report(run, None, diags)
-        assert [row.empirical for row in rows] == [k * 1e-3 for k in range(1, run.K + 1)]
+    @pytest.mark.parametrize("bundle", ["accurate_bundle", "sloppy_bundle"])
+    def test_empirical_errors_are_the_diagnostics_output_errors(self, bundle, request):
+        run, _, diags = request.getfixturevalue(bundle)
+        empirical = [row.empirical for row in bound_report(run)]
+        assert [e.hex() for e in empirical] == [dg.output_err.hex() for dg in diags]
 
     def test_orthogonal_start_vector_raises(self, accurate_bundle):
         # c0 is the reciprocal of the worst start alignment

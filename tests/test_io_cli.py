@@ -281,6 +281,23 @@ class TestDeflateCommand:
         }
         assert got == FIGURE_TRACE_SHA256, f"numpy {np.__version__}"
 
+    def test_run_and_bounds_files_write_the_same_output_errors(self, tmp_path):
+        code = run_cli(
+            "deflate", "--d", "30", "--K", "30", "--t", "200", "--seed", "42",
+            "--epsilon", "0.01", "--out", str(tmp_path),
+        )
+        assert code == 0
+
+        def column(name, field):
+            lines = [ln for ln in (tmp_path / name).read_text().splitlines()
+                     if not ln.startswith("#")]
+            at = lines[0].split(",").index(field)
+            return [ln.split(",")[at] for ln in lines[1:]]
+
+        eig_err = column("run.csv", "eig_err")
+        assert len(eig_err) == 30
+        assert column("bounds.csv", "empirical_err") == eig_err
+
     def test_usage_error_when_k_exceeds_d(self, tmp_path, capsys):
         code = run_cli("deflate", "--d", "3", "--K", "5", "--out", str(tmp_path))
         assert code == 1
@@ -665,6 +682,16 @@ class TestClusterCommand:
         assert "not an integer" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_one_row_dataset_exits_one_naming_the_point_count(self, tmp_path, capsys):
+        data = tmp_path / "one_row.csv"
+        data.write_text("x,y,label\n1.0,2.0,0\n")
+        out = tmp_path / "out"
+        code = run_cli("cluster", "--data", str(data), "--out", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: a similarity graph needs at least 2 points, got 1\n"
+        assert not out.exists()
+
     def test_unreadable_cell_exits_one_with_its_location(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         rows = [f"{i % 2}.0,{i // 2}.0,{i % 2}" for i in range(8)] + ["0.5,0.5,x"]
@@ -1047,6 +1074,16 @@ class TestConfigFile:
         by_config = self.outcome([command, "--config", str(cfg)], tmp_path / "config", capsys)
         assert by_config == by_flags
         assert by_flags[0] == 0
+
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path, capsys):
+        text = "d=8\nK=3\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        expected = self.outcome(["bounds", "--config", str(plain)], tmp_path / "a", capsys)
+        assert expected[0] == 0
+        got = self.outcome(["bounds", "--config", str(marked)], tmp_path / "b", capsys)
+        assert got == expected
 
     def test_row_normalize_false_keeps_the_default(self, tmp_path, capsys):
         argv = ["cluster", "--r", "5", "--k", "3", "--clusters", "3", "--t-values", "4",
