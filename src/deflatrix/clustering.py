@@ -22,12 +22,12 @@ n x n array: its memory is O(nk + nnz).
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._pool import pool_map
 from .errors import DimensionMismatchError, IsolatedNodeError
 from .linalg import RandomSource, SymMatrix, sample_unit_sphere
 from .powerit import power_iterate
@@ -437,19 +437,6 @@ def _run_cell(target, labels, k, k_clusters, row_normalize, t, seed) -> Clusteri
     return ClusteringCell(t=t, seed=seed, mi=mutual_information(assignments, labels))
 
 
-# the sweep's shared inputs in a worker process, set once by _init_worker
-_worker_inputs: tuple = ()
-
-
-def _init_worker(*inputs) -> None:
-    global _worker_inputs
-    _worker_inputs = inputs
-
-
-def _worker_cell(ts: tuple[int, int]) -> ClusteringCell:
-    return _run_cell(*_worker_inputs, *ts)
-
-
 def run_clustering_experiment(
     data: Dataset,
     r: int,
@@ -469,11 +456,11 @@ def run_clustering_experiment(
     so they are built once, one after another in the same n x n buffer, and
     that matrix, in CSR form when it is sparse, is shared read-only by every
     cell; no dense matrix outlives its CSR form. With ``jobs > 1`` the cells
-    run in N = min(jobs, cells) worker processes, which receive the shared
-    inputs once when they start (forked where the platform can fork, so the
-    inputs are inherited rather than pickled). A cell's argument errors are
-    raised here before any work starts. A repeated t value or seed is run
-    once. Cells are submitted longest (largest t) first; results come back
+    run in N = min(jobs, cells, usable CPUs) worker processes, which receive
+    the shared inputs once when they start (``_pool.pool_map``); a worker
+    that dies raises :class:`ChildProcessError`. A cell's argument errors
+    are raised here before any work starts. A repeated t value or seed is
+    run once. Cells are submitted longest (largest t) first; results come back
     sorted by (t, seed) and are byte-identical for every ``jobs``.
     """
     t_values = list(dict.fromkeys(int(t) for t in t_values))
@@ -501,21 +488,7 @@ def run_clustering_experiment(
     # a cell's cost grows with t: submitting the longest first keeps the
     # last worker from finishing alone on a long cell
     cells_spec = sorted(((t, s) for t in t_values for s in seeds), key=lambda ts: -ts[0])
-    # a fork pool starts every worker up front, so never more than the cells
-    workers = min(jobs, len(cells_spec))
-    if workers > 1:
-        import multiprocessing
-
-        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context(method),
-            initializer=_init_worker,
-            initargs=inputs,
-        ) as pool:
-            cells = list(pool.map(_worker_cell, cells_spec))
-    else:
-        cells = [_run_cell(*inputs, t, s) for t, s in cells_spec]
+    cells = pool_map(_run_cell, cells_spec, jobs, shared=inputs)
     cells.sort(key=lambda cell: (cell.t, cell.seed))
 
     summary = []

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._pool import pool_map
 from .bounds import (
     BoundInputs,
     affine_recurrence_closed_form,
@@ -582,25 +583,92 @@ def _formula_oracle_checks() -> dict[str, Tally]:
     return tallies
 
 
+def _run_level_unit(seed: int) -> dict[str, Tally]:
+    corpus = build_run_corpus(
+        RandomSource(seed).substream(1), dims=(8, 12, 16, 20), t_values=(3, 10, 50, 150)
+    )
+    return run_level_checks(corpus)
+
+
+def _perturbed_alignment_unit(seed: int) -> dict[str, Tally]:
+    return {"perturbed_alignment": perturbed_alignment_trials(30, RandomSource(seed).substream(2))}
+
+
+def _inner_identity_unit(seed: int) -> dict[str, Tally]:
+    return {"inner_identity": inner_identity_trials(40, RandomSource(seed).substream(3))}
+
+
+def _iterate_convergence_unit(seed: int) -> dict[str, Tally]:
+    return {"iterate_convergence": iterate_convergence_trials(30, RandomSource(seed).substream(4))}
+
+
+def _recurrence_unit(seed: int) -> dict[str, Tally]:
+    return recurrence_trials(200, RandomSource(seed).substream(5))
+
+
+def _agnostic_soundness_unit(seed: int) -> dict[str, Tally]:
+    rng = RandomSource(seed).substream(6)
+    return {"agnostic_soundness": agnostic_soundness_trials(10, (8, 12), rng)}
+
+
+def _power_iter_soundness_unit(seed: int) -> dict[str, Tally]:
+    rng = RandomSource(seed).substream(7)
+    return {"power_iter_soundness": power_iter_soundness_trials(8, (8, 12), rng)}
+
+
+def _budget_unit(seed: int) -> dict[str, Tally]:
+    rng = RandomSource(seed).substream(8)
+    return {"budget_e2e": budget_e2e_trials(4, rng, epsilons=(1e-2,), d=10, K=3)}
+
+
+def _formula_oracle_unit(seed: int) -> dict[str, Tally]:
+    return _formula_oracle_checks()
+
+
+# The selftest's units in report order, each with its in-process wall time
+# at seed 0 in ms (2-core x86-64, one BLAS thread), which orders their
+# submission: longest first.
+_UNITS = (
+    (_run_level_unit, 28),
+    (_perturbed_alignment_unit, 10),
+    (_inner_identity_unit, 10),
+    (_iterate_convergence_unit, 9),
+    (_recurrence_unit, 20),
+    (_agnostic_soundness_unit, 8),
+    (_power_iter_soundness_unit, 7),
+    (_budget_unit, 2),
+    (_formula_oracle_unit, 0),
+)
+
+
+def _run_unit(seed: int, index: int) -> dict[str, Tally]:
+    return _UNITS[index][0](seed)
+
+
 def run_selftest(seed: int = 0) -> dict[str, Tally]:
     """Reduced-scale verification pass (dimensions <= 20, well under a minute).
+
+    The pass is nine units that share nothing: each draws only from its own
+    substream of ``seed``. They run in up to one worker process per usable
+    CPU (``_pool.pool_map``), longest first, or in this process where one
+    CPU is usable; the report has the same rows, in the same order, with
+    the same bits, either way. The seed is checked here before any worker
+    starts. A worker that dies raises :class:`ChildProcessError`; an error a
+    unit raises in a worker is raised here.
 
     Work is shared wherever the values allow it bit for bit: the recurrence
     rows run the O(n^2) closed forms, each calibrated soundness run reads its
     flags and bounds from one :func:`bound_report` (the rows ``bounds.csv``
     writes), and the directional-sum row takes each dot once per run.
     """
-    rng = RandomSource(seed)
-    report: dict[str, Tally] = {}
+    RandomSource(seed)  # rejects a seed outside [0, 2**64)
+    # every unit draws from numpy's generators, which numpy imports on first
+    # use; importing them here, once per process, spares each worker the import
+    import numpy.random  # noqa: F401
 
-    corpus = build_run_corpus(rng.substream(1), dims=(8, 12, 16, 20), t_values=(3, 10, 50, 150))
-    report.update(run_level_checks(corpus))
-    report["perturbed_alignment"] = perturbed_alignment_trials(30, rng.substream(2))
-    report["inner_identity"] = inner_identity_trials(40, rng.substream(3))
-    report["iterate_convergence"] = iterate_convergence_trials(30, rng.substream(4))
-    report.update(recurrence_trials(200, rng.substream(5)))
-    report["agnostic_soundness"] = agnostic_soundness_trials(10, (8, 12), rng.substream(6))
-    report["power_iter_soundness"] = power_iter_soundness_trials(8, (8, 12), rng.substream(7))
-    report["budget_e2e"] = budget_e2e_trials(4, rng.substream(8), epsilons=(1e-2,), d=10, K=3)
-    report.update(_formula_oracle_checks())
+    order = sorted(range(len(_UNITS)), key=lambda i: -_UNITS[i][1])
+    parts = dict(zip(order, pool_map(_run_unit, [(i,) for i in order], shared=(seed,))))
+    report: dict[str, Tally] = {}
+    for i in range(len(_UNITS)):
+        report.update(parts[i])
     return report

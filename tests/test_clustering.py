@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import deflatrix
-from deflatrix import clustering
+from deflatrix import _pool, clustering
 from deflatrix.clustering import (
     Dataset,
     _run_cell,
@@ -785,8 +785,9 @@ class TestExperiment:
                                       spec["t_values"], spec["seeds"], jobs=2)
 
     def test_pool_size_is_capped_at_the_cell_count(self, monkeypatch):
-        # a fork pool starts all its workers at once; the recording stand-in
-        # refuses to start any
+        # a fork pool starts all its workers at once, so the count is capped
+        # by the cells and by the usable CPUs; the recording stand-in refuses
+        # to start any
         class NoPool(Exception):
             pass
 
@@ -798,15 +799,27 @@ class TestExperiment:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
         data = synthetic_blobs(n=20, clusters=2, seed=16)
-        for jobs in (3, 10_000):
+        for cpus, jobs in ((64, 3), (64, 10_000), (4, 10_000)):
+            monkeypatch.setattr(_pool, "usable_cpus", lambda: cpus)
             with pytest.raises(NoPool):
                 run_clustering_experiment(data, 3, 2, 2, [5, 10], [0, 1, 2], jobs=jobs)
         forks = "fork" in multiprocessing.get_all_start_methods()
         method = "fork" if forks else multiprocessing.get_context().get_start_method()
-        assert seen == [(3, method), (6, method)]
-        # one cell needs no pool at all
+        assert seen == [(3, method), (6, method), (4, method)]
+        # one cell, or one usable CPU, needs no pool at all
         cells, _ = run_clustering_experiment(data, 3, 2, 2, [5], [0], jobs=4)
-        assert len(cells) == 1 and len(seen) == 2
+        assert len(cells) == 1
+        monkeypatch.setattr(_pool, "usable_cpus", lambda: 1)
+        cells, _ = run_clustering_experiment(data, 3, 2, 2, [5, 10], [0, 1, 2], jobs=10_000)
+        assert len(cells) == 6 and len(seen) == 3
+
+    def test_usable_cpus_fall_back_to_the_cpu_count(self, monkeypatch):
+        # a platform without an affinity mask reports the machine's CPUs
+        monkeypatch.delattr(_pool.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(_pool.os, "cpu_count", lambda: 3)
+        assert _pool.usable_cpus() == 3
+        monkeypatch.setattr(_pool.os, "cpu_count", lambda: None)
+        assert _pool.usable_cpus() == 1
 
     def test_rejects_fewer_than_one_job(self):
         data = synthetic_blobs(n=20, clusters=2, seed=16)
@@ -827,11 +840,12 @@ class TestExperiment:
 
 
 def test_cli_import_does_not_load_multiprocessing():
-    # the pool's modules cost ~20 ms to import; only a parallel sweep pays it
+    # the pool's modules cost ~20 ms to import; only a parallel sweep or
+    # selftest pays it
     src = str(Path(deflatrix.__file__).resolve().parent.parent)
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import deflatrix.cli; "
-        "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
+        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

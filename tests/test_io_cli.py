@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import deflatrix._pool
 import deflatrix.bounds
 import deflatrix.cli
 import deflatrix.clustering
@@ -864,6 +865,24 @@ class TestClusterCommand:
         assert not (tmp_path / "mi_vs_t.csv").exists()
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="workers inherit the patched k-means only when forked",
+    )
+    def test_worker_death_exits_one(self, tmp_path, capsys, monkeypatch):
+        # a worker that dies breaks the pool: an error line, not a traceback;
+        # two usable CPUs make a pool even where fewer exist, so the exit
+        # happens in a worker and never in the test's own process
+        monkeypatch.setattr(deflatrix.clustering, "kmeans", lambda *args: os._exit(3))
+        monkeypatch.setattr(deflatrix._pool, "usable_cpus", lambda: 2)
+        code = run_cli("cluster", "--data", "blobs", "--r", "5", "--k", "3", "--clusters", "3",
+                       "--t-values", "4", "--seeds", "0,1,2", "--jobs", "2",
+                       "--out", str(tmp_path))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: a worker process died: ")
+        assert not (tmp_path / "mi_vs_t.csv").exists()
+        assert multiprocessing.active_children() == []
+
     def test_zero_jobs_rejected(self, tmp_path, capsys):
         code = run_cli("cluster", "--data", "blobs", "--r", "5", "--k", "3", "--clusters", "3",
                        "--t-values", "4", "--seeds", "0", "--jobs", "0", "--out", str(tmp_path))
@@ -952,6 +971,16 @@ SELFTEST_TALLIES = {
 }
 
 
+# run_selftest's keys in the order its report holds them
+SELFTEST_REPORT_ORDER = [
+    "eigenvalue_shift", "gap_recurrence", "eigvec_sensitivity", "directional_sum",
+    "alignment_floor", "drift_bound", "directional_bound", "perturbed_alignment",
+    "inner_identity", "iterate_convergence", "recurrence_sum_form", "recurrence_affine_form",
+    "recurrence_geometric_tail", "agnostic_soundness", "power_iter_soundness", "budget_e2e",
+    "agnostic_formula_oracle", "power_iter_formula_oracle", "pi_formula_oracle",
+]
+
+
 class TestSelftestCommand:
     def test_clean_run_exits_zero(self, capsys):
         import time
@@ -972,6 +1001,68 @@ class TestSelftestCommand:
             for name, t in run_selftest(seed).items()
         }
         assert got == SELFTEST_TALLIES[seed]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_units_give_the_same_report_in_any_number_of_workers(self, monkeypatch, seed):
+        # one usable CPU runs the units in this process, two run them in a
+        # pool; either way the rows come back in the units' report order
+        reports = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(deflatrix._pool, "usable_cpus", lambda: cpus)
+            reports.append([(name, t.holds, t.violated, t.skipped, repr(t.worst))
+                            for name, t in run_selftest(seed).items()])
+        assert reports[0] == reports[1]
+        assert [row[0] for row in reports[0]] == SELFTEST_REPORT_ORDER
+        assert multiprocessing.active_children() == []
+
+    def test_table_is_the_same_in_any_number_of_workers(self, capsys, monkeypatch):
+        tables = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(deflatrix._pool, "usable_cpus", lambda: cpus)
+            assert run_cli("selftest", "--seed", "0") == 0
+            tables.append(capsys.readouterr().out)
+        assert tables == [SELFTEST_SEED0_TABLE, SELFTEST_SEED0_TABLE]
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="workers inherit the patched trials only when forked",
+    )
+    def test_precondition_failure_in_a_worker_exits_two(self, capsys, monkeypatch):
+        def degenerate(*args):
+            raise DegenerateGapError("no gap in this unit")
+
+        monkeypatch.setattr(deflatrix.selftest, "inner_identity_trials", degenerate)
+        monkeypatch.setattr(deflatrix._pool, "usable_cpus", lambda: 2)
+        assert run_cli("selftest", "--seed", "0") == 2
+        captured = capsys.readouterr()
+        assert captured.err == "precondition failed: no gap in this unit\n"
+        assert captured.out == ""
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="workers inherit the patched trials only when forked",
+    )
+    def test_worker_death_exits_one(self, capsys, monkeypatch):
+        # two usable CPUs make a pool, so the exit happens in a worker
+        monkeypatch.setattr(deflatrix.selftest, "recurrence_trials", lambda *args: os._exit(3))
+        monkeypatch.setattr(deflatrix._pool, "usable_cpus", lambda: 2)
+        assert run_cli("selftest", "--seed", "0") == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: a worker process died: ")
+        assert captured.out == ""
+        assert multiprocessing.active_children() == []
+
+    def test_bad_seed_exits_one_before_any_worker_starts(self, capsys, monkeypatch):
+        import concurrent.futures
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pool started before the seed was checked")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(deflatrix._pool, "usable_cpus", lambda: 2)
+        assert run_cli("selftest", "--seed", "-1") == 1
+        assert capsys.readouterr().err == "error: seed must be a 64-bit unsigned integer\n"
 
     def test_mutation_canary_detected(self, capsys, monkeypatch):
         # a leading constant of 4 in place of 5 in the agnostic bound must
