@@ -94,9 +94,13 @@ def build_rnn_graph(data: Dataset, r: int) -> np.ndarray:
     graph a deterministic function of the data.
 
     The matrix is built in the one n x n buffer that the Gram matrix
-    x x^T is computed into: the distances, their symmetrization and the
-    weights overwrite it, and every other temporary spans at most
-    ``_BLOCK_ROWS`` rows. The returned array owns that buffer.
+    x x^T is computed into: the distances and then the weights overwrite
+    it, and every other temporary spans at most ``_BLOCK_ROWS`` rows. The
+    returned array owns that buffer. The distances need no symmetrization,
+    as they are bitwise symmetric as computed: numpy forms x x^T with
+    mirrored triangles (BLAS syrk, or without BLAS the same feature-order
+    sum for (i, j) and (j, i)), sq_i + sq_j commutes, and each entry then
+    sees the same operations as its mirror.
     """
     n = data.n
     if n < 2:
@@ -107,22 +111,18 @@ def build_rnn_graph(data: Dataset, r: int) -> np.ndarray:
     sq = (x * x).sum(axis=1)
     # one product, as blocks of rows would round some entries differently
     d2 = x @ x.T
-    # max(sq_i + sq_j - 2 x_i.x_j, 0), then averaged with its transpose;
-    # each entry sees the same operations in the same order as it would
-    # over whole n x n arrays
+    neighbor = np.empty((n, n), dtype=bool)
+    # max(sq_i + sq_j - 2 x_i.x_j, 0) with an infinite diagonal; each entry
+    # sees the same operations in the same order as it would over whole
+    # n x n arrays
     for i0, i1 in _row_blocks(n):
         block = d2[i0:i1]
         block *= 2.0
         np.subtract(np.add(sq[i0:i1, None], sq[None, :]), block, out=block)
         np.maximum(block, 0.0, out=block)
-    neighbor = np.empty((n, n), dtype=bool)
-    for i0, i1 in _row_blocks(n):
-        # rows [i0, i1) hold their final distances once their strip is
-        # symmetrized, since the earlier strips wrote their columns
-        _symmetrize_strip(d2, i0, i1)
         rows = np.arange(i0, i1)
         d2[rows, rows] = np.inf
-        _select_neighbors(d2[i0:i1], r, out=neighbor[i0:i1])
+        _select_neighbors(block, r, out=neighbor[i0:i1])
     adjacency = neighbor | neighbor.T
     del neighbor
     # the weights overwrite the distances; exp runs on the joined pairs only,
@@ -174,12 +174,19 @@ def normalized_laplacian(weights: np.ndarray) -> SymMatrix:
 
     ``weights`` is left as it is: the Laplacian is built in one copy of it.
     """
-    return SymMatrix._trusted(_laplacian_in_place(np.array(weights, dtype=float)))
+    return _laplacian_target(np.array(weights, dtype=float), "top")
 
 
-def _laplacian_in_place(a: np.ndarray) -> np.ndarray:
-    """Overwrite the weight matrix ``a`` with its normalized Laplacian,
-    with the bits of the same operations over whole n x n arrays."""
+def _laplacian_target(weights: np.ndarray, spectrum_end: str) -> SymMatrix:
+    """The matrix whose top eigenvectors are the Laplacian's at
+    ``spectrum_end``: L itself, or 2I - L, which reverses the spectrum
+    within its [0, 2] range, with the bits of the same operations over whole
+    n x n arrays. Both are built in ``weights``'s own buffer, which the
+    result takes over: ``weights`` must be a float array that owns its data,
+    such as the one :func:`build_rnn_graph` returns or a copy of it, with no
+    other reference to it."""
+    weights.setflags(write=True)
+    a = weights
     degrees = a.sum(axis=1)
     dead = np.flatnonzero(degrees <= 0.0)
     if dead.size:
@@ -190,8 +197,11 @@ def _laplacian_in_place(a: np.ndarray) -> np.ndarray:
     _identity_minus(1.0, a)
     for i0, i1 in _row_blocks(a.shape[0]):
         _symmetrize_strip(a, i0, i1)
-    # bitwise symmetric, and 0.0 - m gives no -0.0 for the nonnegative m
-    return a
+    # L is bitwise symmetric, and 0.0 - m gives no -0.0 for the nonnegative
+    # m; 2I - L is too, as 0.0 - x is +0.0 for x = 0
+    if spectrum_end == "bottom":
+        _identity_minus(2.0, a)
+    return SymMatrix._trusted(a)
 
 
 def _identity_minus(c: float, m: np.ndarray) -> None:
@@ -259,20 +269,6 @@ class _DeflatedOperator:
         self._v[self._k] = v
         self._rho[self._k] = rho
         self._k += 1
-
-
-def _laplacian_target(weights: np.ndarray, spectrum_end: str) -> SymMatrix:
-    """The matrix whose top eigenvectors are the Laplacian's at
-    ``spectrum_end``: L itself, or 2I - L, which reverses the spectrum
-    within its [0, 2] range. Both are built in ``weights``'s own buffer,
-    which must be the array :func:`build_rnn_graph` returned, with no other
-    reference to it."""
-    weights.setflags(write=True)
-    a = _laplacian_in_place(weights)
-    if spectrum_end == "bottom":
-        # bitwise symmetric like L, with no -0.0 (0.0 - x is +0.0 for x = 0)
-        _identity_minus(2.0, a)
-    return SymMatrix._trusted(a)
 
 
 def _embedding_operator(target: SymMatrix):

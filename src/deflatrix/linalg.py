@@ -85,9 +85,7 @@ class SymMatrix:
 
     @property
     def matvec(self):
-        """``matvec(x, out)`` writes the product with ``x`` into ``out``.
-        ``ndarray.dot`` releases the GIL around the BLAS call; the 2-D x 1-D
-        ``a @ x`` does not."""
+        """``matvec(x, out)`` writes the product with ``x`` into ``out``."""
         return self.array.dot
 
     def __repr__(self) -> str:

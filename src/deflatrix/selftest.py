@@ -583,66 +583,27 @@ def _formula_oracle_checks() -> dict[str, Tally]:
     return tallies
 
 
-def _run_level_unit(seed: int) -> dict[str, Tally]:
-    corpus = build_run_corpus(
-        RandomSource(seed).substream(1), dims=(8, 12, 16, 20), t_values=(3, 10, 50, 150)
-    )
-    return run_level_checks(corpus)
-
-
-def _perturbed_alignment_unit(seed: int) -> dict[str, Tally]:
-    return {"perturbed_alignment": perturbed_alignment_trials(30, RandomSource(seed).substream(2))}
-
-
-def _inner_identity_unit(seed: int) -> dict[str, Tally]:
-    return {"inner_identity": inner_identity_trials(40, RandomSource(seed).substream(3))}
-
-
-def _iterate_convergence_unit(seed: int) -> dict[str, Tally]:
-    return {"iterate_convergence": iterate_convergence_trials(30, RandomSource(seed).substream(4))}
-
-
-def _recurrence_unit(seed: int) -> dict[str, Tally]:
-    return recurrence_trials(200, RandomSource(seed).substream(5))
-
-
-def _agnostic_soundness_unit(seed: int) -> dict[str, Tally]:
-    rng = RandomSource(seed).substream(6)
-    return {"agnostic_soundness": agnostic_soundness_trials(10, (8, 12), rng)}
-
-
-def _power_iter_soundness_unit(seed: int) -> dict[str, Tally]:
-    rng = RandomSource(seed).substream(7)
-    return {"power_iter_soundness": power_iter_soundness_trials(8, (8, 12), rng)}
-
-
-def _budget_unit(seed: int) -> dict[str, Tally]:
-    rng = RandomSource(seed).substream(8)
-    return {"budget_e2e": budget_e2e_trials(4, rng, epsilons=(1e-2,), d=10, K=3)}
-
-
-def _formula_oracle_unit(seed: int) -> dict[str, Tally]:
-    return _formula_oracle_checks()
-
-
-# The selftest's units in report order, each with its in-process wall time
-# at seed 0 in ms (2-core x86-64, one BLAS thread), which orders their
-# submission: longest first.
+# The selftest's units in report order; unit i draws only from substream
+# i + 1 of the seed and returns its rows. The first is the longest, so
+# handing them out in this order keeps the last worker from finishing alone
+# on it.
 _UNITS = (
-    (_run_level_unit, 28),
-    (_perturbed_alignment_unit, 10),
-    (_inner_identity_unit, 10),
-    (_iterate_convergence_unit, 9),
-    (_recurrence_unit, 20),
-    (_agnostic_soundness_unit, 8),
-    (_power_iter_soundness_unit, 7),
-    (_budget_unit, 2),
-    (_formula_oracle_unit, 0),
+    lambda rng: run_level_checks(
+        build_run_corpus(rng, dims=(8, 12, 16, 20), t_values=(3, 10, 50, 150))
+    ),
+    lambda rng: {"perturbed_alignment": perturbed_alignment_trials(30, rng)},
+    lambda rng: {"inner_identity": inner_identity_trials(40, rng)},
+    lambda rng: {"iterate_convergence": iterate_convergence_trials(30, rng)},
+    lambda rng: recurrence_trials(200, rng),
+    lambda rng: {"agnostic_soundness": agnostic_soundness_trials(10, (8, 12), rng)},
+    lambda rng: {"power_iter_soundness": power_iter_soundness_trials(8, (8, 12), rng)},
+    lambda rng: {"budget_e2e": budget_e2e_trials(4, rng, epsilons=(1e-2,), d=10, K=3)},
+    lambda rng: _formula_oracle_checks(),
 )
 
 
-def _run_unit(seed: int, index: int) -> dict[str, Tally]:
-    return _UNITS[index][0](seed)
+def _run_unit(root: RandomSource, index: int) -> dict[str, Tally]:
+    return _UNITS[index](root.substream(index + 1))
 
 
 def run_selftest(seed: int = 0) -> dict[str, Tally]:
@@ -650,25 +611,24 @@ def run_selftest(seed: int = 0) -> dict[str, Tally]:
 
     The pass is nine units that share nothing: each draws only from its own
     substream of ``seed``. They run in up to one worker process per usable
-    CPU (``_pool.pool_map``), longest first, or in this process where one
-    CPU is usable; the report has the same rows, in the same order, with
-    the same bits, either way. The seed is checked here before any worker
-    starts. A worker that dies raises :class:`ChildProcessError`; an error a
-    unit raises in a worker is raised here.
+    CPU (``_pool.pool_map``), handed out in report order, whose first unit
+    is the longest, or in this process where one CPU is usable; the report
+    has the same rows, in the same order, with the same bits, either way.
+    The seed is checked here before any worker starts. A worker that dies
+    raises :class:`ChildProcessError`; an error a unit raises in a worker is
+    raised here.
 
     Work is shared wherever the values allow it bit for bit: the recurrence
     rows run the O(n^2) closed forms, each calibrated soundness run reads its
     flags and bounds from one :func:`bound_report` (the rows ``bounds.csv``
     writes), and the directional-sum row takes each dot once per run.
     """
-    RandomSource(seed)  # rejects a seed outside [0, 2**64)
+    root = RandomSource(seed)  # rejects a seed outside [0, 2**64)
     # every unit draws from numpy's generators, which numpy imports on first
     # use; importing them here, once per process, spares each worker the import
     import numpy.random  # noqa: F401
 
-    order = sorted(range(len(_UNITS)), key=lambda i: -_UNITS[i][1])
-    parts = dict(zip(order, pool_map(_run_unit, [(i,) for i in order], shared=(seed,))))
     report: dict[str, Tally] = {}
-    for i in range(len(_UNITS)):
-        report.update(parts[i])
+    for rows in pool_map(_run_unit, [(i,) for i in range(len(_UNITS))], shared=(root,)):
+        report.update(rows)
     return report

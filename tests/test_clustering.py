@@ -2,6 +2,7 @@ import concurrent.futures
 import hashlib
 import math
 import multiprocessing
+import os
 import re
 import subprocess
 import sys
@@ -257,16 +258,31 @@ def _doubled_points(n):
     return Dataset(features=base.features[rows], labels=base.labels[rows])
 
 
+def _gaussian_points():
+    return Dataset(features=RandomSource(0).generator.standard_normal((300, 7)),
+                   labels=np.zeros(300, dtype=int))
+
+
 _B = clustering._BLOCK_ROWS
+# graphs whose Gram product x x^T rounds some entries differently under 1
+# and 2 OpenBLAS threads
+_THREAD_DEPENDENT = {
+    "gaussian-r20": (_gaussian_points, 20),
+    "gaussian-r60": (_gaussian_points, 60),
+    "blobs-seed1-r60": (lambda: synthetic_blobs(seed=1), 60),
+}
 
 
 class TestInPlaceSetUpMatchesReference:
     # the graph, L and 2I - L are built in one buffer a block of rows at a
     # time; at sizes around the block boundary they keep the bits of the
-    # same operations over whole arrays
+    # same operations over whole arrays. The reference averages the
+    # distances with their transpose, which the graph skips: equal bits pin
+    # that the distances are bitwise symmetric as computed
     @staticmethod
     def assert_matches_reference(data, r):
         weights = build_rnn_graph(data, r)
+        assert weights.tobytes() == weights.T.tobytes()
         assert weights.tobytes() == _reference_rnn_weights(data, r).tobytes()
         lap = _reference_laplacian(weights)
         bottom = _reference_identity_minus(2.0, lap)
@@ -289,6 +305,25 @@ class TestInPlaceSetUpMatchesReference:
         # points 120 and 139 fall on either side of the first block boundary
         assert 120 < _B < 139
         self.assert_matches_reference(_grid_points(), 4)
+
+    @pytest.mark.parametrize("case", list(_THREAD_DEPENDENT))
+    def test_thread_dependent_graphs(self, case):
+        points, r = _THREAD_DEPENDENT[case]
+        self.assert_matches_reference(points(), r)
+
+    def test_thread_dependent_graphs_under_two_blas_threads(self):
+        # BLAS reads its thread count once, when numpy is imported, so the
+        # cases run in a process of their own; their bits may differ from
+        # one thread's, but each graph is symmetric and matches the reference
+        tests = Path(__file__).resolve().parent
+        src = Path(deflatrix.__file__).resolve().parent.parent
+        code = ("import test_clustering as t\n"
+                "for points, r in t._THREAD_DEPENDENT.values():\n"
+                "    t.TestInPlaceSetUpMatchesReference.assert_matches_reference(points(), r)\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(tests)]),
+               "OPENBLAS_NUM_THREADS": "2"}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
 
     def test_public_laplacian_leaves_its_input(self):
         weights = build_rnn_graph(synthetic_blobs(n=60, clusters=3, seed=2), 5)
